@@ -13,11 +13,10 @@ import json
 import os
 import sys
 
-from .intervals import Interval
+from .intervals import INCONSISTENT
 from .program import ParseError, ground, parse_program
 from . import depgraph, nmi, semantics, solver
-from .mi import mi_fixpoint
-from .transform import transform_program, substitute
+from .transform import TransformedProgram
 
 EXIT_OK = 0
 EXIT_NO_ANSWER = 1
@@ -79,7 +78,7 @@ def _solver_config(args):
         seeds = [float(s) for s in args.seeds.split(",") if s != ""]
         if any(x < 0 or x > 1 for x in seeds):
             raise ValueError("seeds must lie in [0,1]")
-    cfg = solver.SolverConfig(
+    return solver.SolverConfig(
         nmi=nmi.NmiConfig(eps=args.eps, max_outer_iters=args.max_iter,
                           n_b=args.nb),
         seeds=seeds,
@@ -87,7 +86,6 @@ def _solver_config(args):
         trace={t for t in args.trace.split(",") if t},
         trace_sink=lambda line: print(line, file=sys.stderr),
     )
-    return cfg
 
 
 def _report_json(report):
@@ -107,16 +105,20 @@ def _print_answer_set(i, index):
             print(f"  {lit.atom}: [{v.lower:.9g},{v.upper:.9g}]")
 
 
+def _write_dot(path, tp):
+    with open(path, "w") as fh:
+        fh.write(depgraph.to_dot(depgraph.build_dep_graph(tp)))
+
+
 def _cmd_solve(args):
     program = _load_program(args.file)
     cfg = _solver_config(args)
+    front = solver.front_half(program)
     if args.dump_transformed:
-        print(transform_program(ground(program)), file=sys.stderr)
-    report = solver.solve(program, cfg)
+        print(front.transformed, file=sys.stderr)
+    report = solver.solve_front(front, cfg)
     if args.dot:
-        tp = transform_program(ground(program))
-        with open(args.dot, "w") as fh:
-            fh.write(depgraph.to_dot(depgraph.build_dep_graph(tp)))
+        _write_dot(args.dot, front.transformed)
     if args.format == "json":
         print(json.dumps(_report_json(report), sort_keys=True, indent=2))
     else:
@@ -132,56 +134,48 @@ def _cmd_solve(args):
     return EXIT_OK
 
 
+def _analysis_record(comp, plan):
+    """One component of `analyze`: its atoms and, when cyclic, the plan
+    the solver runs for it on the first branch that reaches it."""
+    record = {"atoms": [str(a) for a in comp]}
+    if plan is None:
+        return record
+    summary = plan.summary()
+    del summary["component"]
+    record.update(summary)
+    if plan.cycles is not None:
+        record["cycles"] = [[str(a) for a in c] for c in plan.cycles]
+        record["intersection_table"] = {
+            "-".join(str(a) for a in cyc):
+                {str(a): tick for a, tick in row.items()}
+            for cyc, row in depgraph.intersection_table(plan.cycles,
+                                                        comp).items()}
+    if plan.contraction is not None:
+        record["gains"] = {str(a): [g.g1, g.g2, g.norm]
+                           for a, g in plan.contraction.gains.items()}
+    return record
+
+
 def _cmd_analyze(args):
     program = _load_program(args.file)
-    grounded = ground(program)
-    tp = transform_program(grounded)
+    cfg = _solver_config(args)
+    front = solver.front_half(program)
+    state = front.mi
     if args.dump_transformed:
-        print(tp, file=sys.stderr)
-    state = mi_fixpoint(tp)
-    entries = ({a: substitute(e, state.interp)
-                for a, e in state.residual.items()}
-               if state.residual else tp.entries)
-    graph = depgraph.build_dep_graph(
-        type(tp)(entries) if state.residual else tp)
+        print(front.transformed, file=sys.stderr)
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(depgraph.to_dot(graph))
+        _write_dot(args.dot, TransformedProgram(state.residual)
+                   if state.residual else front.transformed)
+    passed = solver.component_pass(front, cfg)
+    first = {plan.component: plan for plan in reversed(passed.plans)}
     info = {
         "mi_assigned": {str(a): [v.lower, v.upper]
                         for a, v in state.interp.items()
-                        if not isinstance(v, str)},
+                        if v is not INCONSISTENT},
         "halted_inconsistent": state.halted_inconsistent,
-        "components": [],
+        "components": [_analysis_record(comp, first.get(comp))
+                       for comp in passed.components],
     }
-    if entries and not state.halted_inconsistent:
-        components, topo = depgraph.scc_condense(entries)
-        for idx in topo:
-            comp = components[idx]
-            record = {"atoms": [str(a) for a in comp]}
-            cyclic = (len(comp) > 1
-                      or comp[0] in depgraph.atom_digraph(entries).succ.get(
-                          comp[0], ()))
-            if cyclic:
-                cycles = depgraph.enumerate_cycles(entries, comp)
-                record["cycles"] = [[str(a) for a in c] for c in cycles]
-                table = depgraph.intersection_table(cycles, comp)
-                record["intersection_table"] = {
-                    "-".join(str(a) for a in cyc):
-                        {str(a): tick for a, tick in row.items()}
-                    for cyc, row in table.items()}
-                try:
-                    aset = depgraph.select_assumption_set(entries, comp,
-                                                          cycles)
-                    record["assumption_set"] = [str(a) for a in aset]
-                    report = nmi.check_contraction(entries, comp, aset,
-                                                   cycles)
-                    record["contraction"] = report.classification
-                    record["gains"] = {str(a): [g.g1, g.g2, g.norm]
-                                       for a, g in report.gains.items()}
-                except depgraph.NoValidAssumptionSet as exc:
-                    record["assumption_set_error"] = str(exc)
-            info["components"].append(record)
     if args.format == "json":
         print(json.dumps(info, sort_keys=True, indent=2))
     else:
@@ -189,10 +183,13 @@ def _cmd_analyze(args):
               f"{len(state.residual)} rules residual")
         for record in info["components"]:
             line = ",".join(record["atoms"])
-            if "cycles" in record:
-                line += (f"  cycles={len(record['cycles'])}"
+            if "method" in record:
+                line += (f"  [{record['method']}]"
+                         f"  cycles={len(record.get('cycles', ()))}"
                          f"  assumption={record.get('assumption_set')}"
                          f"  {record.get('contraction', '')}")
+            if "assumption_set_error" in record:
+                line += f"  error: {record['assumption_set_error']}"
             print(line)
     return EXIT_OK
 

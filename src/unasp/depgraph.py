@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
-from .intervals import Interval, tconorm, tnorm
+from .intervals import tconorm, tnorm
 from . import transform as tf
 
 NAF_EDGE = "-1"
@@ -152,18 +152,6 @@ def intersection_table(cycles, component):
     return {cyc: {a: a in cyc for a in atoms} for cyc in cycles}
 
 
-def _contains_naf(expr) -> bool:
-    if isinstance(expr, tf.Naf):
-        return True
-    if isinstance(expr, (tf.Const, tf.Ref)):
-        return False
-    if isinstance(expr, tf.Neg):
-        return _contains_naf(expr.child)
-    if isinstance(expr, tf.Kagg):
-        return _contains_naf(expr.left) or _contains_naf(expr.right)
-    return any(_contains_naf(c) for c in expr.children)
-
-
 def _disjunctive_head(expr) -> bool:
     if isinstance(expr, tf.Kagg):
         return _disjunctive_head(expr.left) or _disjunctive_head(expr.right)
@@ -193,7 +181,8 @@ def select_assumption_set(entries: dict, component, cycles,
     """
     atoms = sorted(component, key=str)
     if mode == "branch_bound":
-        candidates = [a for a in atoms if _contains_naf(entries[a])]
+        candidates = [a for a in atoms
+                      if tf.Naf in tf.node_kinds([entries[a]])]
         if not candidates:
             raise NoValidAssumptionSet(
                 "branch-bound requires an atom fed through naf")
@@ -296,16 +285,12 @@ def build_vpg(entries: dict, component, assumption_set, cycles):
             k = cyc.index(a)
             order = list(cyc[k:] + cyc[:k])  # starts at the chosen atom
             hops = []
-            ok = True
-            for idx in range(len(order)):
-                u = order[idx]
-                v = order[(idx + 1) % len(order)]
+            for u, v in zip(order, order[1:] + order[:1]):
                 occ = occurrence_paths(entries[v], u)
                 if not occ:
-                    ok = False
                     break
                 hops.append(occ[0])
-            if ok:
+            else:
                 paths.append({"atoms": order + [a], "segments": hops})
         vpg[a] = paths
     return vpg

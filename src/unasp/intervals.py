@@ -183,21 +183,23 @@ def kmax(x: Interval, y: Interval, eps: float = EPS_CMP) -> Interval:
     Undefined when the widths tie but the values differ; callers that
     can face that case must go through kagg instead.
     """
-    if x.same_as(y, eps):
-        return x
-    if abs(x.width - y.width) <= eps:
+    value = kagg(x, y, eps)
+    if value is INCONSISTENT:
         raise ValueError(f"kmax undefined for equal-width values {x}, {y}")
-    return x if x.width < y.width else y
+    return value
 
 
 def kagg(x: EpistemicValue, y: EpistemicValue,
          eps: float = EPS_CMP) -> EpistemicValue:
-    """Certainty aggregation: like kmax, but an equal-width tie between
-    different values resolves to INCONSISTENT, which then absorbs."""
+    """Certainty aggregation: the narrower of two values, with an
+    equal-width tie between different values resolving to INCONSISTENT,
+    which then absorbs.  Values equal within eps give the narrower one,
+    ties broken by bounds, so the result does not depend on argument
+    order."""
     if x is INCONSISTENT or y is INCONSISTENT:
         return INCONSISTENT
-    if x.same_as(y, eps):
-        return x
-    if abs(x.width - y.width) <= eps:
+    if not x.same_as(y, eps) and abs(x.width - y.width) <= eps:
         return INCONSISTENT
-    return x if x.width < y.width else y
+    if (x.width, x.lower, x.upper) <= (y.width, y.lower, y.upper):
+        return x
+    return y

@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 
 from .intervals import EPS_CMP, Interval
 from .mi import mi_fixpoint
-from .transform import Const, Kagg, TransformedProgram, simplify, substitute
+from .semantics import evaluate, total_from_positive
+from .transform import (Const, Kagg, Naf, TransformedProgram, node_kinds,
+                        simplify, substitute)
 from .depgraph import (NonConstantOperand, enumerate_cycles,
                        select_assumption_set, build_vpg)
 
@@ -94,45 +96,54 @@ def nmi_iterate(entries: dict, assumption_set, cfg: NmiConfig,
         current = new
         if delta < cfg.eps:
             final = _inner_pass(entries, current)
-            if final.halted_inconsistent:
-                return NmiOutcome("inconsistent", dict(final.interp), it,
-                                  history, deltas)
-            return NmiOutcome("converged", dict(final.interp), it,
-                              history, deltas)
+            status = ("inconsistent" if final.halted_inconsistent
+                      else "converged")
+            return NmiOutcome(status, dict(final.interp), it, history, deltas)
     return NmiOutcome("max_iters", dict(current), cfg.max_outer_iters,
                       history, deltas)
 
 
-def cycle_gain(vpp: dict) -> GainVector:
-    """Linearized update coefficients along one value-propagation path.
+def _walk_path(vpp: dict):
+    """Linearized update coefficients along one value-propagation path,
+    from the constant operands alone.
 
     Walks the path keeping a coefficient per interval bound: classical
     negation swaps the bounds, naf makes both depend on the lower one,
     a conjunction with constant operand scales by its bounds, a
-    disjunction by one minus its bounds.
+    disjunction by one minus its bounds.  Also returns the number of
+    non-constant operands met along the way and the operators met.
     """
     g1 = g2 = 1.0
-    for steps in vpp["segments"]:
-        for step in steps:
-            kind = step[0]
-            if kind == "neg":
-                g1, g2 = g2, g1
-            elif kind == "naf":
-                g2 = g1
-            elif kind in ("and", "or"):
-                const, extra = step[1], step[2]
-                if const is None or extra:
-                    raise NonConstantOperand(
-                        f"{kind} node has non-constant operands")
-                if kind == "and":
-                    g1 *= const.lower
-                    g2 *= const.upper
-                else:
-                    g1 *= 1.0 - const.lower
-                    g2 *= 1.0 - const.upper
-            else:
-                raise NonConstantOperand("aggregation node in path")
-    return GainVector(g1, g2)
+    varying = 0
+    ops = set()
+    for step in itertools.chain.from_iterable(vpp["segments"]):
+        kind = step[0]
+        ops.add(kind)
+        if kind == "neg":
+            g1, g2 = g2, g1
+        elif kind == "naf":
+            g2 = g1
+        else:
+            const, extra = step[1], step[2]
+            varying += extra
+            if kind == "and" and const is not None:
+                g1 *= const.lower
+                g2 *= const.upper
+            elif kind == "or" and const is not None:
+                g1 *= 1.0 - const.lower
+                g2 *= 1.0 - const.upper
+    return GainVector(g1, g2), varying, ops
+
+
+def cycle_gain(vpp: dict) -> GainVector:
+    """Linearized update coefficients along one value-propagation path
+    whose conjunctions and disjunctions all have constant operands."""
+    gain, varying, ops = _walk_path(vpp)
+    if "kagg" in ops:
+        raise NonConstantOperand("aggregation node in path")
+    if varying:
+        raise NonConstantOperand("path has non-constant operands")
+    return gain
 
 
 @dataclass
@@ -144,68 +155,16 @@ class ContractionReport:
     k_counts: dict = field(default_factory=dict)
 
 
-def _has_kagg(expr) -> bool:
-    if isinstance(expr, Kagg):
-        return True
-    if hasattr(expr, "children"):
-        return any(_has_kagg(c) for c in expr.children)
-    if hasattr(expr, "child"):
-        return _has_kagg(expr.child)
-    if hasattr(expr, "left"):
-        return _has_kagg(expr.left) or _has_kagg(expr.right)
-    return False
-
-
-def _has_naf(expr) -> bool:
-    from .depgraph import _contains_naf
-    return _contains_naf(expr)
-
-
-def _has_const(expr) -> bool:
-    if isinstance(expr, Const):
-        return True
-    if hasattr(expr, "children"):
-        return any(_has_const(c) for c in expr.children)
-    if hasattr(expr, "child"):
-        return _has_const(expr.child)
-    if hasattr(expr, "left"):
-        return _has_const(expr.left) or _has_const(expr.right)
-    return False
-
-
-def _conj_path_stats(vpp):
-    """Constant-only gain and varying-conjunct count for a path made of
-    conjunction nodes; None when the path has disjunctions."""
-    g1 = g2 = 1.0
-    k = 0
-    for steps in vpp["segments"]:
-        for step in steps:
-            kind = step[0]
-            if kind == "neg":
-                g1, g2 = g2, g1
-            elif kind == "naf":
-                g2 = g1
-            elif kind == "and":
-                const, extra = step[1], step[2]
-                k += extra
-                if const is not None:
-                    g1 *= const.lower
-                    g2 *= const.upper
-            else:
-                return None, None
-    return max(abs(g1), abs(g2)), k
-
-
 def check_contraction(entries: dict, component, assumption_set,
                       cycles) -> ContractionReport:
     """Advisory classification of a component against the sufficient
     convergence conditions; unclassified components still iterate."""
-    exprs = [entries[a] for a in component]
-    if any(_has_kagg(e) for e in exprs):
+    kinds = node_kinds(entries[a] for a in component)
+    if Kagg in kinds:
         return ContractionReport("kagg_cycle")
-    if not any(_has_naf(e) for e in exprs):
+    if Naf not in kinds:
         return ContractionReport("no_naf_no_kagg")
-    if not any(_has_const(e) for e in exprs):
+    if Const not in kinds:
         # nothing damps the cycle; only exact seeds can stabilize it
         return ContractionReport("branch_bound_required")
     vpg = build_vpg(entries, component, assumption_set, cycles)
@@ -223,13 +182,15 @@ def check_contraction(entries: dict, component, assumption_set,
     bounds, k_counts, gains = [], {}, {}
     for atom in assumption_set:
         for vpp in vpg.get(atom, []):
-            gnorm, k = _conj_path_stats(vpp)
-            if gnorm is None:
+            # a conjunction-only path: constant-only gain against the
+            # number of varying conjuncts
+            gain, k, ops = _walk_path(vpp)
+            if ops & {"or", "kagg"}:
                 bounds.append(False)
                 continue
             k_counts[atom] = k
-            gains[atom] = GainVector(gnorm, gnorm)
-            bounds.append(gnorm < 1.0 / (k + 2))
+            gains[atom] = GainVector(gain.norm, gain.norm)
+            bounds.append(gain.norm < 1.0 / (k + 2))
     if bounds and all(bounds):
         return ContractionReport("conj_path_bound", gains, k_counts)
     return ContractionReport("unclassified", gains, k_counts)
@@ -239,14 +200,10 @@ class StructuralMismatch(RuntimeError):
     pass
 
 
-def solve_kagg_cycle(entries: dict, component, cfg: NmiConfig,
-                     eps_cmp: float = EPS_CMP):
-    """Resolve a simple cycle containing exactly one aggregation rule
-    a <- c (x)k B by comparing two candidate fixpoints: the cycle with
-    the aggregation dropped, and a single pass anchored at a = c.
-
-    Returns the surviving candidate interpretations (0, 1, or 2).
-    """
+def kagg_anchor(entries: dict, component, cycles):
+    """The atom a, constant c and other operand B of the one aggregation
+    rule a <- c (x)k B on a simple cycle; raises StructuralMismatch when
+    the component has another shape."""
     kagg_atoms = [a for a in component if isinstance(entries[a], Kagg)]
     if len(kagg_atoms) != 1:
         raise StructuralMismatch("expected exactly one aggregation rule")
@@ -258,15 +215,27 @@ def solve_kagg_cycle(entries: dict, component, cfg: NmiConfig,
         cbar, branch = node.right.value, node.left
     else:
         raise StructuralMismatch("no constant aggregation operand")
-    cycles = enumerate_cycles(entries, component)
     if len(cycles) != 1:
         raise StructuralMismatch("component is not a simple cycle")
+    return atom, cbar, branch
+
+
+def solve_kagg_cycle(entries: dict, component, cfg: NmiConfig,
+                     eps_cmp: float = EPS_CMP, cap: int = 10_000):
+    """Resolve a simple cycle containing exactly one aggregation rule
+    a <- c (x)k B by comparing two candidate fixpoints: the cycle with
+    the aggregation dropped, and a single pass anchored at a = c.
+
+    Returns the surviving candidate interpretations (0, 1, or 2).
+    """
+    atom, cbar, branch = kagg_anchor(
+        entries, component, enumerate_cycles(entries, component, cap))
 
     # candidate 1: iterate with the aggregation dropped
     dropped = dict(entries)
     dropped[atom] = simplify(branch)
     aset = select_assumption_set(dropped, component,
-                                 enumerate_cycles(dropped, component))
+                                 enumerate_cycles(dropped, component, cap))
     outcome = nmi_iterate(dropped, aset, cfg)
     i_minus = outcome.interp if outcome.status == "converged" else None
     # stability: the branch value must be strictly more certain than c
@@ -280,24 +249,20 @@ def solve_kagg_cycle(entries: dict, component, cfg: NmiConfig,
     if not state.halted_inconsistent and not state.residual:
         i_s = dict(state.interp)
         i_s[atom] = cbar
-    stable_s = False
-    if i_s is not None:
-        from .semantics import evaluate, total_from_positive
-        v_branch = evaluate(branch, total_from_positive(i_s))
-        # the incoming evidence must be strictly less certain than c
-        stable_s = v_branch.width > cbar.width + eps_cmp
+    # the incoming evidence must be strictly less certain than c
+    stable_s = (i_s is not None
+                and evaluate(branch, total_from_positive(i_s)).width
+                > cbar.width + eps_cmp)
 
     if stable_minus and stable_s:
         below_minus = all(i_minus[x].width >= i_s[x].width - eps_cmp
                           for x in component)
         below_s = all(i_s[x].width >= i_minus[x].width - eps_cmp
                       for x in component)
-        if below_minus and not below_s:
+        if below_minus:
             return [(i_minus, "kagg_dropped")]
-        if below_s and not below_minus:
+        if below_s:
             return [(i_s, "kagg_anchored")]
-        if below_minus and below_s:
-            return [(i_minus, "kagg_dropped")]
         return [(i_minus, "kagg_dropped"), (i_s, "kagg_anchored")]
     if stable_minus:
         return [(i_minus, "kagg_dropped")]

@@ -4,12 +4,13 @@ Concrete syntax (Prolog-flavored)::
 
     % a comment
     r1: fly(X) <- [0.7,1] : bird(X), not penguin(X).
-    f1: bird(tweety) <- [1,1].
+    f1: bird(tweety).
     c1: -works <- [1,1] : broken.
 
 `-p` is classical negation, `not p` is negation as failure, `[x,y]`
 literals may appear as body items, terms, weights.  Variables start
-uppercase, constants lowercase.  A missing body desugars to `[1,1]`.
+uppercase, constants lowercase.  A missing body desugars to `[1,1]`,
+and a fact `h.` abbreviates `h <- [1,1] : [1,1].`
 """
 
 from __future__ import annotations
@@ -226,21 +227,22 @@ class _Parser:
             label = self._take("ident").text
             self._take(text=":")
         head = self.parse_literal()
-        self._take("arrow")
-        weight_tok = self._peek()
-        weight = self.parse_interval("rule weight")
-        if weight.upper > 1.0 or weight.lower < 0.0:
-            raise ParseError("weight outside [0,1]",
-                             weight_tok.line, weight_tok.column)
-        body = []
-        if self._at(":"):
-            self._take(text=":")
-            body.append(self.parse_body_item())
-            while self._at(","):
-                self._take(text=",")
-                body.append(self.parse_body_item())
-        else:
-            body.append(ConstItem(Interval(1.0, 1.0)))
+        # a missing body is [1,1], and the fact h. is h <- [1,1] : [1,1].
+        weight = Interval(1.0, 1.0)
+        body = [ConstItem(Interval(1.0, 1.0))]
+        if not self._at("."):
+            self._take("arrow")
+            weight_tok = self._peek()
+            weight = self.parse_interval("rule weight")
+            if weight.upper > 1.0 or weight.lower < 0.0:
+                raise ParseError("weight outside [0,1]",
+                                 weight_tok.line, weight_tok.column)
+            if self._at(":"):
+                self._take(text=":")
+                body = [self.parse_body_item()]
+                while self._at(","):
+                    self._take(text=",")
+                    body.append(self.parse_body_item())
         self._take(text=".")
         if not label:
             label = f"r#{next(counter)}"

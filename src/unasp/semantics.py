@@ -13,7 +13,7 @@ import itertools
 import json
 
 from .intervals import (INCONSISTENT, EPS_CMP, Interval, Ordering,
-                        OrderFamily, compare, kp_lt, naf, negate, tconorm,
+                        OrderFamily, compare, kagg, naf, negate, tconorm,
                         tnorm)
 from .program import Atom, ConstItem, LitItem, Literal, Program, Rule
 from . import transform as tf
@@ -65,7 +65,6 @@ def evaluate(e, i: dict):
             value = tconorm(value, evaluate(c, i))
         return value
     if isinstance(e, tf.Kagg):
-        from .intervals import kagg
         return kagg(evaluate(e.left, i), evaluate(e.right, i))
     raise TypeError(f"not a body expression: {e!r}")
 
@@ -121,23 +120,20 @@ def with_constraints(p: Program) -> Program:
     return Program(p.rules + extra) if extra else p
 
 
-def required_value(atom: Atom, p: Program, i: dict):
-    """The value the program's rules force on an atom, or None when the
+def _joins(atom: Atom, p: Program):
+    """Positive and negative rule joins of an atom, and whether each
+    side has any rule."""
+    pos, neg = Literal(atom, False), Literal(atom, True)
+    return (tf.r_join(pos, p), tf.r_join(neg, p),
+            bool(p.rules_for(pos)), bool(p.rules_for(neg)))
+
+
+def required_value(joins, i: dict, eps: float):
+    """The value an atom's rule joins force on it; INCONSISTENT when the
     mixed-evidence aggregation is undefined (equal-width clash)."""
-    pos = tf.r_join(Literal(atom, False), p)
-    neg = tf.r_join(Literal(atom, True), p)
-    has_pos = bool(p.rules_for(Literal(atom, False)))
-    has_neg = bool(p.rules_for(Literal(atom, True)))
+    pos, neg, has_pos, has_neg = joins
     if has_pos and has_neg:
-        x = evaluate(pos, i)
-        y = negate(evaluate(neg, i))
-        if x is INCONSISTENT or y is INCONSISTENT:
-            return INCONSISTENT
-        if x.same_as(y, EPS_CMP):
-            return x
-        if abs(x.width - y.width) <= EPS_CMP:
-            return None  # max_k undefined; reported as not supported
-        return x if x.width < y.width else y
+        return kagg(evaluate(pos, i), negate(evaluate(neg, i)), eps)
     if has_pos:
         return evaluate(pos, i)
     if has_neg:
@@ -154,10 +150,8 @@ def is_supported_model(i: dict, p: Program, eps: float = EPS_CMP) -> bool:
             actual = lookup(i, Literal(atom, False))
             if actual is INCONSISTENT:
                 return False
-            req = required_value(atom, p, i)
-            if req is None or req is INCONSISTENT:
-                return False
-            if not actual.same_as(req, eps):
+            req = required_value(_joins(atom, p), i, EPS_CMP)
+            if req is INCONSISTENT or not actual.same_as(req, eps):
                 return False
             actual_neg = lookup(i, Literal(atom, True))
             if actual_neg is INCONSISTENT:
@@ -201,11 +195,7 @@ def enumerate_grid_supported(p: Program, points=GRID_POINTS,
     grid.  Exponential; meant for programs with very few atoms."""
     p = with_constraints(p)
     atoms = sorted(p.atom_base, key=str)
-    joins = {a: (tf.r_join(Literal(a, False), p),
-                 tf.r_join(Literal(a, True), p),
-                 bool(p.rules_for(Literal(a, False))),
-                 bool(p.rules_for(Literal(a, True))))
-             for a in atoms}
+    joins = {a: _joins(a, p) for a in atoms}
     cells = grid_intervals(points)
     found = []
     for combo in itertools.product(cells, repeat=len(atoms)):
@@ -217,23 +207,8 @@ def enumerate_grid_supported(p: Program, points=GRID_POINTS,
 
 def _supported_with_joins(i, atoms, joins, eps):
     for atom in atoms:
-        pos, neg, has_pos, has_neg = joins[atom]
+        req = required_value(joins[atom], i, eps)
         actual = i[Literal(atom, False)]
-        if has_pos and has_neg:
-            x = evaluate(pos, i)
-            y = negate(evaluate(neg, i))
-            if x is INCONSISTENT or y is INCONSISTENT:
-                return False
-            if x.same_as(y, eps):
-                req = x
-            elif abs(x.width - y.width) <= eps:
-                return False
-            else:
-                req = x if x.width < y.width else y
-        elif has_pos:
-            req = evaluate(pos, i)
-        else:
-            req = negate(evaluate(neg, i))
         if req is INCONSISTENT or not actual.same_as(req, eps):
             return False
     return True

@@ -1,23 +1,24 @@
 """Full solving pipeline.
 
-ground -> transform -> monotonic fixpoint -> dependency analysis of the
-residual -> per-component dispatch in topological order (iteration,
-trivial [0,1] fill, aggregation-cycle resolution, or branch-and-bound),
-branching the downstream computation whenever a component admits
-several stable valuations.  Every emitted answer set is re-checked by
-the declarative verifier before it is reported.
+Front half: ground -> transform -> monotonic fixpoint.  Component pass:
+dependency analysis of the residual, then per component in topological
+order a plan (iteration, trivial [0,1] fill, aggregation-cycle
+resolution, or branch-and-bound) that is run, branching the downstream
+computation whenever a component admits several stable valuations.
+`solve` re-checks every emitted answer set with the declarative
+verifier; `unasp analyze` reports the plans instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intervals import EPS_CMP, INCONSISTENT, Interval
-from .program import Program
+from .intervals import INCONSISTENT, Interval
+from .program import Program, ground
 from . import depgraph, nmi, semantics
-from .mi import mi_fixpoint
-from .program import ground
-from .transform import Const, transform_program, substitute, referenced_atoms
+from .mi import MiState, mi_fixpoint
+from .transform import (Const, Kagg, Naf, TransformedProgram, node_kinds,
+                        referenced_atoms, substitute, transform_program)
 
 
 @dataclass
@@ -41,6 +42,45 @@ class SolveReport:
     diagnostics: dict = field(default_factory=dict)
 
 
+@dataclass
+class FrontHalf:
+    program: Program                  # the ground program
+    transformed: TransformedProgram
+    mi: MiState
+
+
+@dataclass
+class ComponentPlan:
+    """How one cyclic component is solved on one branch."""
+    component: tuple
+    method: str = None     # kagg_cycle | nmi | branch_and_bound | ignorance
+    cycles: list = None
+    assumption_set: list = None
+    contraction: nmi.ContractionReport = None
+    seed_set: list = None  # exact seeds also tried when nmi meets a kagg
+    error: str = None      # why the component could not be solved
+
+    def summary(self) -> dict:
+        record = {"component": [str(a) for a in self.component],
+                  "method": self.method}
+        if self.assumption_set is not None:
+            record["assumption_set"] = [str(a) for a in self.assumption_set]
+        if self.contraction is not None:
+            record["contraction"] = self.contraction.classification
+        if self.error is not None:
+            record["assumption_set_error"] = self.error
+        return record
+
+
+@dataclass
+class ComponentPass:
+    branches: list                    # Atom -> Interval, one per branch
+    components: list = field(default_factory=list)  # topological order
+    plans: list = field(default_factory=list)  # per cyclic component, branch
+    notes: list = field(default_factory=list)
+    truncated: bool = False
+
+
 def _fmt_vals(values):
     return ", ".join(f"{a}:{v}" for a, v in sorted(values.items(),
                                                    key=lambda kv: str(kv[0])))
@@ -50,64 +90,146 @@ def _close_valuations(a, b, tol):
     return set(a) == set(b) and all(a[x].same_as(b[x], tol) for x in a)
 
 
-def _dispatch_component(entries, comp, cfg: SolverConfig, diag_steps):
-    """Evaluate one cyclic component; returns (list of atom valuations,
-    method name, flags)."""
-    flags = {"max_iters": False, "inconsistent": False}
-    exprs = list(entries.values())
-    kagg_present = any(nmi._has_kagg(e) for e in exprs)
-    if kagg_present:
+def _method(entries, comp, cycles, kinds):
+    if Kagg in kinds:
         try:
-            resolved = nmi.solve_kagg_cycle(entries, comp, cfg.nmi)
-            return [r for r, _ in resolved], "kagg_cycle", flags
+            nmi.kagg_anchor(entries, comp, cycles)
+            return "kagg_cycle"
         except nmi.StructuralMismatch:
             pass
-    cycles = depgraph.enumerate_cycles(entries, comp, cfg.cycle_cap)
-    if any(nmi._has_const(e) for e in exprs):
-        aset = depgraph.select_assumption_set(entries, comp, cycles)
-        report = nmi.check_contraction(entries, comp, aset, cycles)
-        diag_steps.append({"component": [str(a) for a in comp],
-                           "method": "nmi",
-                           "assumption_set": [str(a) for a in aset],
-                           "contraction": report.classification})
-        outcome = nmi.nmi_iterate(entries, aset, cfg.nmi)
-        results = [outcome.interp] if outcome.status == "converged" else []
-        if kagg_present:
-            # an aggregation the special-case resolver cannot handle may
-            # hide several point fixpoints the iteration cannot reach;
-            # also try self-reproducing exact seeds
-            try:
-                bset = depgraph.select_assumption_set(
-                    entries, comp, cycles, mode="branch_bound")
-            except depgraph.NoValidAssumptionSet:
-                bset = aset
-            exact = nmi.branch_and_bound(entries, bset, cfg.nmi, cfg.seeds)
-            tol = max(1e-6, 3.0 * cfg.nmi.eps)
-            results = exact + [
-                r for r in results
-                if not any(_close_valuations(r, e, tol) for e in exact)]
-        if results:
-            return results, "nmi", flags
-        flags[("max_iters" if outcome.status == "max_iters"
-               else "inconsistent")] = True
-        return [], "nmi", flags
-    if any(depgraph._contains_naf(e) for e in exprs):
-        aset = depgraph.select_assumption_set(entries, comp, cycles,
-                                              mode="branch_bound")
-        diag_steps.append({"component": [str(a) for a in comp],
-                           "method": "branch_and_bound",
-                           "assumption_set": [str(a) for a in aset]})
-        results = nmi.branch_and_bound(entries, aset, cfg.nmi, cfg.seeds)
-        return results, "branch_and_bound", flags
+    if Const in kinds:
+        return "nmi"
+    if Naf in kinds:
+        return "branch_and_bound"
     # no constants, no naf, no aggregation: nothing pins the cycle down
-    return [{a: Interval(0.0, 1.0) for a in comp}], "ignorance", flags
+    return "ignorance"
+
+
+def _plan_component(plan: ComponentPlan, entries, cfg: SolverConfig):
+    """Fill in how to solve one cyclic component: its method, cycles,
+    assumption set and contraction class.  A failing analysis raises
+    and leaves the plan as far as it got."""
+    comp = plan.component
+    kinds = node_kinds(entries.values())
+    plan.cycles = depgraph.enumerate_cycles(entries, comp, cfg.cycle_cap)
+    plan.method = _method(entries, comp, plan.cycles, kinds)
+    bnb = plan.method == "branch_and_bound"
+    plan.assumption_set = depgraph.select_assumption_set(
+        entries, comp, plan.cycles, mode="branch_bound" if bnb else "nmi")
+    plan.contraction = nmi.check_contraction(
+        entries, comp, plan.assumption_set, plan.cycles)
+    if plan.method == "nmi" and Kagg in kinds:
+        # an aggregation the special-case resolver cannot handle may
+        # hide several point fixpoints the iteration cannot reach;
+        # also try self-reproducing exact seeds
+        try:
+            plan.seed_set = depgraph.select_assumption_set(
+                entries, comp, plan.cycles, mode="branch_bound")
+        except depgraph.NoValidAssumptionSet:
+            plan.seed_set = plan.assumption_set
+
+
+def _dispatch_component(entries, plan, cfg: SolverConfig, out):
+    """Run a plan; returns the component's atom valuations."""
+    comp, aset = plan.component, plan.assumption_set
+    if plan.method == "kagg_cycle":
+        resolved = nmi.solve_kagg_cycle(entries, comp, cfg.nmi,
+                                        cap=cfg.cycle_cap)
+        return [r for r, _ in resolved]
+    if plan.method == "branch_and_bound":
+        return nmi.branch_and_bound(entries, aset, cfg.nmi, cfg.seeds)
+    if plan.method == "ignorance":
+        return [{a: Interval(0.0, 1.0) for a in comp}]
+    outcome = nmi.nmi_iterate(entries, aset, cfg.nmi)
+    results = [outcome.interp] if outcome.status == "converged" else []
+    if plan.seed_set is not None:
+        exact = nmi.branch_and_bound(entries, plan.seed_set, cfg.nmi,
+                                     cfg.seeds)
+        tol = max(1e-6, 3.0 * cfg.nmi.eps)
+        results = exact + [
+            r for r in results
+            if not any(_close_valuations(r, e, tol) for e in exact)]
+    if not results:
+        names = ",".join(str(a) for a in comp)
+        if outcome.status == "max_iters":
+            out.truncated = True
+            out.notes.append(f"iteration cap reached on component {names}")
+        else:
+            out.notes.append(
+                f"branch dropped: inconsistent aggregation in {names}")
+    return results
+
+
+def front_half(p: Program) -> FrontHalf:
+    """Ground, transform, and run the monotonic fixpoint."""
+    g = ground(p)
+    tp = transform_program(g)
+    return FrontHalf(g, tp, mi_fixpoint(tp))
+
+
+def component_pass(front: FrontHalf, cfg: SolverConfig) -> ComponentPass:
+    """Plan and run every component of the residual, upstream first,
+    on every branch; a component that cannot be solved drops its branch
+    and makes the pass incomplete."""
+    residual = front.mi.residual
+    out = ComponentPass([dict(front.mi.interp)])
+    if front.mi.halted_inconsistent or not residual:
+        return out
+    components, topo = depgraph.scc_condense(residual)
+    out.components = [components[k] for k in topo]
+    cfg._emit("graph", "components (topo order): "
+              + " | ".join(",".join(str(a) for a in comp)
+                           for comp in out.components))
+    for comp in out.components:
+        names = ",".join(str(a) for a in comp)
+        next_branches = []
+        for branch in out.branches:
+            entries = {a: substitute(residual[a], branch) for a in comp}
+            cyclic = len(comp) > 1 or comp[0] in referenced_atoms(
+                entries[comp[0]])
+            if not cyclic:
+                expr = entries[comp[0]]
+                if not isinstance(expr, Const):
+                    raise RuntimeError(f"unresolved acyclic atom {comp[0]}")
+                if expr.value is INCONSISTENT:
+                    out.notes.append(
+                        f"branch dropped: inconsistent value at {comp[0]}")
+                    continue
+                next_branches.append({**branch, comp[0]: expr.value})
+                continue
+            plan = ComponentPlan(comp)
+            out.plans.append(plan)
+            try:
+                _plan_component(plan, entries, cfg)
+                results = _dispatch_component(entries, plan, cfg, out)
+            except (depgraph.AnalysisOverflow, depgraph.NoValidAssumptionSet,
+                    nmi.UnresolvedComponent) as exc:
+                plan.error = str(exc)
+                out.truncated = True
+                out.notes.append(
+                    f"branch dropped: component {names} unsolved: {exc}")
+                continue
+            for k, values in enumerate(results):
+                cfg._emit("nmi", f"component {names} [{plan.method}] "
+                          f"result {k}: {_fmt_vals(values)}")
+                next_branches.append({**branch, **values})
+            if len(next_branches) > cfg.max_answer_sets:
+                next_branches = next_branches[:cfg.max_answer_sets]
+                out.truncated = True
+        out.branches = next_branches
+        if not next_branches:
+            break
+    return out
 
 
 def solve(p: Program, cfg: SolverConfig = None) -> SolveReport:
     cfg = cfg or SolverConfig()
-    p = ground(p)
-    tp = transform_program(p)
-    mi_state = mi_fixpoint(tp)
+    return solve_front(front_half(p), cfg)
+
+
+def solve_front(front: FrontHalf, cfg: SolverConfig) -> SolveReport:
+    """The component pass and the verifier over a computed front half."""
+    mi_state = front.mi
     for step, assigned, left in mi_state.trace:
         cfg._emit("mi", f"mi step {step}: {_fmt_vals(assigned)} "
                         f"({left} rules residual)")
@@ -118,78 +240,26 @@ def solve(p: Program, cfg: SolverConfig = None) -> SolveReport:
         "components": [],
         "notes": [],
     }
-    truncated = False
     if mi_state.halted_inconsistent:
         diagnostics["notes"].append(
             "monotonic stage halted: inconsistent aggregation at "
             + ", ".join(str(a) for a in mi_state.inconsistent_atoms))
         return SolveReport([], "no_answer_set", diagnostics)
 
-    branches = [dict(mi_state.interp)]
-    if mi_state.residual:
-        components, topo = depgraph.scc_condense(mi_state.residual)
-        cfg._emit("graph", "components (topo order): "
-                  + " | ".join(",".join(str(a) for a in components[k])
-                               for k in topo))
-        for comp_idx in topo:
-            comp = components[comp_idx]
-            next_branches = []
-            for branch in branches:
-                entries = {a: substitute(mi_state.residual[a], branch)
-                           for a in comp}
-                cyclic = len(comp) > 1 or comp[0] in referenced_atoms(
-                    entries[comp[0]])
-                if not cyclic:
-                    expr = entries[comp[0]]
-                    if not isinstance(expr, Const):
-                        raise RuntimeError(
-                            f"unresolved acyclic atom {comp[0]}")
-                    if expr.value is INCONSISTENT:
-                        diagnostics["notes"].append(
-                            f"branch dropped: inconsistent value at {comp[0]}")
-                        continue
-                    new = dict(branch)
-                    new[comp[0]] = expr.value
-                    next_branches.append(new)
-                    continue
-                results, method, flags = _dispatch_component(
-                    entries, comp, cfg, diagnostics["components"])
-                if flags["max_iters"]:
-                    truncated = True
-                    diagnostics["notes"].append(
-                        "iteration cap reached on component "
-                        + ",".join(str(a) for a in comp))
-                if flags["inconsistent"]:
-                    diagnostics["notes"].append(
-                        "branch dropped: inconsistent aggregation in "
-                        + ",".join(str(a) for a in comp))
-                for k, values in enumerate(results):
-                    cfg._emit("nmi", f"component {','.join(str(a) for a in comp)} "
-                              f"[{method}] result {k}: {_fmt_vals(values)}")
-                    new = dict(branch)
-                    new.update(values)
-                    next_branches.append(new)
-                if len(next_branches) > cfg.max_answer_sets:
-                    next_branches = next_branches[:cfg.max_answer_sets]
-                    truncated = True
-            branches = next_branches
-            if not branches:
-                break
-
+    passed = component_pass(front, cfg)
+    diagnostics["components"] = [plan.summary() for plan in passed.plans]
+    diagnostics["notes"] += passed.notes
     verify_eps = max(1e-6, 3.0 * cfg.nmi.eps)
-    totals = [semantics.total_from_positive(b) for b in branches]
-    answer_sets = []
-    rejected = 0
-    for total in totals:
-        if semantics.is_answer_set(total, p, candidates=totals,
-                                   eps=verify_eps):
-            answer_sets.append(total)
-        else:
-            rejected += 1
+    totals = [semantics.total_from_positive(b) for b in passed.branches]
+    answer_sets = [t for t in totals
+                   if semantics.is_answer_set(t, front.program,
+                                              candidates=totals,
+                                              eps=verify_eps)]
+    rejected = len(totals) - len(answer_sets)
     if rejected:
         diagnostics["notes"].append(
             f"verifier rejected {rejected} candidate(s)")
-    if truncated:
+    if passed.truncated:
         status = "incomplete"
     elif not answer_sets:
         status = "no_answer_set"

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intervals import (INCONSISTENT, EPS_CMP, Interval, kagg, naf, negate,
-                        tconorm, tnorm)
-from .program import ConstItem, LitItem, Literal, Program
+from .intervals import (INCONSISTENT, Interval, kagg, naf, negate, tconorm,
+                        tnorm)
+from .program import ConstItem, Literal, Program
 
 _TRUE = Interval(1.0, 1.0)
 _FALSE = Interval(0.0, 0.0)
@@ -89,14 +89,6 @@ class TransformedProgram:
         for atom in sorted(self.entries, key=str):
             lines.append(f"{atom} <- {self.entries[atom]}.")
         return "\n".join(lines)
-
-
-def _is_const(e, value=None, eps=EPS_CMP):
-    if not isinstance(e, Const):
-        return False
-    if value is None:
-        return True
-    return e.value is not INCONSISTENT and e.value.same_as(value, eps)
 
 
 def simplify(e):
@@ -181,16 +173,27 @@ def substitute(e, values: dict):
     return simplify(walk(e))
 
 
+def nodes(e):
+    """Every node of a body expression, each parent before its children."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (And, Or)):
+            stack.extend(node.children)
+        elif isinstance(node, Kagg):
+            stack += (node.left, node.right)
+        elif isinstance(node, (Naf, Neg)):
+            stack.append(node.child)
+
+
+def node_kinds(exprs) -> set:
+    """The node types occurring anywhere in the given expressions."""
+    return {type(n) for e in exprs for n in nodes(e)}
+
+
 def referenced_atoms(e) -> set:
-    if isinstance(e, Const):
-        return set()
-    if isinstance(e, Ref):
-        return {e.literal.atom}
-    if isinstance(e, (Naf, Neg)):
-        return referenced_atoms(e.child)
-    if isinstance(e, Kagg):
-        return referenced_atoms(e.left) | referenced_atoms(e.right)
-    return set().union(*(referenced_atoms(c) for c in e.children))
+    return {n.literal.atom for n in nodes(e) if isinstance(n, Ref)}
 
 
 def _item_expr(item):

@@ -6,6 +6,15 @@ from unasp import Atom, parse_program
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 
+# the branch-and-bound candidates (atoms fed through naf) cannot cover
+# both cycles x-y and x-z-y
+UNCOVERABLE = """
+x <- [1,1] : y.
+y <- [1,1] : x.
+y <- [1,1] : z.
+z <- [1,1] : not x.
+"""
+
 
 def program_path(name):
     return PROGRAMS / f"{name}.unasp"

@@ -5,7 +5,7 @@ import pytest
 from unasp.cli import (EXIT_INCOMPLETE, EXIT_NO_ANSWER, EXIT_OK, EXIT_USAGE,
                        run_cli)
 
-from conftest import program_path, PROGRAMS
+from conftest import program_path, PROGRAMS, UNCOVERABLE
 
 
 def path(name):
@@ -137,3 +137,44 @@ class TestAnalyze:
         dot = tmp_path / "residual.dot"
         assert run_cli(["analyze", path("ex6"), "--dot", str(dot)]) == EXIT_OK
         assert "KAGG" in dot.read_text()
+
+    def test_inconsistent_program(self, capsys):
+        assert run_cli(["analyze", path("ex5"), "--format", "json"]) \
+            == EXIT_OK
+        data = json.loads(capsys.readouterr().out)
+        assert data["halted_inconsistent"] is True
+        assert data["components"] == []
+
+
+@pytest.fixture
+def uncoverable(tmp_path):
+    f = tmp_path / "uncoverable.unasp"
+    f.write_text(UNCOVERABLE)
+    return str(f)
+
+
+def test_unsolved_component_exit_code(uncoverable, capsys):
+    assert run_cli(["solve", uncoverable]) == EXIT_INCOMPLETE
+    assert "status: incomplete" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in
+                                        PROGRAMS.glob("*.unasp"))
+                         + ["uncoverable"])
+def test_analyze_reports_the_plan_solve_runs(name, uncoverable, capsys):
+    """Every cyclic component that analyze reports carries the method,
+    assumption set and contraction class of solve's record for it."""
+    target = uncoverable if name == "uncoverable" else path(name)
+    run_cli(["analyze", target, "--format", "json"])
+    analysis = json.loads(capsys.readouterr().out)
+    run_cli(["solve", target, "--format", "json"])
+    solved = json.loads(capsys.readouterr().out)
+    records = {}
+    for rec in solved["diagnostics"]["components"]:
+        records.setdefault(tuple(rec["component"]), rec)
+    keys = ("method", "assumption_set", "contraction")
+    cyclic = [rec for rec in analysis["components"] if "method" in rec]
+    for rec in cyclic:
+        want = records[tuple(rec["atoms"])]
+        assert {k: rec.get(k) for k in keys} == {k: want.get(k) for k in keys}
+    assert len(cyclic) == len(records)

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from unasp.intervals import (BOTTOM, EPS_CMP, FALSE, INCONSISTENT, TRUE,
                              Interval, OrderFamily, Ordering, compare, kagg,
@@ -206,6 +206,7 @@ class TestCertaintySelection:
         assert kagg(Interval(0.2, 0.4), INCONSISTENT) is INCONSISTENT
 
     @given(x=ivals(), y=ivals())
+    @example(x=Interval(0, 0), y=Interval(0, 1e-9))
     def test_kagg_commutative_and_narrowing(self, x, y):
         a, b = kagg(x, y), kagg(y, x)
         if a is INCONSISTENT:

@@ -31,6 +31,12 @@ class TestParsing:
         p = parse_program("a <- [0.4,0.6].")
         assert p.rules[0].body == (ConstItem(Interval(1.0, 1.0)),)
 
+    def test_fact_shorthand(self):
+        short = parse_program("a.\nf1: -b(c).")
+        long = parse_program("a <- [1,1] : [1,1].\n"
+                             "f1: -b(c) <- [1,1] : [1,1].")
+        assert short.rules == long.rules
+
     def test_comments_and_synthetic_labels(self):
         p = parse_program("% intro\na <- [1,1].  % trailing\nb <- [1,1].")
         assert [r.label for r in p.rules] == ["r#1", "r#2"]

@@ -2,13 +2,13 @@ import json
 
 import pytest
 
-from unasp import Atom, Literal, solve
+from unasp import Atom, Literal, parse_program, solve
 from unasp.intervals import Interval
 from unasp.nmi import NmiConfig
 from unasp.semantics import model_to_json
 from unasp.solver import SolverConfig
 
-from conftest import atom_values
+from conftest import UNCOVERABLE, atom_values
 
 
 def tight(eps=1e-9, **kw):
@@ -167,3 +167,26 @@ class TestReportShape:
         assert "mi step 1" in text
         assert "components (topo order)" in text
         assert "[branch_and_bound]" in text
+
+
+class TestUnsolvedComponents:
+    def test_no_valid_assumption_set_reports_incomplete(self):
+        report = solve(parse_program(UNCOVERABLE))
+        assert report.status == "incomplete"
+        assert not report.answer_sets
+        (rec,) = report.diagnostics["components"]
+        assert rec["method"] == "branch_and_bound"
+        assert "assumption_set_error" in rec
+        assert any("x,y,z" in note for note in report.diagnostics["notes"])
+
+    def test_cycle_cap_reports_incomplete(self, ex7):
+        report = solve(ex7, SolverConfig(cycle_cap=2))
+        assert report.status == "incomplete"
+        assert any("a,b,c,d,e,f,g" in note and "more than 2" in note
+                   for note in report.diagnostics["notes"])
+
+    def test_every_cyclic_component_is_recorded(self, ex1, ex8):
+        methods = lambda p: [rec["method"] for rec in  # noqa: E731
+                             solve(p).diagnostics["components"]]
+        assert methods(ex1) == ["ignorance"]
+        assert methods(ex8) == ["kagg_cycle"]
