@@ -31,7 +31,7 @@ def _default_eps():
             return float(env)
         except ValueError:
             pass
-    return 0.009
+    return nmi.NmiConfig.eps
 
 
 def _build_parser():
@@ -45,13 +45,15 @@ def _build_parser():
         p.add_argument("file", help="program file")
         p.add_argument("--eps", type=float, default=_default_eps(),
                        help="iteration termination threshold")
-        p.add_argument("--nb", type=int, default=5,
+        p.add_argument("--nb", type=int, default=nmi.NmiConfig.n_b,
                        help="branch-and-bound grid size")
         p.add_argument("--seeds", type=str, default=None,
                        help="explicit branch-and-bound seeds, e.g. 0,0.25,1")
-        p.add_argument("--max-iter", type=int, default=10_000,
+        p.add_argument("--max-iter", type=int,
+                       default=nmi.NmiConfig.max_outer_iters,
                        help="outer iteration cap")
-        p.add_argument("--max-answer-sets", type=int, default=64)
+        p.add_argument("--max-answer-sets", type=int,
+                       default=solver.SolverConfig.max_answer_sets)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--trace", type=str, default="",
                        help="comma list from mi,nmi,graph")

@@ -20,6 +20,8 @@ from . import transform as tf
 
 NAF_EDGE = "-1"
 NEG_EDGE = "~"
+# default bound on the simple cycles of one component
+CYCLE_CAP = 10_000
 
 
 class AnalysisOverflow(RuntimeError):
@@ -133,7 +135,7 @@ def _normalize_cycle(cycle):
     return tuple(cycle[k:] + cycle[:k])
 
 
-def enumerate_cycles(entries: dict, component, cap: int = 10_000):
+def enumerate_cycles(entries: dict, component, cap: int = CYCLE_CAP):
     """Every elementary cycle of the component, rotation-normalized,
     as atom sequences without the closing repeat."""
     g = atom_digraph(entries).subgraph(component)

@@ -49,7 +49,8 @@ class Interval:
         lo, hi = float(self.lower), float(self.upper)
         if lo > hi + _BOUNDARY_SLACK:
             raise ValueError(f"interval bounds out of order: [{lo}, {hi}]")
-        if lo < -_BOUNDARY_SLACK or hi > 1.0 + _BOUNDARY_SLACK:
+        # written so that a NaN bound fails it too
+        if not (lo >= -_BOUNDARY_SLACK and hi <= 1.0 + _BOUNDARY_SLACK):
             raise ValueError(f"interval outside [0,1]: [{lo}, {hi}]")
         # snap float dust back onto the boundary
         lo = min(max(lo, 0.0), 1.0)

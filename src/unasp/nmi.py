@@ -14,15 +14,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .intervals import EPS_CMP, Interval
+from .intervals import BOTTOM, EPS_CMP, Interval
 from .mi import mi_fixpoint
 from .semantics import evaluate, total_from_positive
 from .transform import (Const, Kagg, Naf, TransformedProgram, node_kinds,
                         simplify, substitute)
-from .depgraph import (NonConstantOperand, enumerate_cycles,
+from .depgraph import (CYCLE_CAP, NonConstantOperand, enumerate_cycles,
                        select_assumption_set, build_vpg)
-
-BOTTOM = Interval(0.0, 1.0)
 
 
 @dataclass
@@ -221,7 +219,7 @@ def kagg_anchor(entries: dict, component, cycles):
 
 
 def solve_kagg_cycle(entries: dict, component, cfg: NmiConfig,
-                     eps_cmp: float = EPS_CMP, cap: int = 10_000):
+                     eps_cmp: float = EPS_CMP, cap: int = CYCLE_CAP):
     """Resolve a simple cycle containing exactly one aggregation rule
     a <- c (x)k B by comparing two candidate fixpoints: the cycle with
     the aggregation dropped, and a single pass anchored at a = c.

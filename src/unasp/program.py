@@ -19,7 +19,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-from .intervals import Interval
+from .intervals import TRUE, Interval
 
 Term = object  # str constant/variable or Interval
 
@@ -228,8 +228,8 @@ class _Parser:
             self._take(text=":")
         head = self.parse_literal()
         # a missing body is [1,1], and the fact h. is h <- [1,1] : [1,1].
-        weight = Interval(1.0, 1.0)
-        body = [ConstItem(Interval(1.0, 1.0))]
+        weight = TRUE
+        body = [ConstItem(TRUE)]
         if not self._at("."):
             self._take("arrow")
             weight_tok = self._peek()

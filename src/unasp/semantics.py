@@ -12,13 +12,15 @@ import enum
 import itertools
 import json
 
-from .intervals import (INCONSISTENT, EPS_CMP, Interval, Ordering,
-                        OrderFamily, compare, kagg, naf, negate, tconorm,
-                        tnorm)
+from .intervals import (BOTTOM, INCONSISTENT, EPS_CMP, TRUE, Interval,
+                        Ordering, OrderFamily, compare, kagg, naf, negate,
+                        tconorm, tnorm)
 from .program import Atom, ConstItem, LitItem, Literal, Program, Rule
 from . import transform as tf
 
 GRID_POINTS = (0.0, 0.25, 0.5, 0.75, 1.0)
+# is_answer_set adds the grid's supported models as rivals up to here
+GRID_MAX_ATOMS = 3
 
 
 class UnboundLiteral(LookupError):
@@ -114,44 +116,45 @@ def satisfies(i: dict, r: Rule, eps: float = EPS_CMP) -> bool:
 def with_constraints(p: Program) -> Program:
     """Program extended with a <- [1,1] : [0,1] for every atom that
     heads no rule (the closed-world constraint)."""
-    extra = [Rule(Literal(a, False), Interval(1.0, 1.0),
-                  (ConstItem(Interval(0.0, 1.0)),), f"c#{a}")
+    extra = [Rule(Literal(a, False), TRUE, (ConstItem(BOTTOM),), f"c#{a}")
              for a in sorted(p.headless_atoms(), key=str)]
     return Program(p.rules + extra) if extra else p
 
 
-def _joins(atom: Atom, p: Program):
-    """Positive and negative rule joins of an atom, and whether each
-    side has any rule."""
-    pos, neg = Literal(atom, False), Literal(atom, True)
-    return (tf.r_join(pos, p), tf.r_join(neg, p),
-            bool(p.rules_for(pos)), bool(p.rules_for(neg)))
+def _joins(group):
+    """Positive and negative rule joins of one atom's rule group, None
+    for a side without rules."""
+    return tuple(tf.join_rules(rules) if rules else None for rules in group)
 
 
 def required_value(joins, i: dict, eps: float):
     """The value an atom's rule joins force on it; INCONSISTENT when the
     mixed-evidence aggregation is undefined (equal-width clash)."""
-    pos, neg, has_pos, has_neg = joins
-    if has_pos and has_neg:
+    pos, neg = joins
+    if pos is not None and neg is not None:
         return kagg(evaluate(pos, i), negate(evaluate(neg, i)), eps)
-    if has_pos:
+    if pos is not None:
         return evaluate(pos, i)
-    if has_neg:
+    if neg is not None:
         return negate(evaluate(neg, i))
-    return Interval(0.0, 1.0)  # only via with_constraints; defensive
+    return BOTTOM  # only via with_constraints; defensive
+
+
+def _agrees(actual, req, eps: float) -> bool:
+    """The atom's value is the one its rules force."""
+    return req is not INCONSISTENT and actual.same_as(req, eps)
 
 
 def is_supported_model(i: dict, p: Program, eps: float = EPS_CMP) -> bool:
     """Every atom carries exactly the value its rules produce and the
     complementary literal mirrors it."""
-    p = with_constraints(p)
     try:
-        for atom in p.atom_base:
+        for atom, group in tf.rules_by_head(with_constraints(p)).items():
             actual = lookup(i, Literal(atom, False))
             if actual is INCONSISTENT:
                 return False
-            req = required_value(_joins(atom, p), i, EPS_CMP)
-            if req is INCONSISTENT or not actual.same_as(req, eps):
+            req = required_value(_joins(group), i, EPS_CMP)
+            if not _agrees(actual, req, eps):
                 return False
             actual_neg = lookup(i, Literal(atom, True))
             if actual_neg is INCONSISTENT:
@@ -193,25 +196,17 @@ def enumerate_grid_supported(p: Program, points=GRID_POINTS,
                              eps: float = EPS_CMP):
     """All supported models whose atom values have endpoints on the
     grid.  Exponential; meant for programs with very few atoms."""
-    p = with_constraints(p)
-    atoms = sorted(p.atom_base, key=str)
-    joins = {a: _joins(a, p) for a in atoms}
+    groups = tf.rules_by_head(with_constraints(p))
+    atoms = sorted(groups, key=str)
+    joins = [_joins(groups[a]) for a in atoms]
     cells = grid_intervals(points)
     found = []
     for combo in itertools.product(cells, repeat=len(atoms)):
         i = total_from_positive(dict(zip(atoms, combo)))
-        if _supported_with_joins(i, atoms, joins, eps):
+        if all(_agrees(actual, required_value(j, i, eps), eps)
+               for actual, j in zip(combo, joins)):
             found.append(i)
     return found
-
-
-def _supported_with_joins(i, atoms, joins, eps):
-    for atom in atoms:
-        req = required_value(joins[atom], i, eps)
-        actual = i[Literal(atom, False)]
-        if req is INCONSISTENT or not actual.same_as(req, eps):
-            return False
-    return True
 
 
 def interp_kp_below(a: dict, b: dict, eps: float = EPS_CMP) -> bool:
@@ -233,8 +228,8 @@ def interp_kp_below(a: dict, b: dict, eps: float = EPS_CMP) -> bool:
     return strict
 
 
-def is_answer_set(i: dict, p: Program, candidates=(), eps: float = EPS_CMP,
-                  grid_max_atoms: int = 3) -> bool:
+def is_answer_set(i: dict, p: Program, candidates=(),
+                  eps: float = EPS_CMP) -> bool:
     """Supported model of the reduct, with no known supported model of
     the same reduct strictly more uncertain-dominated below it.
 
@@ -249,14 +244,11 @@ def is_answer_set(i: dict, p: Program, candidates=(), eps: float = EPS_CMP,
     if not is_supported_model(i, red, eps):
         return False
     rivals = list(candidates)
-    if len(p.atom_base) <= grid_max_atoms:
+    if len(p.atom_base) <= GRID_MAX_ATOMS:
         rivals += enumerate_grid_supported(red, eps=eps)
     for c in rivals:
-        if c is i:
-            continue
-        if not is_supported_model(c, red, eps):
-            continue
-        if interp_kp_below(c, i, eps):
+        if c is not i and interp_kp_below(c, i, eps) \
+                and is_supported_model(c, red, eps):
             return False
     return True
 

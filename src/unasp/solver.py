@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intervals import INCONSISTENT, Interval
+from .intervals import BOTTOM, INCONSISTENT
 from .program import Program, ground
 from . import depgraph, nmi, semantics
 from .mi import MiState, mi_fixpoint
@@ -26,7 +26,7 @@ class SolverConfig:
     nmi: nmi.NmiConfig = field(default_factory=nmi.NmiConfig)
     seeds: list = None             # explicit branch-and-bound seed list
     max_answer_sets: int = 64
-    cycle_cap: int = 10_000
+    cycle_cap: int = depgraph.CYCLE_CAP
     trace: set = field(default_factory=set)   # subset of {mi, nmi, graph}
     trace_sink: object = None                 # callable(str)
 
@@ -139,7 +139,7 @@ def _dispatch_component(entries, plan, cfg: SolverConfig, out):
     if plan.method == "branch_and_bound":
         return nmi.branch_and_bound(entries, aset, cfg.nmi, cfg.seeds)
     if plan.method == "ignorance":
-        return [{a: Interval(0.0, 1.0) for a in comp}]
+        return [{a: BOTTOM for a in comp}]
     outcome = nmi.nmi_iterate(entries, aset, cfg.nmi)
     results = [outcome.interp] if outcome.status == "converged" else []
     if plan.seed_set is not None:

@@ -11,12 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intervals import (INCONSISTENT, Interval, kagg, naf, negate, tconorm,
-                        tnorm)
+from .intervals import (BOTTOM, FALSE, INCONSISTENT, TRUE, kagg, naf,
+                        negate, tconorm, tnorm)
 from .program import ConstItem, Literal, Program
-
-_TRUE = Interval(1.0, 1.0)
-_FALSE = Interval(0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -91,24 +88,34 @@ class TransformedProgram:
         return "\n".join(lines)
 
 
-def simplify(e):
+def simplify(e, values: dict = None):
     """Constant folding plus the unit/annihilator rewrites: drop [1,1]
     conjuncts and [0,0] disjuncts, collapse on [0,0] conjuncts and
-    [1,1] disjuncts.  Inconsistency absorbs."""
-    if isinstance(e, (Const, Ref)):
+    [1,1] disjuncts.  Inconsistency absorbs.
+
+    values maps Atom -> Interval (or INCONSISTENT); a reference to one
+    of those atoms becomes its value, a reference to -a the mirror of
+    a's value, before the folding above it."""
+    if isinstance(e, Const):
         return e
+    if isinstance(e, Ref):
+        atom = e.literal.atom
+        if not values or atom not in values:
+            return e
+        v = values[atom]
+        return Const(negate(v) if e.literal.negated else v)
     if isinstance(e, Naf):
-        child = simplify(e.child)
+        child = simplify(e.child, values)
         if isinstance(child, Const):
             return Const(naf(child.value))
         return Naf(child)
     if isinstance(e, Neg):
-        child = simplify(e.child)
+        child = simplify(e.child, values)
         if isinstance(child, Const):
             return Const(negate(child.value))
         return Neg(child)
     if isinstance(e, Kagg):
-        left, right = simplify(e.left), simplify(e.right)
+        left, right = simplify(e.left, values), simplify(e.right, values)
         if isinstance(left, Const) and left.value is INCONSISTENT:
             return left
         if isinstance(right, Const) and right.value is INCONSISTENT:
@@ -119,11 +126,12 @@ def simplify(e):
     if isinstance(e, (And, Or)):
         is_and = isinstance(e, And)
         combine = tnorm if is_and else tconorm
-        unit = _TRUE if is_and else _FALSE
-        annihilator = _FALSE if is_and else _TRUE
+        unit = TRUE if is_and else FALSE
+        annihilator = FALSE if is_and else TRUE
         folded = None
         rest = []
-        for child in map(simplify, e.children):
+        for c in e.children:
+            child = simplify(c, values)
             if isinstance(child, Const):
                 if child.value is INCONSISTENT:
                     return child
@@ -144,33 +152,9 @@ def simplify(e):
 
 
 def substitute(e, values: dict):
-    """Replace literal references over the given atoms with constants.
-
-    values maps Atom -> Interval (or INCONSISTENT).  A reference to
-    -a resolves to the mirror of a's value.  Result is simplified.
-    """
-    def walk(node):
-        if isinstance(node, Const):
-            return node
-        if isinstance(node, Ref):
-            atom = node.literal.atom
-            if atom in values:
-                v = values[atom]
-                return Const(negate(v) if node.literal.negated else v)
-            return node
-        if isinstance(node, Naf):
-            return Naf(walk(node.child))
-        if isinstance(node, Neg):
-            return Neg(walk(node.child))
-        if isinstance(node, And):
-            return And(tuple(walk(c) for c in node.children))
-        if isinstance(node, Or):
-            return Or(tuple(walk(c) for c in node.children))
-        if isinstance(node, Kagg):
-            return Kagg(walk(node.left), walk(node.right))
-        raise TypeError(f"not a body expression: {node!r}")
-
-    return simplify(walk(e))
+    """Replace literal references over the given atoms with constants
+    (see simplify); the result is simplified."""
+    return simplify(e, values)
 
 
 def nodes(e):
@@ -209,34 +193,45 @@ def body_expr(rule) -> object:
     return parts[0] if len(parts) == 1 else And(parts)
 
 
-def r_join(lit: Literal, p: Program):
-    """Disjunction of (body ∧ weight) over every rule with this head;
-    the empty join is the disjunction identity [0,0]."""
+def rules_by_head(p: Program) -> dict:
+    """Atom -> (rules with head a, rules with head -a) for every atom of
+    the program, headless ones included, in program order."""
+    groups = {atom: ([], []) for atom in p.atom_base}
+    for r in p.rules:
+        groups[r.head.atom][r.head.negated].append(r)
+    return groups
+
+
+def join_rules(rules):
+    """Disjunction of (body ∧ weight) over the given rules; the empty
+    join is the disjunction identity [0,0]."""
     disjuncts = []
-    for r in p.rules_for(lit):
+    for r in rules:
         parts = tuple(_item_expr(b) for b in r.body) + (Const(r.weight),)
         disjuncts.append(parts[0] if len(parts) == 1 else And(parts))
     if not disjuncts:
-        return Const(_FALSE)
+        return Const(FALSE)
     if len(disjuncts) == 1:
         return simplify(disjuncts[0])
     return simplify(Or(tuple(disjuncts)))
 
 
+def r_join(lit: Literal, p: Program):
+    """The join of every rule with this head."""
+    return join_rules(p.rules_for(lit))
+
+
 def transform_program(p: Program) -> TransformedProgram:
     entries = {}
-    for atom in p.atom_base:
-        pos_rules = p.rules_for(Literal(atom, False))
-        neg_rules = p.rules_for(Literal(atom, True))
+    for atom, (pos_rules, neg_rules) in rules_by_head(p).items():
         if pos_rules and neg_rules:
-            expr = Kagg(r_join(Literal(atom, False), p),
-                        Neg(r_join(Literal(atom, True), p)))
+            expr = Kagg(join_rules(pos_rules), Neg(join_rules(neg_rules)))
         elif pos_rules:
-            expr = r_join(Literal(atom, False), p)
+            expr = join_rules(pos_rules)
         elif neg_rules:
-            expr = Neg(r_join(Literal(atom, True), p))
+            expr = Neg(join_rules(neg_rules))
         else:
             # closed-world constraint on atoms heading no rule
-            expr = Const(Interval(0.0, 1.0))
+            expr = Const(BOTTOM)
         entries[atom] = simplify(expr)
     return TransformedProgram(entries)

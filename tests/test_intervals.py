@@ -39,6 +39,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Interval(0.5, 1.1)
 
+    def test_nan_rejected(self):
+        nan = float("nan")
+        for lower, upper in ((nan, 0.5), (0.5, nan), (nan, nan)):
+            with pytest.raises(ValueError):
+                Interval(lower, upper)
+
     def test_boundary_dust_snapped(self):
         # round-off like 1 + 1e-16 from x + y - x*y must not explode
         iv = Interval(0.0, 1.0 + 1e-15)

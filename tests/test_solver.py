@@ -5,10 +5,11 @@ import pytest
 from unasp import Atom, Literal, parse_program, solve
 from unasp.intervals import Interval
 from unasp.nmi import NmiConfig
+from unasp.program import Program
 from unasp.semantics import model_to_json
 from unasp.solver import SolverConfig
 
-from conftest import UNCOVERABLE, atom_values
+from conftest import PROGRAMS, UNCOVERABLE, atom_values
 
 
 def tight(eps=1e-9, **kw):
@@ -167,6 +168,19 @@ class TestReportShape:
         assert "mi step 1" in text
         assert "components (topo order)" in text
         assert "[branch_and_bound]" in text
+
+
+@pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.unasp")),
+                         ids=lambda path: path.stem)
+def test_solve_groups_rules_without_scanning(path, monkeypatch):
+    """transform and the verifier read one grouping of the rules by head
+    instead of scanning the program once per literal."""
+    program = parse_program(path.read_text())
+
+    def scan(self, lit):
+        raise AssertionError(f"rules_for({lit}) scanned the program")
+    monkeypatch.setattr(Program, "rules_for", scan)
+    assert solve(program).status in ("ok", "no_answer_set")
 
 
 class TestUnsolvedComponents:

@@ -7,7 +7,8 @@ from unasp.program import ConstItem, LitItem, Program, Rule
 from unasp.semantics import (evaluate, grid_intervals, is_supported_model,
                              total_from_positive, with_constraints)
 from unasp.transform import (And, Const, Kagg, Naf, Neg, Or, Ref,
-                             referenced_atoms, simplify, substitute)
+                             referenced_atoms, rules_by_head, simplify,
+                             substitute)
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -42,6 +43,24 @@ class TestRJoin:
         assert len(ands) == 1
         assert Ref(Literal(Atom("b"))) in ands[0].children
         assert Const(Interval(0.7, 1.0)) in ands[0].children
+
+
+class TestRulesByHead:
+    def test_every_atom_grouped_in_rule_order(self):
+        p = parse_program("""
+            r1: a <- [0.9,1] : b.
+            r2: -c <- [1,1] : a.
+            r3: a <- [0.5,1] : not d.
+            r4: -a <- [1,1] : [0.2,0.3].
+            r5: -c <- [0.4,0.6] : b.
+        """)
+        groups = rules_by_head(p)
+        assert set(groups) == p.atom_base
+        labels = {str(atom): tuple([r.label for r in side] for side in group)
+                  for atom, group in groups.items()}
+        assert labels == {"a": (["r1", "r3"], ["r4"]),
+                          "b": ([], []), "c": ([], ["r2", "r5"]),
+                          "d": ([], [])}
 
 
 class TestTransformProgram:
