@@ -200,7 +200,8 @@ def _cmd_check(args):
     program = _load_program(args.file)
     grounded = ground(program)
     model = semantics.load_model_file(args.model, grounded)
-    ok = semantics.is_answer_set(model, grounded, eps=max(1e-6, args.eps))
+    ok = semantics.is_answer_set(
+        model, grounded, eps=nmi.NmiConfig(eps=args.eps).answer_tol)
     if args.format == "json":
         print(json.dumps({"valid": ok}))
     else:
@@ -220,10 +221,7 @@ def run_cli(argv=None) -> int:
         if args.command == "analyze":
             return _cmd_analyze(args)
         return _cmd_check(args)
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

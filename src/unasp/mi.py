@@ -54,12 +54,9 @@ def gamma_step(s: MiState) -> MiState:
     return MiState(interp, residual, False, [], step, trace)
 
 
-def mi_fixpoint(p_or_state) -> MiState:
+def mi_fixpoint(p: TransformedProgram) -> MiState:
     """Iterate gamma_step until nothing changes or inconsistency halts."""
-    if isinstance(p_or_state, TransformedProgram):
-        state = initial_state(p_or_state)
-    else:
-        state = p_or_state
+    state = initial_state(p)
     while True:
         nxt = gamma_step(state)
         if nxt is state or nxt.halted_inconsistent:

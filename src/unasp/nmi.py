@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 from .intervals import BOTTOM, EPS_CMP, Interval
 from .mi import mi_fixpoint
-from .semantics import evaluate, total_from_positive
+from .program import Literal
+from .semantics import evaluate
 from .transform import (Const, Kagg, Naf, TransformedProgram, node_kinds,
                         simplify, substitute)
 from .depgraph import (CYCLE_CAP, NonConstantOperand, enumerate_cycles,
@@ -34,6 +35,11 @@ class NmiConfig:
             raise ValueError("eps must be positive")
         if self.n_b < 2:
             raise ValueError("n_b must be at least 2")
+
+    @property
+    def answer_tol(self) -> float:
+        """Tolerance answer values are judged to: 3 eps, at least 1e-6."""
+        return max(1e-6, 3.0 * self.eps)
 
     def grid_seeds(self):
         return [i / (self.n_b - 1) for i in range(self.n_b)]
@@ -219,7 +225,7 @@ def kagg_anchor(entries: dict, component, cycles):
 
 
 def solve_kagg_cycle(entries: dict, component, cfg: NmiConfig,
-                     eps_cmp: float = EPS_CMP, cap: int = CYCLE_CAP):
+                     cap: int = CYCLE_CAP):
     """Resolve a simple cycle containing exactly one aggregation rule
     a <- c (x)k B by comparing two candidate fixpoints: the cycle with
     the aggregation dropped, and a single pass anchored at a = c.
@@ -238,7 +244,7 @@ def solve_kagg_cycle(entries: dict, component, cfg: NmiConfig,
     i_minus = outcome.interp if outcome.status == "converged" else None
     # stability: the branch value must be strictly more certain than c
     stable_minus = (i_minus is not None
-                    and i_minus[atom].width < cbar.width - eps_cmp)
+                    and i_minus[atom].width < cbar.width - EPS_CMP)
 
     # candidate 2: single anchored pass from a = c
     state = _inner_pass({x: e for x, e in entries.items() if x != atom},
@@ -249,13 +255,13 @@ def solve_kagg_cycle(entries: dict, component, cfg: NmiConfig,
         i_s[atom] = cbar
     # the incoming evidence must be strictly less certain than c
     stable_s = (i_s is not None
-                and evaluate(branch, total_from_positive(i_s)).width
-                > cbar.width + eps_cmp)
+                and evaluate(branch, {Literal(a): v for a, v in i_s.items()})
+                .width > cbar.width + EPS_CMP)
 
     if stable_minus and stable_s:
-        below_minus = all(i_minus[x].width >= i_s[x].width - eps_cmp
+        below_minus = all(i_minus[x].width >= i_s[x].width - EPS_CMP
                           for x in component)
-        below_s = all(i_s[x].width >= i_minus[x].width - eps_cmp
+        below_s = all(i_s[x].width >= i_minus[x].width - EPS_CMP
                       for x in component)
         if below_minus:
             return [(i_minus, "kagg_dropped")]

@@ -81,6 +81,13 @@ class Rule:
     body: tuple = ()
     label: str = ""
 
+    @property
+    def atoms(self) -> list:
+        """The head atom, then the atoms of the literal body items in
+        body order."""
+        return [self.head.atom] + [b.literal.atom for b in self.body
+                                   if isinstance(b, LitItem)]
+
     def __str__(self):
         parts = ", ".join(str(b) for b in self.body)
         text = "%s <- %s : %s." % (self.head, _fmt_interval(self.weight), parts)
@@ -97,13 +104,7 @@ class Program:
     @property
     def atom_base(self) -> set:
         """All grounded atoms mentioned anywhere in the (ground) program."""
-        atoms = set()
-        for r in self.rules:
-            atoms.add(r.head.atom)
-            for item in r.body:
-                if isinstance(item, LitItem):
-                    atoms.add(item.literal.atom)
-        return atoms
+        return {a for r in self.rules for a in r.atoms}
 
     @property
     def lit_set(self) -> set:
@@ -309,9 +310,7 @@ def parse_program(text: str) -> Program:
 def _check_arities(program):
     arity = {}
     for r in program.rules:
-        atoms = [r.head.atom]
-        atoms += [b.literal.atom for b in r.body if isinstance(b, LitItem)]
-        for a in atoms:
+        for a in r.atoms:
             seen = arity.setdefault(a.predicate, len(a.args))
             if seen != len(a.args):
                 raise ParseError(
@@ -320,26 +319,13 @@ def _check_arities(program):
 
 
 def _rule_variables(rule: Rule) -> list:
-    seen = []
-    atoms = [rule.head.atom]
-    atoms += [b.literal.atom for b in rule.body if isinstance(b, LitItem)]
-    for a in atoms:
-        for t in a.args:
-            if is_variable(t) and t not in seen:
-                seen.append(t)
-    return seen
+    return list(dict.fromkeys(t for a in rule.atoms for t in a.args
+                              if is_variable(t)))
 
 
 def _program_constants(program: Program) -> list:
-    consts = []
-    for r in program.rules:
-        atoms = [r.head.atom]
-        atoms += [b.literal.atom for b in r.body if isinstance(b, LitItem)]
-        for a in atoms:
-            for t in a.args:
-                if not is_variable(t) and t not in consts:
-                    consts.append(t)
-    return consts
+    return list(dict.fromkeys(t for r in program.rules for a in r.atoms
+                              for t in a.args if not is_variable(t)))
 
 
 def _substitute_atom(atom: Atom, binding: dict) -> Atom:

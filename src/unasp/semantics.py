@@ -137,7 +137,7 @@ def required_value(joins, i: dict, eps: float):
         return evaluate(pos, i)
     if neg is not None:
         return negate(evaluate(neg, i))
-    return BOTTOM  # only via with_constraints; defensive
+    return BOTTOM  # an atom that heads no rule: the closed-world value
 
 
 def _agrees(actual, req, eps: float) -> bool:
@@ -149,7 +149,7 @@ def is_supported_model(i: dict, p: Program, eps: float = EPS_CMP) -> bool:
     """Every atom carries exactly the value its rules produce and the
     complementary literal mirrors it."""
     try:
-        for atom, group in tf.rules_by_head(with_constraints(p)).items():
+        for atom, group in tf.rules_by_head(p).items():
             actual = lookup(i, Literal(atom, False))
             if actual is INCONSISTENT:
                 return False
@@ -195,14 +195,16 @@ def grid_intervals(points=GRID_POINTS):
 def enumerate_grid_supported(p: Program, points=GRID_POINTS,
                              eps: float = EPS_CMP):
     """All supported models whose atom values have endpoints on the
-    grid.  Exponential; meant for programs with very few atoms."""
-    groups = tf.rules_by_head(with_constraints(p))
+    grid, keyed by positive literal (`lookup` mirrors the negative
+    ones).  Exponential; meant for programs with very few atoms."""
+    groups = tf.rules_by_head(p)
     atoms = sorted(groups, key=str)
+    lits = [Literal(a, False) for a in atoms]
     joins = [_joins(groups[a]) for a in atoms]
     cells = grid_intervals(points)
     found = []
     for combo in itertools.product(cells, repeat=len(atoms)):
-        i = total_from_positive(dict(zip(atoms, combo)))
+        i = dict(zip(lits, combo))
         if all(_agrees(actual, required_value(j, i, eps), eps)
                for actual, j in zip(combo, joins)):
             found.append(i)

@@ -145,10 +145,10 @@ def _dispatch_component(entries, plan, cfg: SolverConfig, out):
     if plan.seed_set is not None:
         exact = nmi.branch_and_bound(entries, plan.seed_set, cfg.nmi,
                                      cfg.seeds)
-        tol = max(1e-6, 3.0 * cfg.nmi.eps)
         results = exact + [
             r for r in results
-            if not any(_close_valuations(r, e, tol) for e in exact)]
+            if not any(_close_valuations(r, e, cfg.nmi.answer_tol)
+                       for e in exact)]
     if not results:
         names = ",".join(str(a) for a in comp)
         if outcome.status == "max_iters":
@@ -249,7 +249,7 @@ def solve_front(front: FrontHalf, cfg: SolverConfig) -> SolveReport:
     passed = component_pass(front, cfg)
     diagnostics["components"] = [plan.summary() for plan in passed.plans]
     diagnostics["notes"] += passed.notes
-    verify_eps = max(1e-6, 3.0 * cfg.nmi.eps)
+    verify_eps = cfg.nmi.answer_tol
     totals = [semantics.total_from_positive(b) for b in passed.branches]
     answer_sets = [t for t in totals
                    if semantics.is_answer_set(t, front.program,

@@ -178,3 +178,42 @@ def test_analyze_reports_the_plan_solve_runs(name, uncoverable, capsys):
         want = records[tuple(rec["atoms"])]
         assert {k: rec.get(k) for k in keys} == {k: want.get(k) for k in keys}
     assert len(cyclic) == len(records)
+
+
+# solve verified its answer set to 3 eps while check judged it to eps,
+# so check rejected what solve had just printed
+TOLERANCE_EDGE = """
+c <- [0.29,0.5] : not -d, d.
+-c <- [0.99,0.99] : not a, -c.
+c <- [0.15,0.16] : [0.04,0.78], b.
+b <- [0.77,0.96] : c.
+b <- [0.54,0.94] : [0.77,0.88], c.
+"""
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in
+                                        PROGRAMS.glob("*.unasp"))
+                         + ["tolerance_edge"])
+def test_check_accepts_every_answer_set_solve_prints(name, tmp_path, capsys):
+    if name == "tolerance_edge":
+        target = tmp_path / "tolerance_edge.unasp"
+        target.write_text(TOLERANCE_EDGE)
+        target = str(target)
+    else:
+        target = path(name)
+    run_cli(["solve", target, "--format", "json"])
+    answer_sets = json.loads(capsys.readouterr().out)["answer_sets"]
+    if name == "tolerance_edge":
+        assert len(answer_sets) == 1
+    for k, answer in enumerate(answer_sets):
+        model = tmp_path / f"model{k}.json"
+        model.write_text(json.dumps(answer))
+        assert run_cli(["check", target, "--model", str(model)]) == EXIT_OK
+        assert capsys.readouterr().out == "VALID\n"
+
+
+def test_check_rejects_nonpositive_eps(capsys):
+    assert run_cli(["check", path("ex2"), "--model",
+                    str(PROGRAMS / "ex2.model.json"), "--eps", "0"]) \
+        == EXIT_USAGE
+    assert "eps must be positive" in capsys.readouterr().err

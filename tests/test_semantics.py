@@ -193,3 +193,10 @@ class TestModelJson:
     def test_mirror_closure_on_load(self, ex3):
         back = model_from_json({"positive": {"p": [0.5, 0.5]}}, ex3)
         assert back[Literal(Atom("p"), True)].same_as(Interval(0.5, 0.5))
+
+
+def test_grid_models_are_keyed_by_positive_literal(ex1):
+    found = enumerate_grid_supported(ex1)
+    assert len(found) == 15
+    positive = {Literal(Atom("a")), Literal(Atom("b"))}
+    assert all(set(i) == positive for i in found)

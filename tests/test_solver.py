@@ -204,3 +204,15 @@ class TestUnsolvedComponents:
                              solve(p).diagnostics["components"]]
         assert methods(ex1) == ["ignorance"]
         assert methods(ex8) == ["kagg_cycle"]
+
+
+def test_inconsistent_acyclic_value_drops_its_branch():
+    """The branch y=[1,1] gives a equal-width positive and negative
+    evidence; only the branch y=[0,0] survives."""
+    report = solve(parse_program(
+        "y <- [1,1] : not z. z <- [1,1] : not y. "
+        "a <- [1,1] : y. -a <- [1,1] : [1,1]."))
+    assert atom_values(only(report)) == {"y": (0.0, 0.0), "z": (1.0, 1.0),
+                                         "a": (0.0, 0.0)}
+    assert "branch dropped: inconsistent value at a" \
+        in report.diagnostics["notes"]
