@@ -20,6 +20,5 @@ from .nmi import (ContractionReport, GainVector, NmiConfig, NmiOutcome,
                   StructuralMismatch, branch_and_bound, check_contraction,
                   cycle_gain, nmi_iterate, solve_kagg_cycle)
 from .solver import SolveReport, SolverConfig, solve
-from .cli import run_cli
 
 __version__ = "0.1.0"

@@ -3,17 +3,19 @@
 Two views are kept: the full operator-labelled graph (atom, operator,
 and constant nodes; used for DOT output and structural reporting) and
 an atom-level projection used for SCC condensation, topological
-ordering, and simple-cycle enumeration.  On top of those sit the
+ordering, and simple-cycle enumeration.  The graph algorithms are the
+textbook ones: Tarjan's (1972) strongly connected components, Kahn's
+topological sort taking the smallest ready component first, and
+Johnson's (1975) elementary circuits.  On top of those sit the
 assumption-set selection (which atoms to guess per SCC) and the
 unfurling of cycles into acyclic value-propagation paths.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
-
-import networkx as nx
 
 from .intervals import tconorm, tnorm
 from . import transform as tf
@@ -101,15 +103,123 @@ def build_dep_graph(p: tf.TransformedProgram) -> DepGraph:
     return g
 
 
-def atom_digraph(entries: dict) -> nx.DiGraph:
+class AtomGraph(dict):
+    """Adjacency dict: atom -> list of the atoms whose bodies mention it."""
+
+    @property
+    def edges(self):
+        return [(u, v) for u, succ in self.items() for v in succ]
+
+
+def atom_digraph(entries: dict) -> AtomGraph:
     """Atom-level projection: edge u->v when v's body mentions u."""
-    g = nx.DiGraph()
-    g.add_nodes_from(entries)
+    g = AtomGraph((a, []) for a in entries)
     for v, expr in entries.items():
         for u in tf.referenced_atoms(expr):
             if u in entries:
-                g.add_edge(u, v)
+                g[u].append(v)
     return g
+
+
+def _tarjan(adj, nodes):
+    """Strongly connected components of adj restricted to the set nodes
+    (Tarjan 1972), iteratively; a node in a finished component gets index
+    infinity, so it lowers no link, in place of an on-stack test."""
+    index, low, stack, components = {}, {}, [], []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, succ = work[-1]
+            for w in succ:
+                if w not in nodes:
+                    continue
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
+                    break
+                low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    component = []
+                    while not component or component[-1] != v:
+                        component.append(stack.pop())
+                        index[component[-1]] = float("inf")
+                    components.append(component)
+    return components
+
+
+def _circuits(adj):
+    """Every elementary circuit of the graph on 0..n-1 given as successor
+    lists (Johnson 1975): from the smallest node of each strongly
+    connected component, a search that blocks the nodes it cannot close
+    a circuit through, then the same on the component without it."""
+    pending = [set(c) for c in _tarjan(adj, range(len(adj)))]
+    while pending:
+        comp = pending.pop()
+        start = min(comp)
+        if len(comp) == 1 and start not in adj[start]:
+            continue
+        sub = {v: [w for w in adj[v] if w in comp] for v in comp}
+        path, blocked, closed = [start], {start}, set()
+        waiting = {v: set() for v in comp}   # Johnson's B lists
+        work = [(start, list(sub[start]))]
+        while work:
+            v, succ = work[-1]
+            if succ:
+                w = succ.pop()
+                if w == start:
+                    yield list(path)
+                    closed.update(path)
+                elif w not in blocked:
+                    path.append(w)
+                    closed.discard(w)
+                    blocked.add(w)
+                    work.append((w, list(sub[w])))
+                    continue
+            if not succ:
+                if v in closed:
+                    release = [v]
+                    while release:
+                        u = release.pop()
+                        if u in blocked:
+                            blocked.discard(u)
+                            release.extend(waiting[u])
+                            waiting[u].clear()
+                else:
+                    for w in sub[v]:
+                        waiting[w].add(v)
+                work.pop()
+                path.pop()
+        comp.discard(start)
+        pending.extend(set(c) for c in _tarjan(sub, comp))
+
+
+def _topological(n, edges):
+    """Kahn's order of n indices under edges, smallest ready index first."""
+    succ = [[] for _ in range(n)]
+    indegree = [0] * n
+    for u, v in edges:
+        succ[u].append(v)
+        indegree[v] += 1
+    ready = [k for k in range(n) if not indegree[k]]
+    order = []
+    while ready:
+        k = heapq.heappop(ready)
+        order.append(k)
+        for j in succ[k]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                heapq.heappush(ready, j)
+    return order
 
 
 def scc_condense(entries: dict):
@@ -117,35 +227,31 @@ def scc_condense(entries: dict):
     the condensation.  Components are sorted-atom tuples; topo_order
     lists component indices, upstream first."""
     g = atom_digraph(entries)
-    components = [tuple(sorted(c, key=str))
-                  for c in nx.strongly_connected_components(g)]
+    components = [tuple(sorted(c, key=str)) for c in _tarjan(g, g)]
     components.sort(key=lambda c: str(c[0]))
     index = {a: k for k, comp in enumerate(components) for a in comp}
-    cond = nx.DiGraph()
-    cond.add_nodes_from(range(len(components)))
-    for u, v in g.edges:
-        if index[u] != index[v]:
-            cond.add_edge(index[u], index[v])
-    topo = list(nx.lexicographical_topological_sort(cond))
+    topo = _topological(len(components),
+                        ((index[u], index[v]) for u, v in g.edges
+                         if index[u] != index[v]))
     return components, topo
-
-
-def _normalize_cycle(cycle):
-    k = min(range(len(cycle)), key=lambda i: str(cycle[i]))
-    return tuple(cycle[k:] + cycle[:k])
 
 
 def enumerate_cycles(entries: dict, component, cap: int = CYCLE_CAP):
     """Every elementary cycle of the component, rotation-normalized,
     as atom sequences without the closing repeat."""
-    g = atom_digraph(entries).subgraph(component)
+    g = atom_digraph(entries)
+    atoms = [a for a in component if a in g]
+    label = {a: k for k, a in enumerate(atoms)}
+    names = [str(a) for a in atoms]
     cycles = []
-    for cyc in nx.simple_cycles(g):
-        cycles.append(_normalize_cycle(list(cyc)))
+    for cyc in _circuits([[label[w] for w in g[a] if w in label]
+                          for a in atoms]):
+        k = min(range(len(cyc)), key=lambda i: names[cyc[i]])
+        cycles.append(cyc[k:] + cyc[:k])
         if len(cycles) > cap:
             raise AnalysisOverflow(f"more than {cap} simple cycles")
-    cycles.sort(key=lambda c: (len(c), tuple(str(a) for a in c)))
-    return cycles
+    cycles.sort(key=lambda c: (len(c), [names[k] for k in c]))
+    return [tuple(atoms[k] for k in c) for c in cycles]
 
 
 def intersection_table(cycles, component):

@@ -79,8 +79,7 @@ class Interval:
         return f"[{self.lower:g},{self.upper:g}]"
 
 
-# EpistemicValue: Interval | _InconsistentType
-EpistemicValue = object
+EpistemicValue = Interval | _InconsistentType
 
 BOTTOM = Interval(0.0, 1.0)  # least certain value: total ignorance
 TRUE = Interval(1.0, 1.0)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .intervals import TRUE, Interval
 
-Term = object  # str constant/variable or Interval
+Term = str | Interval  # a constant or variable name, or an interval
 
 
 def is_variable(term) -> bool:
@@ -71,7 +71,7 @@ class ConstItem:
         return _fmt_interval(self.value)
 
 
-BodyItem = object  # LitItem | ConstItem
+BodyItem = LitItem | ConstItem
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,51 @@ class TestCondensation:
         g = atom_digraph(ex6_residual)
         assert all(rank[u] <= rank[v] for u, v in g.edges)
 
+    def test_against_reachability_on_random_graphs(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            n = rng.randrange(1, 10)
+            atoms = [Atom(f"v{k}") for k in range(n)]
+            adj = {a: {b for b in atoms if rng.random() < 0.25}
+                   for a in atoms}
+            entries = {}
+            for a in atoms:
+                preds = [Ref(Literal(u)) for u in atoms if a in adj[u]]
+                entries[a] = (Const(Interval(0.5, 0.5)) if not preds
+                              else And(tuple(preds)))
+            reach = {}
+            for a in atoms:
+                seen, todo = {a}, [a]
+                while todo:
+                    for b in adj[todo.pop()] - seen:
+                        seen.add(b)
+                        todo.append(b)
+                reach[a] = seen
+            components, topo = scc_condense(entries)
+            assert {frozenset(c) for c in components} == {
+                frozenset(b for b in atoms if b in reach[a] and a in reach[b])
+                for a in atoms}
+            assert all(list(c) == sorted(c, key=str) for c in components)
+            # greedy order: the smallest index whose upstream is all placed
+            index = {a: k for k, comp in enumerate(components) for a in comp}
+            upstream = {k: {index[u] for u in atoms for v in comp
+                            if v in adj[u] and index[u] != k}
+                        for k, comp in enumerate(components)}
+            order = []
+            while len(order) < len(components):
+                order.append(min(k for k in upstream if k not in order
+                                 and upstream[k] <= set(order)))
+            assert topo == order
+
+    def test_long_ring_needs_no_recursion(self):
+        atoms = [Atom(f"r{k}") for k in range(5000)]
+        entries = {a: ref(str(atoms[k - 1])) for k, a in enumerate(atoms)}
+        components, topo = scc_condense(entries)
+        assert len(components) == 1 and len(components[0]) == 5000
+        assert topo == [0]
+        (cycle,) = enumerate_cycles(entries, components[0])
+        assert len(cycle) == 5000
+
 
 def _brute_force_cycles(adj, nodes):
     """Textbook elementary-cycle enumeration: rooted DFS restricted to
