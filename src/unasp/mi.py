@@ -1,10 +1,20 @@
 """Monotonic iteration: drive the consequence operator to its least
 fixpoint, consuming rules as their bodies become constant.
 
-Each step assigns every atom whose residual body has folded to a
-constant, then substitutes the new values into the remaining bodies
-(simplification drops [1,1] conjuncts and [0,0] disjuncts and collapses
-on annihilators).  An inconsistent aggregation halts the iteration.
+Each step assigns, in residual order, every atom whose residual body has
+folded to a constant, records a trace row, and substitutes the new
+values into the bodies that refer to them (simplification drops [1,1]
+conjuncts and [0,0] disjuncts and collapses on annihilators).  An
+inconsistent aggregation halts the iteration.
+
+`gamma_step` is the one-step reference: it substitutes into every
+remaining body.  `mi_fixpoint` reaches the same states event-driven, in
+the manner of Dowling-Gallier unit propagation: a watch list maps each
+atom to the bodies that refer to it, and a step substitutes into the
+watchers of the atoms it just assigned and into no other body, so an
+acyclic program costs one substitution per reference.  Bodies are
+taken as simplified, as `transform_program` and `substitute` leave
+them; a body no assigned atom reaches is then left as it is.
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .intervals import INCONSISTENT
-from .transform import Const, TransformedProgram, substitute
+from .transform import Const, TransformedProgram, referenced_atoms, substitute
 
 
 @dataclass
@@ -29,36 +39,61 @@ def initial_state(p: TransformedProgram) -> MiState:
     return MiState(residual=dict(p.entries))
 
 
+def _ready(residual: dict, atoms) -> list:
+    """The given atoms whose residual body is a constant."""
+    return [a for a in atoms if isinstance(residual[a], Const)]
+
+
+def _fire(s: MiState, ready: list) -> dict:
+    """Assign the ready atoms in s, in place: move them from the residual
+    into the interpretation, record the trace row, and halt if one is
+    inconsistent.  Returns the assignment."""
+    assigned = {a: s.residual.pop(a).value for a in ready}
+    s.interp.update(assigned)
+    s.step += 1
+    s.trace.append((s.step, assigned, len(s.residual)))
+    bad = [a for a, v in assigned.items() if v is INCONSISTENT]
+    if bad:
+        s.halted_inconsistent = True
+        s.inconsistent_atoms = sorted(bad, key=str)
+    return assigned
+
+
 def gamma_step(s: MiState) -> MiState:
-    """One simultaneous firing of all fully-evaluable rules."""
+    """One simultaneous firing of all fully-evaluable rules; s is left
+    as it was."""
     if s.halted_inconsistent:
         return s
-    assigned = {}
-    bad = []
-    for atom, expr in s.residual.items():
-        if isinstance(expr, Const):
-            assigned[atom] = expr.value
-            if expr.value is INCONSISTENT:
-                bad.append(atom)
-    if not assigned:
+    ready = _ready(s.residual, s.residual)
+    if not ready:
         return s
-    interp = dict(s.interp)
-    interp.update(assigned)
-    step = s.step + 1
-    trace = s.trace + [(step, assigned, len(s.residual) - len(assigned))]
-    if bad:
-        residual = {a: e for a, e in s.residual.items() if a not in assigned}
-        return MiState(interp, residual, True, sorted(bad, key=str), step, trace)
-    residual = {a: substitute(e, assigned)
-                for a, e in s.residual.items() if a not in assigned}
-    return MiState(interp, residual, False, [], step, trace)
+    nxt = MiState(dict(s.interp), dict(s.residual), step=s.step,
+                  trace=list(s.trace))
+    assigned = _fire(nxt, ready)
+    if not nxt.halted_inconsistent:
+        nxt.residual = {a: substitute(e, assigned)
+                        for a, e in nxt.residual.items()}
+    return nxt
 
 
 def mi_fixpoint(p: TransformedProgram) -> MiState:
-    """Iterate gamma_step until nothing changes or inconsistency halts."""
-    state = initial_state(p)
-    while True:
-        nxt = gamma_step(state)
-        if nxt is state or nxt.halted_inconsistent:
-            return nxt
-        state = nxt
+    """Iterate to the state where gamma_step changes nothing or
+    inconsistency halts, substituting only through the watch list."""
+    s = initial_state(p)
+    order = {a: k for k, a in enumerate(s.residual)}
+    watchers = {}   # Atom -> the atoms whose body refers to it
+    for atom, e in s.residual.items():
+        for ref in referenced_atoms(e):
+            watchers.setdefault(ref, []).append(atom)
+    ready = _ready(s.residual, s.residual)
+    while ready:
+        assigned = _fire(s, ready)
+        if s.halted_inconsistent:
+            break
+        touched = dict.fromkeys(w for a in assigned
+                                for w in watchers.get(a, ())
+                                if w in s.residual)
+        for w in touched:
+            s.residual[w] = substitute(s.residual[w], assigned)
+        ready = sorted(_ready(s.residual, touched), key=order.__getitem__)
+    return s

@@ -62,6 +62,7 @@ class NmiOutcome:
     iters: int = 0
     history: list = field(default_factory=list)  # chosen values per outer step
     deltas: list = field(default_factory=list)   # sup-norm change per step
+    period: int = 0   # of the exact orbit a max_iters run was read off, if any
 
 
 class UnresolvedComponent(RuntimeError):
@@ -77,11 +78,17 @@ def _inner_pass(entries: dict, values: dict):
 def nmi_iterate(entries: dict, assumption_set, cfg: NmiConfig,
                 init: dict = None) -> NmiOutcome:
     """Outer fixpoint iteration over the chosen atoms, started from
-    total ignorance unless an explicit init is given."""
+    total ignorance unless an explicit init is given.
+
+    Each step is a function of the chosen values alone, so once they
+    repeat exactly without converging, the run cycles until the cap.
+    The outcome is then read off the orbit at once: status max_iters,
+    as at the cap, with the orbit's period."""
     current = {a: BOTTOM for a in assumption_set}
     if init:
         current.update(init)
     history, deltas = [], []
+    seen = {}   # chosen (lower, upper) values -> the iteration giving them
     for it in range(1, cfg.max_outer_iters + 1):
         state = _inner_pass(entries, current)
         if state.halted_inconsistent:
@@ -103,6 +110,15 @@ def nmi_iterate(entries: dict, assumption_set, cfg: NmiConfig,
             status = ("inconsistent" if final.halted_inconsistent
                       else "converged")
             return NmiOutcome(status, dict(final.interp), it, history, deltas)
+        key = tuple((new[a].lower, new[a].upper) for a in assumption_set)
+        if key in seen:
+            period = it - seen[key]
+            while len(history) < cfg.max_outer_iters:  # as iterating would
+                history.append(dict(history[-period]))
+                deltas.append(deltas[-period])
+            return NmiOutcome("max_iters", dict(history[-1]),
+                              cfg.max_outer_iters, history, deltas, period)
+        seen[key] = it
     return NmiOutcome("max_iters", dict(current), cfg.max_outer_iters,
                       history, deltas)
 

@@ -153,7 +153,9 @@ def _dispatch_component(entries, plan, cfg: SolverConfig, out):
         names = ",".join(str(a) for a in comp)
         if outcome.status == "max_iters":
             out.truncated = True
-            out.notes.append(f"iteration cap reached on component {names}")
+            why = (f"period-{outcome.period} oscillation" if outcome.period
+                   else "iteration cap reached")
+            out.notes.append(f"{why} on component {names}")
         else:
             out.notes.append(
                 f"branch dropped: inconsistent aggregation in {names}")

@@ -1,6 +1,12 @@
-from unasp import Atom, transform_program
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from unasp import Atom, mi, parse_program, transform_program
 from unasp.intervals import Interval
 from unasp.mi import gamma_step, initial_state, mi_fixpoint
+from unasp.transform import referenced_atoms, substitute
+
+from conftest import PROGRAMS
 
 
 def values(assigned):
@@ -77,3 +83,94 @@ class TestFixpointShapes:
         # residual counts are strictly decreasing
         lefts = [t[2] for t in state.trace]
         assert lefts == sorted(lefts, reverse=True)
+
+
+def _stepped_fixpoint(p):
+    """The reference: gamma_step iterated from initial_state."""
+    state = initial_state(p)
+    while (nxt := gamma_step(state)) is not state:
+        state = nxt
+    return state
+
+
+def _exact(v):
+    return (v.lower, v.upper) if isinstance(v, Interval) else repr(v)
+
+
+def _snapshot(s):
+    return {
+        "step": s.step,
+        "trace": [(step, [(str(a), repr(v), _exact(v))
+                          for a, v in assigned.items()], left)
+                  for step, assigned, left in s.trace],
+        "interp": [(str(a), _exact(v)) for a, v in s.interp.items()],
+        "residual": [(str(a), str(e)) for a, e in s.residual.items()],
+        "residual_exprs": list(s.residual.values()),
+        "halted": s.halted_inconsistent,
+        "inconsistent": [str(a) for a in s.inconsistent_atoms],
+    }
+
+
+def _assert_same_paths(text):
+    p = transform_program(parse_program(text))
+    assert _snapshot(mi_fixpoint(p)) == _snapshot(_stepped_fixpoint(p))
+
+
+@st.composite
+def _interval_text(draw):
+    lo, hi = sorted(draw(st.integers(0, 100)) / 100 for _ in range(2))
+    return f"[{lo},{hi}]"
+
+
+@st.composite
+def _program_text(draw):
+    """1-8 rules over 1-6 atoms; each body has 1-3 items, constants or
+    (possibly naf, possibly negated) literals."""
+    atoms = "abcdef"[:draw(st.integers(1, 6))]
+    literal = st.builds("{}{}".format, st.sampled_from(["", "-"]),
+                        st.sampled_from(atoms))
+    item = st.one_of(_interval_text(),
+                     st.builds("{}{}".format,
+                               st.sampled_from(["", "not "]), literal))
+    rule = st.builds(lambda head, w, body: f"{head} <- {w} : "
+                     f"{', '.join(body)}.",
+                     literal, _interval_text(),
+                     st.lists(item, min_size=1, max_size=3))
+    return "\n".join(draw(st.lists(rule, min_size=1, max_size=8))) + "\n"
+
+
+class TestWatchListMatchesStepping:
+    """mi_fixpoint reaches exactly the state gamma_step iterates to."""
+
+    @pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.unasp")),
+                             ids=lambda path: path.stem)
+    def test_example_programs(self, path):
+        _assert_same_paths(path.read_text())
+
+    def test_inconsistent_halt_is_covered(self, ex5):
+        assert mi_fixpoint(transform_program(ex5)).halted_inconsistent
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_program_text())
+    def test_random_programs(self, text):
+        _assert_same_paths(text)
+
+
+def test_acyclic_chain_substitutes_once_per_reference(monkeypatch):
+    n = 2000
+    lines = ["a0 <- [1,1] : [0.9,1]."]
+    lines += [f"a{i} <- [0.95,1] : a{i - 1}, not a{i // 2}, [0.8,1]."
+              for i in range(1, n)]
+    p = transform_program(parse_program("\n".join(lines) + "\n"))
+    bound = sum(len(referenced_atoms(e)) for e in p.entries.values())
+    calls = 0
+
+    def counting(e, values):
+        nonlocal calls
+        calls += 1
+        assert calls <= bound, "more substitutions than references"
+        return substitute(e, values)
+
+    monkeypatch.setattr(mi, "substitute", counting)
+    state = mi_fixpoint(p)
+    assert len(state.interp) == n and not state.residual

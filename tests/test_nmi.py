@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from unasp import Atom, Literal, transform_program
+from unasp import Atom, Literal, nmi, parse_program, transform_program
 from unasp.depgraph import enumerate_cycles, occurrence_paths, build_vpg
 from unasp.intervals import Interval
 from unasp.mi import mi_fixpoint
@@ -12,6 +12,9 @@ from unasp.nmi import (NmiConfig, StructuralMismatch, branch_and_bound,
 from unasp.transform import And, Const, Kagg, Naf, Neg, Or, Ref
 
 TIGHT = NmiConfig(eps=1e-9)
+# its chosen values a, b enter an exact period-3 orbit at iteration 84
+PERIOD_THREE = ("a <- [0.32,0.73] : not a, b. -b <- [0.32,0.94] : b, a. "
+                "b <- [0.33,0.97] : a, not a.")
 
 
 def ref(name, negated=False):
@@ -259,3 +262,37 @@ class TestNestingLemma:
             assert cur.lower >= prev.lower - 1e-12
             assert cur.upper <= prev.upper + 1e-12
             prev = cur
+
+
+class TestExactOrbit:
+    """A chosen-value state that repeats exactly is read off as the run
+    to the cap would end, without iterating that far."""
+
+    def test_period_three_stops_early(self, monkeypatch):
+        entries = transform_program(parse_program(PERIOD_THREE)).entries
+        passes = 0
+
+        def counting(*args):
+            nonlocal passes
+            passes += 1
+            return _inner_pass(*args)
+
+        monkeypatch.setattr(nmi, "_inner_pass", counting)
+        out = nmi_iterate(entries, [Atom("a"), Atom("b")], NmiConfig())
+        assert out.status == "max_iters" and out.period == 3
+        assert passes == 87
+        assert out.iters == len(out.history) == len(out.deltas) == 10_000
+
+    def test_history_runs_on_to_the_cap(self):
+        entries = {Atom("a"): Naf(ref("a"))}
+        out = nmi_iterate(entries, [Atom("a")],
+                          NmiConfig(eps=1e-9, max_outer_iters=51))
+        assert out.period == 2
+        assert [h[Atom("a")].lower for h in out.history] \
+            == [1.0, 0.0] * 25 + [1.0]
+        assert out.deltas == [1.0] * 51
+        assert out.interp == out.history[-1]
+
+    def test_converging_run_has_no_period(self, ex7_entries):
+        out = nmi_iterate(ex7_entries, [Atom("a"), Atom("g")], NmiConfig())
+        assert out.status == "converged" and out.period == 0

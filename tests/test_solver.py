@@ -216,3 +216,13 @@ def test_inconsistent_acyclic_value_drops_its_branch():
                                          "a": (0.0, 0.0)}
     assert "branch dropped: inconsistent value at a" \
         in report.diagnostics["notes"]
+
+
+def test_exact_orbit_reports_its_period():
+    report = solve(parse_program(
+        "a <- [0.32,0.73] : not a, b. -b <- [0.32,0.94] : b, a. "
+        "b <- [0.33,0.97] : a, not a."))
+    assert report.status == "incomplete"
+    assert not report.answer_sets
+    assert report.diagnostics["notes"] \
+        == ["period-3 oscillation on component a,b"]
