@@ -39,7 +39,9 @@ class Atom:
     def __str__(self):
         if not self.args:
             return self.predicate
-        return "%s(%s)" % (self.predicate, ",".join(str(a) for a in self.args))
+        return "%s(%s)" % (self.predicate, ",".join(
+            _fmt_interval(a) if isinstance(a, Interval) else a
+            for a in self.args))
 
 
 @dataclass(frozen=True)
@@ -187,6 +189,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.arities = {}  # predicate -> arity of its first use
 
     def _peek(self, offset=0):
         i = self.pos + offset
@@ -263,7 +266,8 @@ class _Parser:
         if self._at("-"):
             self._take(text="-")
             negated = True
-        name = self._take("ident").text
+        name_tok = self._take("ident")
+        name = name_tok.text
         args = ()
         if self._at("("):
             self._take(text="(")
@@ -273,6 +277,10 @@ class _Parser:
                 parts.append(self.parse_term())
             self._take(text=")")
             args = tuple(parts)
+        seen = self.arities.setdefault(name, len(args))
+        if seen != len(args):
+            raise ParseError(f"predicate {name!r} used with arity {len(args)} "
+                             f"and {seen}", name_tok.line, name_tok.column)
         return Literal(Atom(name, args), negated)
 
     def parse_term(self):
@@ -302,20 +310,7 @@ class _Parser:
 
 def parse_program(text: str) -> Program:
     """Parse source text; raises ParseError with line/column on bad input."""
-    program = _Parser(_tokenize(text)).parse_program()
-    _check_arities(program)
-    return program
-
-
-def _check_arities(program):
-    arity = {}
-    for r in program.rules:
-        for a in r.atoms:
-            seen = arity.setdefault(a.predicate, len(a.args))
-            if seen != len(a.args):
-                raise ParseError(
-                    f"predicate {a.predicate!r} used with arity {len(a.args)} "
-                    f"and {seen}", 1, 1)
+    return _Parser(_tokenize(text)).parse_program()
 
 
 def _rule_variables(rule: Rule) -> list:

@@ -4,6 +4,11 @@ Valuation of body expressions, interpretation consistency (three-way
 classification), rule satisfaction, supportedness, reducts, and the
 answer-set check (supported model of the reduct, minimally certain
 among known candidates).
+
+An interpretation is a supported model when every atom equals the value
+its rules force: `transform.atom_body`, the same expression that
+`transform_program` folds for `mi`, evaluated here unfolded, one atom at
+a time, at the caller's tie tolerance.
 """
 
 from __future__ import annotations
@@ -46,28 +51,26 @@ def lookup(i: dict, lit: Literal):
     raise UnboundLiteral(lit)
 
 
-def evaluate(e, i: dict):
-    """Recursive valuation of a body expression; inconsistency absorbs."""
-    if isinstance(e, tf.Const):
-        return e.value
-    if isinstance(e, tf.Ref):
+def evaluate(e, i: dict, eps: float = EPS_CMP):
+    """Recursive valuation of a body expression; inconsistency absorbs.
+    eps is the tie tolerance of the certainty aggregation."""
+    kind = type(e)
+    if kind is tf.Ref:
         return lookup(i, e.literal)
-    if isinstance(e, tf.Naf):
-        return naf(evaluate(e.child, i))
-    if isinstance(e, tf.Neg):
-        return negate(evaluate(e.child, i))
-    if isinstance(e, tf.And):
-        value = evaluate(e.children[0], i)
+    if kind is tf.Const:
+        return e.value
+    if kind is tf.And or kind is tf.Or:
+        combine = tnorm if kind is tf.And else tconorm
+        value = evaluate(e.children[0], i, eps)
         for c in e.children[1:]:
-            value = tnorm(value, evaluate(c, i))
+            value = combine(value, evaluate(c, i, eps))
         return value
-    if isinstance(e, tf.Or):
-        value = evaluate(e.children[0], i)
-        for c in e.children[1:]:
-            value = tconorm(value, evaluate(c, i))
-        return value
-    if isinstance(e, tf.Kagg):
-        return kagg(evaluate(e.left, i), evaluate(e.right, i))
+    if kind is tf.Naf:
+        return naf(evaluate(e.child, i, eps))
+    if kind is tf.Neg:
+        return negate(evaluate(e.child, i, eps))
+    if kind is tf.Kagg:
+        return kagg(evaluate(e.left, i, eps), evaluate(e.right, i, eps), eps)
     raise TypeError(f"not a body expression: {e!r}")
 
 
@@ -121,27 +124,9 @@ def with_constraints(p: Program) -> Program:
     return Program(p.rules + extra) if extra else p
 
 
-def _joins(group):
-    """Positive and negative rule joins of one atom's rule group, None
-    for a side without rules."""
-    return tuple(tf.join_rules(rules) if rules else None for rules in group)
-
-
-def required_value(joins, i: dict, eps: float):
-    """The value an atom's rule joins force on it; INCONSISTENT when the
-    mixed-evidence aggregation is undefined (equal-width clash)."""
-    pos, neg = joins
-    if pos is not None and neg is not None:
-        return kagg(evaluate(pos, i), negate(evaluate(neg, i)), eps)
-    if pos is not None:
-        return evaluate(pos, i)
-    if neg is not None:
-        return negate(evaluate(neg, i))
-    return BOTTOM  # an atom that heads no rule: the closed-world value
-
-
 def _agrees(actual, req, eps: float) -> bool:
-    """The atom's value is the one its rules force."""
+    """The atom's value is the one its rules force (INCONSISTENT when
+    the mixed-evidence aggregation is an equal-width clash)."""
     return req is not INCONSISTENT and actual.same_as(req, eps)
 
 
@@ -153,8 +138,7 @@ def is_supported_model(i: dict, p: Program, eps: float = EPS_CMP) -> bool:
             actual = lookup(i, Literal(atom, False))
             if actual is INCONSISTENT:
                 return False
-            req = required_value(_joins(group), i, EPS_CMP)
-            if not _agrees(actual, req, eps):
+            if not _agrees(actual, evaluate(tf.atom_body(*group), i), eps):
                 return False
             actual_neg = lookup(i, Literal(atom, True))
             if actual_neg is INCONSISTENT:
@@ -200,13 +184,13 @@ def enumerate_grid_supported(p: Program, points=GRID_POINTS,
     groups = tf.rules_by_head(p)
     atoms = sorted(groups, key=str)
     lits = [Literal(a, False) for a in atoms]
-    joins = [_joins(groups[a]) for a in atoms]
+    bodies = [tf.atom_body(*groups[a]) for a in atoms]
     cells = grid_intervals(points)
     found = []
     for combo in itertools.product(cells, repeat=len(atoms)):
         i = dict(zip(lits, combo))
-        if all(_agrees(actual, required_value(j, i, eps), eps)
-               for actual, j in zip(combo, joins)):
+        if all(_agrees(actual, evaluate(body, i, eps), eps)
+               for actual, body in zip(combo, bodies)):
             found.append(i)
     return found
 

@@ -3,8 +3,10 @@
 All rules sharing a head literal are joined into a disjunction of
 (body ∧ weight) conjunctions; positive and negative evidence for the
 same atom are then combined with the certainty aggregator.  Atoms that
-head no rule get the constraint body [0,1].  The resulting rules carry
-no weights.
+head no rule get the constraint body [0,1].  `atom_body` is that rule,
+the one place it is written; `transform_program` folds it for `mi`, and
+the verifier in `semantics` evaluates it unfolded.  The resulting rules
+carry no weights.
 """
 
 from __future__ import annotations
@@ -221,17 +223,21 @@ def r_join(lit: Literal, p: Program):
     return join_rules(p.rules_for(lit))
 
 
+def atom_body(pos_rules, neg_rules):
+    """The value an atom's rules force on it, unfolded: the join of its
+    positive rules aggregated with the mirror of the join of its negative
+    rules, one side alone when the other has no rules, and the
+    closed-world [0,1] when it heads no rule (Clark's completion, one
+    atom at a time)."""
+    if pos_rules and neg_rules:
+        return Kagg(join_rules(pos_rules), Neg(join_rules(neg_rules)))
+    if pos_rules:
+        return join_rules(pos_rules)
+    if neg_rules:
+        return Neg(join_rules(neg_rules))
+    return Const(BOTTOM)
+
+
 def transform_program(p: Program) -> TransformedProgram:
-    entries = {}
-    for atom, (pos_rules, neg_rules) in rules_by_head(p).items():
-        if pos_rules and neg_rules:
-            expr = Kagg(join_rules(pos_rules), Neg(join_rules(neg_rules)))
-        elif pos_rules:
-            expr = join_rules(pos_rules)
-        elif neg_rules:
-            expr = Neg(join_rules(neg_rules))
-        else:
-            # closed-world constraint on atoms heading no rule
-            expr = Const(BOTTOM)
-        entries[atom] = simplify(expr)
-    return TransformedProgram(entries)
+    return TransformedProgram({atom: simplify(atom_body(*group))
+                               for atom, group in rules_by_head(p).items()})

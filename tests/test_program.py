@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from unasp import (Atom, ConstItem, LitItem, Literal, ParseError, Program,
                    Rule, ground, parse_program)
@@ -63,10 +64,56 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_program("p(a) <- [1,1].\nq <- [1,1] : p.")
 
+    def test_arity_mismatch_is_reported_where_it_occurs(self):
+        with pytest.raises(ParseError) as err:
+            parse_program("p(a) <- [1,1].\n\nq <- [1,1] : p.")
+        assert (err.value.line, err.value.column) == (3, 14)
+        assert str(err.value) == "3:14: predicate 'p' used with arity 0 and 1"
+
     def test_examples_parse(self, ex1, ex2, ex3, ex4, ex5, ex6, ex7, ex8):
         for p, n in ((ex1, 2), (ex2, 5), (ex3, 1), (ex4, 2), (ex5, 2),
                      (ex6, 30), (ex7, 8), (ex8, 4)):
             assert len(p.rules) == n
+
+
+@st.composite
+def _number_text(draw):
+    """A number in [0,1] with up to 9 decimals, as source text."""
+    decimals = draw(st.integers(0, 9))
+    value = draw(st.integers(0, 10 ** decimals)) / 10 ** decimals
+    return f"{value:.{decimals}f}"
+
+
+@st.composite
+def _interval_text(draw):
+    lo, hi = sorted((draw(_number_text()), draw(_number_text())), key=float)
+    return f"[{lo},{hi}]"
+
+
+# predicate -> arity; a predicate keeps one arity across a program
+_ARITIES = {"p": 0, "q": 1, "r": 2}
+
+
+@st.composite
+def _literal_text(draw):
+    name = draw(st.sampled_from(sorted(_ARITIES)))
+    args = [draw(st.one_of(st.sampled_from(["a", "b", "X"]), _interval_text()))
+            for _ in range(_ARITIES[name])]
+    atom = f"{name}({','.join(args)})" if args else name
+    return draw(st.sampled_from(["", "-"])) + atom
+
+
+@st.composite
+def _rule_text(draw):
+    label = draw(st.sampled_from(["", "l1: ", "l2: "]))
+    head = draw(_literal_text())
+    if draw(st.booleans()):
+        return f"{label}{head}."
+    item = st.one_of(_interval_text(), _literal_text(),
+                     _literal_text().map("not {}".format))
+    body = draw(st.lists(item, max_size=3))
+    tail = " : " + ", ".join(body) if body else ""
+    return f"{label}{head} <- {draw(_interval_text())}{tail}."
 
 
 class TestRoundTrip:
@@ -77,6 +124,14 @@ class TestRoundTrip:
         once = parse_program(str(p))
         assert str(once) == str(p)
         assert once.rules == parse_program(str(once)).rules
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.lists(_rule_text(), min_size=1, max_size=6).map("\n".join))
+    @example(text="p <- [1,1] : q([0.00001,0.5]).")
+    @example(text="q([0.1234567,0.5]).")
+    def test_printed_program_parses_back(self, text):
+        p = parse_program(text)
+        assert parse_program(str(p)).rules == p.rules
 
 
 class TestProgramAccessors:

@@ -171,6 +171,13 @@ class TestGridEnumeration:
         # every grid cell x gives the supported model {a:x, b:x}
         assert len(enumerate_grid_supported(ex1)) == 15
 
+    def test_ties_are_broken_at_the_callers_tolerance(self):
+        # widths 0.25 and 0.2500001: a clash at 1e-6, the narrower at 1e-9
+        p = parse_program("a <- [0.25,0.5].\n-a <- [0.2499999,0.5].")
+        assert enumerate_grid_supported(p, eps=1e-6) == []
+        (i,) = enumerate_grid_supported(p, eps=1e-9)
+        assert i[Literal(Atom("a"))].same_as(Interval(0.25, 0.5))
+
 
 class TestInterpOrdering:
     def test_kp_below(self):

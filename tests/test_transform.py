@@ -1,11 +1,14 @@
+import functools
 import itertools
 import random
 
 from unasp import Atom, Literal, parse_program, r_join, transform_program
-from unasp.intervals import FALSE, INCONSISTENT, Interval
+from unasp.intervals import (BOTTOM, FALSE, INCONSISTENT, Interval, kagg,
+                             negate, tconorm, tnorm)
 from unasp.program import ConstItem, LitItem, Program, Rule
-from unasp.semantics import (evaluate, grid_intervals, is_supported_model,
-                             total_from_positive, with_constraints)
+from unasp.semantics import (evaluate, evaluate_body, grid_intervals,
+                             is_supported_model, reduct, total_from_positive,
+                             with_constraints)
 from unasp.transform import (And, Const, Kagg, Naf, Neg, Or, Ref,
                              referenced_atoms, rules_by_head, simplify,
                              substitute)
@@ -231,3 +234,51 @@ class TestSupportedModelEquivalence:
         atoms = [Atom("a"), Atom("b"), Atom("c")]
         for _ in range(4):
             self._check(_random_program(rng, atoms), (0.0, 0.5, 1.0))
+
+
+def _required(p, atom, i):
+    """The value the rules of p force on atom, read straight from
+    p.rules: the t-conorm over the rules for atom of body ∧ weight,
+    aggregated against the mirror of the same for -atom."""
+    def join(lit):
+        values = [tnorm(evaluate_body(r, i), r.weight)
+                  for r in p.rules if r.head == lit]
+        return functools.reduce(tconorm, values) if values else None
+
+    pos, neg = join(Literal(atom)), join(Literal(atom, True))
+    if pos is not None and neg is not None:
+        return kagg(pos, negate(neg))
+    if pos is not None:
+        return pos
+    if neg is not None:
+        return negate(neg)
+    return BOTTOM
+
+
+class TestSupportedModelReference:
+    """is_supported_model against required values computed rule by rule,
+    without the transform's expressions.  Grid weights and constants
+    keep every product exact, so any tie is a real one."""
+
+    def _reference_supported(self, i, p):
+        for atom in p.atom_base:
+            req = _required(p, atom, i)
+            if req is INCONSISTENT or not i[Literal(atom)].same_as(req):
+                return False
+        return True
+
+    def test_random_programs_on_grid_cells(self):
+        rng = random.Random(31)
+        verdicts = set()
+        for n in (1, 2, 3) * 12:
+            p = _random_program(rng, [Atom(name) for name in "abc"[:n]])
+            points = GRID if n < 3 else (0.0, 0.5, 1.0)
+            atoms = sorted(p.atom_base, key=str)
+            for combo in itertools.product(grid_intervals(points),
+                                           repeat=len(atoms)):
+                i = total_from_positive(dict(zip(atoms, combo)))
+                for q in (p, reduct(with_constraints(p), i)):
+                    verdict = is_supported_model(i, q)
+                    assert verdict == self._reference_supported(i, q)
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
