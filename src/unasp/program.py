@@ -156,7 +156,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class _Token:
     kind: str
     text: str

@@ -1,0 +1,117 @@
+"""The grid oracle against its brute-force reference, and its work."""
+
+import random
+
+from unasp import Atom, Literal
+from unasp.depgraph import scc_condense
+from unasp.intervals import Interval
+from unasp.program import ConstItem, LitItem, Program, Rule
+from unasp import semantics
+from unasp.semantics import (GRID_POINTS, enumerate_grid_supported,
+                             grid_intervals, load_model_file, reduct,
+                             total_from_positive, with_constraints)
+from unasp.transform import atom_body, referenced_atoms, rules_by_head
+
+from conftest import PROGRAMS, brute_force_grid
+
+COARSE = (0.0, 0.5, 1.0)
+
+
+def _random_interval(rng):
+    lo = rng.choice((0.0, 0.25, 0.5, rng.uniform(0.0, 1.0)))
+    return Interval(lo, rng.choice((lo, 1.0, rng.uniform(lo, 1.0))))
+
+
+def _random_program(rng):
+    """1-3 atoms, 1-5 rules; heads and body literals may be classically
+    negated, body literals may sit under `not`, bodies may hold
+    constants."""
+    atoms = [Atom(f"a{k}") for k in range(rng.randint(1, 3))]
+
+    def literal():
+        return Literal(rng.choice(atoms), rng.random() < 0.25)
+
+    rules = []
+    for _ in range(rng.randint(1, 5)):
+        body = []
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.25:
+                body.append(ConstItem(_random_interval(rng)))
+            else:
+                body.append(LitItem(literal(), rng.random() < 0.3))
+        rules.append(Rule(literal(), _random_interval(rng),
+                          tuple(body) or (ConstItem(_random_interval(rng)),)))
+    return Program(rules)
+
+
+def _cycle_shapes(p):
+    """Sizes of the program's cyclic components, a lone atom that
+    mentions itself counting as 1."""
+    bodies = {a: atom_body(*g) for a, g in rules_by_head(p).items()}
+    components, _ = scc_condense(bodies)
+    shapes = set()
+    for comp in components:
+        if len(comp) > 1:
+            shapes.add(len(comp))
+        elif comp[0] in referenced_atoms(bodies[comp[0]]):
+            shapes.add(1)
+    return shapes
+
+
+def test_matches_brute_force_in_order():
+    rng = random.Random(909)
+    shapes = set()
+    compared = nonempty = 0
+    for _ in range(60):
+        p = _random_program(rng)
+        cells = grid_intervals()
+        guess = total_from_positive({a: rng.choice(cells)
+                                     for a in p.atom_base})
+        for prog in (p, reduct(with_constraints(p), guess)):
+            shapes |= _cycle_shapes(prog)
+            for eps in (1e-9, 0.027, 0.3):
+                for points in (GRID_POINTS, COARSE):
+                    found = enumerate_grid_supported(prog, points, eps)
+                    assert found == brute_force_grid(prog, points, eps), \
+                        str(prog)
+                    compared += 1
+                    nonempty += bool(found)
+    assert compared == 720 and nonempty > 100
+    # self-loops and 2- and 3-atom cycles all occur in the sample
+    assert {1, 2, 3} <= shapes
+
+
+def test_no_atoms_gives_the_empty_model():
+    p = Program([])
+    assert enumerate_grid_supported(p) == [{}] == brute_force_grid(p)
+
+
+def test_example1_gives_fifteen_models_in_order(ex1):
+    found = enumerate_grid_supported(ex1)
+    assert len(found) == 15
+    assert found == brute_force_grid(ex1)
+
+
+def test_example8_matches_brute_force(ex8):
+    for eps in (1e-9, 0.027):
+        assert enumerate_grid_supported(ex8, eps=eps) \
+            == brute_force_grid(ex8, eps=eps)
+
+
+def test_acyclic_reduct_takes_one_pass(monkeypatch, ex2):
+    # ex2 is acyclic over 3 atoms: the brute-force grid tries 15^3 cells
+    i = load_model_file(PROGRAMS / "ex2.model.json", ex2)
+    red = reduct(with_constraints(ex2), i)
+    calls = 0
+    evaluate = semantics.evaluate
+
+    def counting(e, i, eps=semantics.EPS_CMP):
+        nonlocal calls
+        calls += 1
+        return evaluate(e, i, eps)
+
+    monkeypatch.setattr(semantics, "evaluate", counting)
+    found = enumerate_grid_supported(red)
+    monkeypatch.undo()
+    assert found == brute_force_grid(red)
+    assert calls < 100, calls
