@@ -70,6 +70,35 @@ class TestParsing:
         assert (err.value.line, err.value.column) == (3, 14)
         assert str(err.value) == "3:14: predicate 'p' used with arity 0 and 1"
 
+    @pytest.mark.parametrize("text, message", [
+        # the first of two different bad characters, after a comment line
+        ("% a comment\na <- [1,1] : b & c $ d.",
+         "2:16: unexpected character '&'"),
+        ("a < b.", "1:3: unexpected character '<'"),
+        ("a <- [1,1] : b", "1:15: expected '.' (at end of input)"),
+        ("a <- [1,1] : b  % trailing\n\n",
+         "1:15: expected '.' (at end of input)"),
+        ("a [1,1].", "1:3: expected 'arrow', found '['"),
+        ("a <- [1,1] : not .", "1:18: expected 'ident', found '.'"),
+        ("a <- [x,1].", "1:7: expected 'number', found 'x'"),
+        ("a <- [1,1] : b\nc.", "2:1: expected '.', found 'c'"),
+        ("a <- [0.5,1.5].", "1:11: number outside [0,1]"),
+        ("a <- [0.9,0.2].", "1:6: bad rule weight: "
+         "interval bounds out of order: [0.9, 0.2]"),
+        ("a <- [1,1] : [0.9,0.2].", "1:14: bad body constant: "
+         "interval bounds out of order: [0.9, 0.2]"),
+        ("p([0.9,0.2]).", "1:3: bad interval term: "
+         "interval bounds out of order: [0.9, 0.2]"),
+        ("p(a).\n  q <- [1,1] : p.",
+         "2:16: predicate 'p' used with arity 0 and 1"),
+    ])
+    def test_error_message_line_and_column(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert str(err.value) == message
+        line, column, _ = message.split(":", 2)
+        assert (err.value.line, err.value.column) == (int(line), int(column))
+
     def test_examples_parse(self, ex1, ex2, ex3, ex4, ex5, ex6, ex7, ex8):
         for p, n in ((ex1, 2), (ex2, 5), (ex3, 1), (ex4, 2), (ex5, 2),
                      (ex6, 30), (ex7, 8), (ex8, 4)):
