@@ -11,6 +11,11 @@ Concrete syntax (Prolog-flavored)::
 literals may appear as body items, terms, weights.  Variables start
 uppercase, constants lowercase.  A missing body desugars to `[1,1]`,
 and a fact `h.` abbreviates `h <- [1,1] : [1,1].`
+
+The parser scans the text with one regex pass into a list of token
+strings; a ParseError's line and column are recomputed by scanning
+again, only when one is raised.  Each distinct atom is built once per
+parse, so equal atoms of one program are one object.
 """
 
 from __future__ import annotations
@@ -143,174 +148,160 @@ class ParseError(ValueError):
         self.column = column
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
-  | (?P<number>\d+(?:\.\d+)?)
-  | (?P<ident>[a-zA-Z_][a-zA-Z0-9_]*)
-  | (?P<arrow><-)
-  | (?P<punct>[\[\](),.:-])
-    """,
-    re.VERBOSE,
-)
-
-
-@dataclass(slots=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text):
-    tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line, pos - line_start + 1)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, chunk, line, pos - line_start + 1))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + chunk.rfind("\n") + 1
-        pos = m.end()
-    return tokens
+# the token alternatives in priority order: number, ident, arrow, punctuation
+_TOKEN = r"\d+(?:\.\d+)?|[a-zA-Z_][a-zA-Z0-9_]*|<-|[\[\](),.:-]"
+_TOKEN_RE = re.compile(_TOKEN)
+# whitespace and comments leave group 1 empty; a character that starts no
+# token becomes a one-character token, which _TOKEN_RE then rejects
+_SCAN_RE = re.compile(r"\s+|%%[^\n]*|(%s|.)" % _TOKEN, re.S)
+_IDENT_START = frozenset(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_TRUE_BODY = (ConstItem(TRUE),)
 
 
 class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """Recursive descent over the token strings of one text.  The end of
+    input is the sentinel token "", which matches no expectation."""
+
+    def __init__(self, text):
+        self.text = text
+        self.tokens = [t for t in _SCAN_RE.findall(text) if t]
+        bad = {t for t in set(self.tokens) if not _TOKEN_RE.fullmatch(t)}
+        if bad:
+            k = next(k for k, t in enumerate(self.tokens) if t in bad)
+            raise ParseError(f"unexpected character {self.tokens[k]!r}",
+                             *self._where(k))
+        self.tokens.append("")
         self.pos = 0
         self.arities = {}  # predicate -> arity of its first use
+        self.atoms = {}  # (predicate, args) -> the one Atom of this parse
 
-    def _peek(self, offset=0):
-        i = self.pos + offset
-        return self.tokens[i] if i < len(self.tokens) else None
+    def _where(self, k):
+        """The line and column of token k, found by scanning again."""
+        found = (m for m in _SCAN_RE.finditer(self.text) if m.group(1))
+        start = next(itertools.islice(found, k, None)).start()
+        return (self.text.count("\n", 0, start) + 1,
+                start - self.text.rfind("\n", 0, start))
 
-    def _error(self, message):
-        tok = self._peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            line = last.line if last else 1
-            col = last.column + len(last.text) if last else 1
-            raise ParseError(message + " (at end of input)", line, col)
-        raise ParseError(f"{message}, found {tok.text!r}", tok.line, tok.column)
+    def _expected(self, want):
+        k = self.pos
+        if self.tokens[k]:
+            raise ParseError(f"expected {want!r}, found {self.tokens[k]!r}",
+                             *self._where(k))
+        line, column = self._where(k - 1)
+        raise ParseError(f"expected {want!r} (at end of input)",
+                         line, column + len(self.tokens[k - 1]))
 
-    def _take(self, kind=None, text=None):
-        tok = self._peek()
-        if tok is None or (kind and tok.kind != kind) or (text and tok.text != text):
-            want = text or kind
-            self._error(f"expected {want!r}")
+    def _expect(self, text, kind=None):
+        if self.tokens[self.pos] != text:
+            self._expected(kind or text)
+        self.pos += 1
+
+    def _ident(self):
+        tok = self.tokens[self.pos]
+        if tok[:1] not in _IDENT_START:
+            self._expected("ident")
         self.pos += 1
         return tok
-
-    def _at(self, text):
-        tok = self._peek()
-        return tok is not None and tok.text == text
 
     def parse_program(self):
         rules = []
         counter = itertools.count(1)
-        while self._peek() is not None:
+        while self.tokens[self.pos]:
             rules.append(self.parse_rule(counter))
         return Program(rules)
 
     def parse_rule(self, counter):
+        tokens = self.tokens
+        tok = tokens[self.pos]
         label = ""
-        tok = self._peek()
-        nxt = self._peek(1)
-        if (tok and tok.kind == "ident" and nxt and nxt.text == ":"):
-            label = self._take("ident").text
-            self._take(text=":")
+        if tokens[self.pos + 1] == ":" and tok[:1] in _IDENT_START:
+            label = tok
+            self.pos += 2
         head = self.parse_literal()
         # a missing body is [1,1], and the fact h. is h <- [1,1] : [1,1].
         weight = TRUE
-        body = [ConstItem(TRUE)]
-        if not self._at("."):
-            self._take("arrow")
-            weight_tok = self._peek()
+        body = _TRUE_BODY
+        if tokens[self.pos] != ".":
+            self._expect("<-", "arrow")
             weight = self.parse_interval("rule weight")
-            if weight.upper > 1.0 or weight.lower < 0.0:
-                raise ParseError("weight outside [0,1]",
-                                 weight_tok.line, weight_tok.column)
-            if self._at(":"):
-                self._take(text=":")
-                body = [self.parse_body_item()]
-                while self._at(","):
-                    self._take(text=",")
-                    body.append(self.parse_body_item())
-        self._take(text=".")
-        if not label:
-            label = f"r#{next(counter)}"
-        return Rule(head, weight, tuple(body), label)
+            if tokens[self.pos] == ":":
+                self.pos += 1
+                items = [self.parse_body_item()]
+                while tokens[self.pos] == ",":
+                    self.pos += 1
+                    items.append(self.parse_body_item())
+                body = tuple(items)
+        self._expect(".")
+        return Rule(head, weight, body, label or f"r#{next(counter)}")
 
     def parse_body_item(self):
-        if self._at("["):
+        tok = self.tokens[self.pos]
+        if tok == "[":
             return ConstItem(self.parse_interval("body constant"))
-        tok = self._peek()
-        if tok and tok.kind == "ident" and tok.text == "not":
-            self._take()
+        if tok == "not":
+            self.pos += 1
             return LitItem(self.parse_literal(), naf=True)
         return LitItem(self.parse_literal())
 
     def parse_literal(self):
-        negated = False
-        if self._at("-"):
-            self._take(text="-")
-            negated = True
-        name_tok = self._take("ident")
-        name = name_tok.text
+        tokens = self.tokens
+        negated = tokens[self.pos] == "-"
+        if negated:
+            self.pos += 1
+        name_at = self.pos
+        name = self._ident()
         args = ()
-        if self._at("("):
-            self._take(text="(")
+        if tokens[self.pos] == "(":
+            self.pos += 1
             parts = [self.parse_term()]
-            while self._at(","):
-                self._take(text=",")
+            while tokens[self.pos] == ",":
+                self.pos += 1
                 parts.append(self.parse_term())
-            self._take(text=")")
+            self._expect(")")
             args = tuple(parts)
-        seen = self.arities.setdefault(name, len(args))
-        if seen != len(args):
-            raise ParseError(f"predicate {name!r} used with arity {len(args)} "
-                             f"and {seen}", name_tok.line, name_tok.column)
-        return Literal(Atom(name, args), negated)
+        atom = self.atoms.get((name, args))
+        if atom is None:
+            seen = self.arities.setdefault(name, len(args))
+            if seen != len(args):
+                raise ParseError(f"predicate {name!r} used with arity "
+                                 f"{len(args)} and {seen}",
+                                 *self._where(name_at))
+            atom = self.atoms[name, args] = Atom(name, args)
+        return Literal(atom, negated)
 
     def parse_term(self):
-        if self._at("["):
+        if self.tokens[self.pos] == "[":
             return self.parse_interval("interval term")
-        return self._take("ident").text
+        return self._ident()
 
     def parse_interval(self, what):
-        open_tok = self._take(text="[")
+        open_at = self.pos
+        self._expect("[")
         lo = self.parse_number()
-        self._take(text=",")
+        self._expect(",")
         hi = self.parse_number()
-        self._take(text="]")
+        self._expect("]")
         try:
             return Interval(lo, hi)
         except ValueError as exc:
             raise ParseError(f"bad {what}: {exc}",
-                             open_tok.line, open_tok.column) from None
+                             *self._where(open_at)) from None
 
     def parse_number(self):
-        tok = self._take("number")
-        value = float(tok.text)
+        tok = self.tokens[self.pos]
+        if not tok[:1].isdecimal():  # what \d matches
+            self._expected("number")
+        value = float(tok)
         if value < 0.0 or value > 1.0:
-            raise ParseError("number outside [0,1]", tok.line, tok.column)
+            raise ParseError("number outside [0,1]", *self._where(self.pos))
+        self.pos += 1
         return value
 
 
 def parse_program(text: str) -> Program:
     """Parse source text; raises ParseError with line/column on bad input."""
-    return _Parser(_tokenize(text)).parse_program()
+    return _Parser(text).parse_program()
 
 
 def _rule_variables(rule: Rule) -> list:

@@ -239,5 +239,11 @@ def atom_body(pos_rules, neg_rules):
 
 
 def transform_program(p: Program) -> TransformedProgram:
-    return TransformedProgram({atom: simplify(atom_body(*group))
-                               for atom, group in rules_by_head(p).items()})
+    entries = {}
+    for atom, group in rules_by_head(p).items():
+        body = atom_body(*group)
+        # join_rules has folded the joins; only a wrapper around them is left
+        if isinstance(body, (Kagg, Neg)):
+            body = simplify(body)
+        entries[atom] = body
+    return TransformedProgram(entries)

@@ -163,6 +163,55 @@ class TestRoundTrip:
         assert parse_program(str(p)).rules == p.rules
 
 
+# the language's tokens, near misses, junk and non-ASCII characters
+# (٣ is a decimal digit to the scanner, é and 中 start no token)
+_PIECES = ["a", "p", "q(a)", "X", "not", "l1", "0", "1", "0.5", "12", "<-",
+           "<", "-", "[", "]", "(", ")", ",", ".", ":", " ", "\n", "\t", "%",
+           "% c\n", "$", "&", "é", "٣", "中"]
+
+
+class TestScanner:
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.lists(st.sampled_from(_PIECES), max_size=30).map("".join)
+           | st.text(max_size=30))
+    def test_any_text_gives_program_or_parse_error(self, text):
+        try:
+            assert isinstance(parse_program(text), Program)
+        except ParseError as err:
+            assert err.line >= 1 and err.column >= 1
+
+    def test_long_comment(self):
+        assert parse_program("%" * 10 ** 5).rules == []
+
+    def test_long_whitespace_then_bad_character(self):
+        with pytest.raises(ParseError) as err:
+            parse_program(" " * 10 ** 5 + "$")
+        assert (err.value.line, err.value.column) == (1, 100001)
+
+    def test_many_distinct_bad_characters(self):
+        # the first of 20,000 different bad characters is found in one pass
+        with pytest.raises(ParseError) as err:
+            parse_program("".join(chr(0x4E00 + k) for k in range(20000)))
+        assert str(err.value) == "1:1: unexpected character '一'"
+
+
+class TestAtomSharing:
+    TEXT = "p(a) <- [1,1] : q, not p(a), -q."
+
+    @pytest.mark.parametrize("name", ["ex2", "ex6", "ex7", "tweety"])
+    def test_equal_atoms_of_one_parse_are_one_object(self, name, request):
+        for text in (self.TEXT, str(request.getfixturevalue(name))):
+            atoms = [a for r in parse_program(text).rules for a in r.atoms]
+            assert all((a == b) == (a is b) for a in atoms for b in atoms)
+
+    def test_atoms_of_two_parses_stay_equal(self):
+        first, second = (parse_program(self.TEXT).rules[0].atoms
+                         for _ in range(2))
+        for a, b in zip(first, second):
+            assert a is not b
+            assert a == b and hash(a) == hash(b)
+
+
 class TestProgramAccessors:
     def test_atom_base_and_lit_set(self, ex2):
         names = {str(a) for a in ex2.atom_base}
