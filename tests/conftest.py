@@ -19,6 +19,26 @@ y <- [1,1] : z.
 z <- [1,1] : not x.
 """
 
+# the branch values fold these components' cycles away: an upstream
+# atom is [0,0], and the product t-norm's annihilator turns what is left
+# of the cycle into constants (b folds a-c, a folds b-c)
+FOLDED_CYCLES = {
+    "a-c": """
+c <- [0.34,0.79] : b, [0.09,0.36], a.
+a <- [0.33,0.64] : [0.13,0.36].
+b <- [0.21,0.42] : [0.38,0.77], b, not -b.
+a <- [0.14,0.37] : [0.36,0.84], [0.66,0.94], [0.22,0.4].
+a <- [0.66,0.7] : not -c, b, c.
+""",
+    "b-c": """
+d <- [0.59,0.73] : [0.57,0.61], [0.05,0.78].
+a <- [0.07,0.52] : a, a.
+b <- [0.63,0.78] : not c, c, a.
+c <- [0.44,0.48] : b.
+d <- [0.4,0.88] : a.
+""",
+}
+
 
 def program_path(name):
     return PROGRAMS / f"{name}.unasp"

@@ -5,7 +5,7 @@ import pytest
 from unasp.cli import (EXIT_INCOMPLETE, EXIT_NO_ANSWER, EXIT_OK, EXIT_USAGE,
                        run_cli)
 
-from conftest import program_path, PROGRAMS, UNCOVERABLE
+from conftest import FOLDED_CYCLES, program_path, PROGRAMS, UNCOVERABLE
 
 
 def path(name):
@@ -156,6 +156,15 @@ def uncoverable(tmp_path):
 def test_unsolved_component_exit_code(uncoverable, capsys):
     assert run_cli(["solve", uncoverable]) == EXIT_INCOMPLETE
     assert "status: incomplete" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["solve", "analyze"])
+@pytest.mark.parametrize("text", FOLDED_CYCLES.values(), ids=FOLDED_CYCLES)
+def test_folded_cycle_exits_ok(command, text, tmp_path, capsys):
+    target = tmp_path / "folded.unasp"
+    target.write_text(text)
+    assert run_cli([command, str(target)]) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in

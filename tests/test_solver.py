@@ -6,10 +6,10 @@ from unasp import Atom, Literal, parse_program, solve
 from unasp.intervals import Interval
 from unasp.nmi import NmiConfig
 from unasp.program import Program
-from unasp.semantics import model_to_json
+from unasp.semantics import is_answer_set, model_to_json
 from unasp.solver import SolverConfig
 
-from conftest import PROGRAMS, UNCOVERABLE, atom_values
+from conftest import FOLDED_CYCLES, PROGRAMS, UNCOVERABLE, atom_values
 
 
 def tight(eps=1e-9, **kw):
@@ -226,3 +226,25 @@ def test_exact_orbit_reports_its_period():
     assert not report.answer_sets
     assert report.diagnostics["notes"] \
         == ["period-3 oscillation on component a,b"]
+
+
+@pytest.mark.parametrize("text", FOLDED_CYCLES.values(), ids=FOLDED_CYCLES)
+def test_cycle_folded_by_branch_values_is_valued(text):
+    p = parse_program(text)
+    report = solve(p)
+    answer = only(report)
+    assert is_answer_set(answer, p, candidates=report.answer_sets,
+                         eps=report.diagnostics["verify_eps"])
+
+
+def test_folded_component_has_no_record():
+    """b is [0,0], so d's body folds to [0,0] and then c's: the cycle
+    c-d is valued by the monotonic stage and never planned."""
+    report = solve(parse_program(
+        "b <- [0.29,0.52] : not a, b, not -b. "
+        "c <- [0.12,0.41] : not c, d, [0.42,0.62]. -a <- [0.44,0.84] : a. "
+        "d <- [0.43,0.58] : -c, not a, b."))
+    assert report.status == "ok"
+    components = [rec["component"] for rec in
+                  report.diagnostics["components"]]
+    assert ["c", "d"] not in components and ["a"] in components
