@@ -45,6 +45,12 @@ def _build_parser():
         p.add_argument("file", help="program file")
         p.add_argument("--eps", type=float, default=_default_eps(),
                        help="iteration termination threshold")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        return p
+
+    for name, text in (("solve", "compute answer sets"),
+                       ("analyze", "structural analysis")):
+        p = common(sub.add_parser(name, help=text))
         p.add_argument("--nb", type=int, default=nmi.NmiConfig.n_b,
                        help="branch-and-bound grid size")
         p.add_argument("--seeds", type=str, default=None,
@@ -54,17 +60,12 @@ def _build_parser():
                        help="outer iteration cap")
         p.add_argument("--max-answer-sets", type=int,
                        default=solver.SolverConfig.max_answer_sets)
-        p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--trace", type=str, default="",
                        help="comma list from mi,nmi,graph")
         p.add_argument("--dump-transformed", action="store_true")
         p.add_argument("--dot", metavar="FILE", default=None,
                        help="write dependency graph DOT text")
-
-    common(sub.add_parser("solve", help="compute answer sets"))
-    common(sub.add_parser("analyze", help="structural analysis"))
-    chk = sub.add_parser("check", help="validate a model file")
-    common(chk)
+    chk = common(sub.add_parser("check", help="validate a model file"))
     chk.add_argument("--model", required=True, help="model JSON file")
     return parser
 
@@ -137,8 +138,9 @@ def _cmd_solve(args):
 
 
 def _analysis_record(comp, plan):
-    """One component of `analyze`: its atoms and, when cyclic, the plan
-    the solver runs for it on the first branch that reaches it."""
+    """One component of `analyze`: its atoms and, when cycles are left
+    in it, the plan the solver runs for it on the first branch that
+    plans it."""
     record = {"atoms": [str(a) for a in comp]}
     if plan is None:
         return record

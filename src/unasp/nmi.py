@@ -81,9 +81,9 @@ def nmi_iterate(entries: dict, assumption_set, cfg: NmiConfig,
     total ignorance unless an explicit init is given.
 
     Each step is a function of the chosen values alone, so once they
-    repeat exactly without converging, the run cycles until the cap.
-    The outcome is then read off the orbit at once: status max_iters,
-    as at the cap, with the orbit's period."""
+    repeat exactly without converging, the run would cycle until the
+    cap.  It stops there instead: status max_iters, as at the cap, with
+    the orbit run so far and its period."""
     current = {a: BOTTOM for a in assumption_set}
     if init:
         current.update(init)
@@ -112,12 +112,8 @@ def nmi_iterate(entries: dict, assumption_set, cfg: NmiConfig,
             return NmiOutcome(status, dict(final.interp), it, history, deltas)
         key = tuple((new[a].lower, new[a].upper) for a in assumption_set)
         if key in seen:
-            period = it - seen[key]
-            while len(history) < cfg.max_outer_iters:  # as iterating would
-                history.append(dict(history[-period]))
-                deltas.append(deltas[-period])
-            return NmiOutcome("max_iters", dict(history[-1]),
-                              cfg.max_outer_iters, history, deltas, period)
+            return NmiOutcome("max_iters", dict(current), it, history,
+                              deltas, it - seen[key])
         seen[key] = it
     return NmiOutcome("max_iters", dict(current), cfg.max_outer_iters,
                       history, deltas)

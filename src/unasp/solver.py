@@ -2,8 +2,10 @@
 
 Front half: ground -> transform -> monotonic fixpoint.  Component pass:
 dependency analysis of the residual, then per component in topological
-order a plan (iteration, trivial [0,1] fill, aggregation-cycle
-resolution, or branch-and-bound) that is run, branching the downstream
+order and per branch, the branch's values are substituted and the
+monotonic fixpoint values what that leaves acyclic.  Only the cycles
+left are planned (iteration, trivial [0,1] fill, aggregation-cycle
+resolution, or branch-and-bound) and run, branching the downstream
 computation whenever a component admits several stable valuations.
 `solve` re-checks every emitted answer set with the declarative
 verifier; `unasp analyze` reports the plans instead.
@@ -13,12 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intervals import BOTTOM, INCONSISTENT
+from .intervals import BOTTOM
 from .program import Program, ground
 from . import depgraph, nmi, semantics
 from .mi import MiState, mi_fixpoint
 from .transform import (Const, Kagg, Naf, TransformedProgram, node_kinds,
-                        referenced_atoms, substitute, transform_program)
+                        substitute, transform_program)
 
 
 @dataclass
@@ -51,13 +53,12 @@ class FrontHalf:
 
 @dataclass
 class ComponentPlan:
-    """How one cyclic component is solved on one branch."""
+    """How the cycles left in one component are solved on one branch."""
     component: tuple
     method: str = None     # kagg_cycle | nmi | branch_and_bound | ignorance
     cycles: list = None
     assumption_set: list = None
     contraction: nmi.ContractionReport = None
-    seed_set: list = None  # exact seeds also tried when nmi meets a kagg
     error: str = None      # why the component could not be solved
 
     def summary(self) -> dict:
@@ -105,52 +106,45 @@ def _method(entries, comp, cycles, kinds):
     return "ignorance"
 
 
-def _plan_component(plan: ComponentPlan, entries, cfg: SolverConfig):
-    """Fill in how to solve one cyclic component: its method, cycles,
-    assumption set and contraction class.  A failing analysis raises
+def _solve_component(plan: ComponentPlan, entries, cfg: SolverConfig, out):
+    """Plan the cycles left in a component, over the entries' atoms, and
+    run the plan; returns their valuations.  A failing analysis raises
     and leaves the plan as far as it got."""
-    comp = plan.component
+    atoms = tuple(entries)
     kinds = node_kinds(entries.values())
-    plan.cycles = depgraph.enumerate_cycles(entries, comp, cfg.cycle_cap)
-    plan.method = _method(entries, comp, plan.cycles, kinds)
+    plan.cycles = depgraph.enumerate_cycles(entries, atoms, cfg.cycle_cap)
+    plan.method = _method(entries, atoms, plan.cycles, kinds)
     bnb = plan.method == "branch_and_bound"
-    plan.assumption_set = depgraph.select_assumption_set(
-        entries, comp, plan.cycles, mode="branch_bound" if bnb else "nmi")
-    plan.contraction = nmi.check_contraction(
-        entries, comp, plan.assumption_set, plan.cycles)
-    if plan.method == "nmi" and Kagg in kinds:
+    aset = plan.assumption_set = depgraph.select_assumption_set(
+        entries, atoms, plan.cycles, mode="branch_bound" if bnb else "nmi")
+    plan.contraction = nmi.check_contraction(entries, atoms, aset,
+                                             plan.cycles)
+    if plan.method == "kagg_cycle":
+        resolved = nmi.solve_kagg_cycle(entries, atoms, cfg.nmi,
+                                        cap=cfg.cycle_cap)
+        return [r for r, _ in resolved]
+    if bnb:
+        return nmi.branch_and_bound(entries, aset, cfg.nmi, cfg.seeds)
+    if plan.method == "ignorance":
+        return [{a: BOTTOM for a in atoms}]
+    outcome = nmi.nmi_iterate(entries, aset, cfg.nmi)
+    results = [outcome.interp] if outcome.status == "converged" else []
+    if Kagg in kinds:
         # an aggregation the special-case resolver cannot handle may
         # hide several point fixpoints the iteration cannot reach;
         # also try self-reproducing exact seeds
         try:
-            plan.seed_set = depgraph.select_assumption_set(
-                entries, comp, plan.cycles, mode="branch_bound")
+            seed_set = depgraph.select_assumption_set(
+                entries, atoms, plan.cycles, mode="branch_bound")
         except depgraph.NoValidAssumptionSet:
-            plan.seed_set = plan.assumption_set
-
-
-def _dispatch_component(entries, plan, cfg: SolverConfig, out):
-    """Run a plan; returns the component's atom valuations."""
-    comp, aset = plan.component, plan.assumption_set
-    if plan.method == "kagg_cycle":
-        resolved = nmi.solve_kagg_cycle(entries, comp, cfg.nmi,
-                                        cap=cfg.cycle_cap)
-        return [r for r, _ in resolved]
-    if plan.method == "branch_and_bound":
-        return nmi.branch_and_bound(entries, aset, cfg.nmi, cfg.seeds)
-    if plan.method == "ignorance":
-        return [{a: BOTTOM for a in comp}]
-    outcome = nmi.nmi_iterate(entries, aset, cfg.nmi)
-    results = [outcome.interp] if outcome.status == "converged" else []
-    if plan.seed_set is not None:
-        exact = nmi.branch_and_bound(entries, plan.seed_set, cfg.nmi,
-                                     cfg.seeds)
+            seed_set = aset
+        exact = nmi.branch_and_bound(entries, seed_set, cfg.nmi, cfg.seeds)
         results = exact + [
             r for r in results
             if not any(_close_valuations(r, e, cfg.nmi.answer_tol)
                        for e in exact)]
     if not results:
-        names = ",".join(str(a) for a in comp)
+        names = ",".join(str(a) for a in plan.component)
         if outcome.status == "max_iters":
             out.truncated = True
             why = (f"period-{outcome.period} oscillation" if outcome.period
@@ -170,9 +164,10 @@ def front_half(p: Program) -> FrontHalf:
 
 
 def component_pass(front: FrontHalf, cfg: SolverConfig) -> ComponentPass:
-    """Plan and run every component of the residual, upstream first,
-    on every branch; a component that cannot be solved drops its branch
-    and makes the pass incomplete."""
+    """Value every component of the residual, upstream first, on every
+    branch: the monotonic fixpoint first, then a plan for the cycles it
+    leaves.  A component that cannot be solved drops its branch and
+    makes the pass incomplete."""
     residual = front.mi.residual
     out = ComponentPass([dict(front.mi.interp)])
     if front.mi.halted_inconsistent or not residual:
@@ -186,24 +181,20 @@ def component_pass(front: FrontHalf, cfg: SolverConfig) -> ComponentPass:
         names = ",".join(str(a) for a in comp)
         next_branches = []
         for branch in out.branches:
-            entries = {a: substitute(residual[a], branch) for a in comp}
-            cyclic = len(comp) > 1 or comp[0] in referenced_atoms(
-                entries[comp[0]])
-            if not cyclic:
-                expr = entries[comp[0]]
-                if not isinstance(expr, Const):
-                    raise RuntimeError(f"unresolved acyclic atom {comp[0]}")
-                if expr.value is INCONSISTENT:
-                    out.notes.append(
-                        f"branch dropped: inconsistent value at {comp[0]}")
-                    continue
-                next_branches.append({**branch, comp[0]: expr.value})
+            state = mi_fixpoint(TransformedProgram(
+                {a: substitute(residual[a], branch) for a in comp}))
+            if state.halted_inconsistent:
+                out.notes.append(
+                    "branch dropped: inconsistent value at "
+                    + ", ".join(str(a) for a in state.inconsistent_atoms))
+                continue
+            if not state.residual:
+                next_branches.append({**branch, **state.interp})
                 continue
             plan = ComponentPlan(comp)
             out.plans.append(plan)
             try:
-                _plan_component(plan, entries, cfg)
-                results = _dispatch_component(entries, plan, cfg, out)
+                results = _solve_component(plan, state.residual, cfg, out)
             except (depgraph.AnalysisOverflow, depgraph.NoValidAssumptionSet,
                     nmi.UnresolvedComponent) as exc:
                 plan.error = str(exc)
@@ -212,6 +203,7 @@ def component_pass(front: FrontHalf, cfg: SolverConfig) -> ComponentPass:
                     f"branch dropped: component {names} unsolved: {exc}")
                 continue
             for k, values in enumerate(results):
+                values = {**state.interp, **values}
                 cfg._emit("nmi", f"component {names} [{plan.method}] "
                           f"result {k}: {_fmt_vals(values)}")
                 next_branches.append({**branch, **values})

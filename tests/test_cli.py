@@ -112,6 +112,12 @@ class TestCheck:
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out) == {"valid": True}
 
+    def test_solver_flags_are_usage_errors(self, capsys):
+        code = run_cli(["check", path("ex2"), "--seeds", "0,1",
+                        "--model", str(PROGRAMS / "ex2.model.json")])
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments: --seeds" in capsys.readouterr().err
+
 
 class TestAnalyze:
     def test_json_structure(self, capsys):

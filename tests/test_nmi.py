@@ -92,8 +92,9 @@ class TestIterationTrajectory:
         entries = {Atom("a"): Naf(ref("a"))}
         out = nmi_iterate(entries, [Atom("a")],
                           NmiConfig(eps=1e-9, max_outer_iters=50))
+        # [1,1], [0,0], [1,1]: the third step repeats the first
         assert out.status == "max_iters"
-        assert out.iters == 50
+        assert out.iters == 3
 
     def test_aggregation_conflict_halts(self, ex8):
         entries = transform_program(ex8).entries
@@ -265,8 +266,8 @@ class TestNestingLemma:
 
 
 class TestExactOrbit:
-    """A chosen-value state that repeats exactly is read off as the run
-    to the cap would end, without iterating that far."""
+    """A chosen-value state that repeats exactly ends the run as the cap
+    would, with the orbit as far as it was iterated and its period."""
 
     def test_period_three_stops_early(self, monkeypatch):
         entries = transform_program(parse_program(PERIOD_THREE)).entries
@@ -281,16 +282,15 @@ class TestExactOrbit:
         out = nmi_iterate(entries, [Atom("a"), Atom("b")], NmiConfig())
         assert out.status == "max_iters" and out.period == 3
         assert passes == 87
-        assert out.iters == len(out.history) == len(out.deltas) == 10_000
+        assert out.iters == len(out.history) == len(out.deltas) == 87
 
     def test_history_runs_on_to_the_cap(self):
         entries = {Atom("a"): Naf(ref("a"))}
         out = nmi_iterate(entries, [Atom("a")],
                           NmiConfig(eps=1e-9, max_outer_iters=51))
         assert out.period == 2
-        assert [h[Atom("a")].lower for h in out.history] \
-            == [1.0, 0.0] * 25 + [1.0]
-        assert out.deltas == [1.0] * 51
+        assert [h[Atom("a")].lower for h in out.history] == [1.0, 0.0, 1.0]
+        assert out.deltas == [1.0] * 3
         assert out.interp == out.history[-1]
 
     def test_converging_run_has_no_period(self, ex7_entries):

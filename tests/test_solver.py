@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from unasp import Atom, Literal, parse_program, solve
+from unasp.cli import run_cli
 from unasp.intervals import Interval
 from unasp.nmi import NmiConfig
 from unasp.program import Program
@@ -248,3 +250,52 @@ def test_folded_component_has_no_record():
     components = [rec["component"] for rec in
                   report.diagnostics["components"]]
     assert ["c", "d"] not in components and ["a"] in components
+
+
+@st.composite
+def random_programs(draw):
+    """1-4 atoms a-d and 1-5 rules; a head is classically negated with
+    probability 0.2; each rule has 1-3 body items, a literal with
+    probability 0.75 (naf 0.3, classically negated 0.2), else an
+    interval constant; every bound has two decimals."""
+    def chance(percent):   # shrinks towards False
+        return draw(st.integers(0, 99)) >= 100 - percent
+
+    atoms = "abcd"[:draw(st.integers(1, 4))]
+
+    def literal():
+        return ("-" if chance(20) else "") + draw(st.sampled_from(atoms))
+
+    def interval():
+        lo, hi = sorted(draw(st.integers(0, 100)) / 100 for _ in range(2))
+        return f"[{lo},{hi}]"
+
+    def item():
+        if not chance(75):
+            return interval()
+        return ("not " if chance(30) else "") + literal()
+
+    return "".join(
+        f"{literal()} <- {interval()} : "
+        f"{', '.join(item() for _ in range(draw(st.integers(1, 3))))}.\n"
+        for _ in range(draw(st.integers(1, 5))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_programs())
+@example(FOLDED_CYCLES["a-c"])
+@example(FOLDED_CYCLES["b-c"])
+def test_random_programs_solve_to_a_status(tmp_path_factory, text):
+    """Any program gives a status and verified answer sets, and the
+    CLI a documented exit code."""
+    p = parse_program(text)
+    cfg = SolverConfig()
+    report = solve(p, cfg)
+    assert report.status in ("ok", "no_answer_set", "incomplete")
+    for answer in report.answer_sets:
+        assert is_answer_set(answer, p, candidates=report.answer_sets,
+                             eps=cfg.nmi.answer_tol)
+    target = tmp_path_factory.getbasetemp() / "random.unasp"
+    target.write_text(text)
+    for command in ("solve", "analyze"):
+        assert run_cli([command, str(target), "--format", "json"]) in (0, 1, 3)
