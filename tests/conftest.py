@@ -40,6 +40,15 @@ d <- [0.4,0.88] : a.
 }
 
 
+# two edges join the same pair of nodes: a and not a both feed b's AND,
+# b and -b both feed c's AND
+PARALLEL_EDGES = """
+a <- [0.3,0.6] : [1,1].
+b <- [0.5,1] : a, not a.
+c <- [1,1] : b, -b.
+"""
+
+
 def program_path(name):
     return PROGRAMS / f"{name}.unasp"
 

@@ -5,7 +5,8 @@ import pytest
 from unasp.cli import (EXIT_INCOMPLETE, EXIT_NO_ANSWER, EXIT_OK, EXIT_USAGE,
                        run_cli)
 
-from conftest import FOLDED_CYCLES, program_path, PROGRAMS, UNCOVERABLE
+from conftest import (FOLDED_CYCLES, PARALLEL_EDGES, program_path, PROGRAMS,
+                      UNCOVERABLE)
 
 
 def path(name):
@@ -64,6 +65,14 @@ class TestSolve:
         text = dot.read_text()
         assert text.startswith("digraph")
         assert 'label="-1"' in text
+
+    def test_dot_text_of_ex3(self, tmp_path, capsys):
+        dot = tmp_path / "graph.dot"
+        assert run_cli(["solve", path("ex3"), "--dot", str(dot)]) == EXIT_OK
+        assert dot.read_text() == ('digraph dependencies {\n'
+                                   '  n0 [label="p", shape=ellipse];\n'
+                                   '  n0 -> n0 [label="-1"];\n'
+                                   '}')
 
 
 class TestUsageErrors:
@@ -232,3 +241,18 @@ def test_check_rejects_nonpositive_eps(capsys):
                     str(PROGRAMS / "ex2.model.json"), "--eps", "0"]) \
         == EXIT_USAGE
     assert "eps must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "analyze"])
+def test_dot_labels_each_parallel_edge_by_its_own_operator(command, tmp_path,
+                                                           capsys):
+    """a and not a join the same two nodes; only the second edge is naf
+    (likewise b and -b, only the second classically negated)."""
+    target = tmp_path / "parallel.unasp"
+    target.write_text(PARALLEL_EDGES)
+    dot = tmp_path / "parallel.dot"
+    assert run_cli([command, str(target), "--dot", str(dot)]) == EXIT_OK
+    lines = dot.read_text().splitlines()
+    for line in ("  n0 -> n3;", '  n0 -> n3 [label="-1"];',
+                 "  n2 -> n6;", '  n2 -> n6 [label="~"];'):
+        assert line in lines
