@@ -11,9 +11,8 @@ from .semantics import (ConsistencyClass, UnboundLiteral, classify_consistency,
                         evaluate, is_answer_set, is_supported_model, reduct,
                         satisfies, total_from_positive)
 from .mi import MiState, gamma_step, mi_fixpoint
-from .depgraph import (AnalysisOverflow, CyclicVpg, DepGraph,
-                       NoValidAssumptionSet, NonConstantOperand,
-                       build_dep_graph, build_vpg, enumerate_cycles,
+from .depgraph import (AnalysisOverflow, CyclicVpg, NoValidAssumptionSet,
+                       NonConstantOperand, build_vpg, enumerate_cycles,
                        intersection_table, scc_condense,
                        select_assumption_set)
 from .nmi import (ContractionReport, GainVector, NmiConfig, NmiOutcome,

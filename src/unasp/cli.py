@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from .intervals import INCONSISTENT
 from .program import ParseError, ground, parse_program
 from . import depgraph, nmi, semantics, solver
-from .transform import TransformedProgram
 
 EXIT_OK = 0
 EXIT_NO_ANSWER = 1
@@ -25,13 +25,11 @@ EXIT_INCOMPLETE = 3
 
 
 def _default_eps():
-    env = os.environ.get("UNASP_EPS")
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            pass
-    return nmi.NmiConfig.eps
+    try:
+        eps = float(os.environ.get("UNASP_EPS", ""))
+    except ValueError:
+        return nmi.NmiConfig.eps
+    return eps if math.isfinite(eps) else nmi.NmiConfig.eps
 
 
 def _build_parser():
@@ -79,7 +77,7 @@ def _solver_config(args):
     seeds = None
     if args.seeds:
         seeds = [float(s) for s in args.seeds.split(",") if s != ""]
-        if any(x < 0 or x > 1 for x in seeds):
+        if not all(0 <= x <= 1 for x in seeds):
             raise ValueError("seeds must lie in [0,1]")
     return solver.SolverConfig(
         nmi=nmi.NmiConfig(eps=args.eps, max_outer_iters=args.max_iter,
@@ -108,9 +106,9 @@ def _print_answer_set(i, index):
             print(f"  {lit.atom}: [{v.lower:.9g},{v.upper:.9g}]")
 
 
-def _write_dot(path, tp):
+def _write_dot(path, entries):
     with open(path, "w") as fh:
-        fh.write(depgraph.to_dot(depgraph.build_dep_graph(tp)))
+        fh.write(depgraph.to_dot(entries))
 
 
 def _cmd_solve(args):
@@ -121,7 +119,7 @@ def _cmd_solve(args):
         print(front.transformed, file=sys.stderr)
     report = solver.solve_front(front, cfg)
     if args.dot:
-        _write_dot(args.dot, front.transformed)
+        _write_dot(args.dot, front.transformed.entries)
     if args.format == "json":
         print(json.dumps(_report_json(report), sort_keys=True, indent=2))
     else:
@@ -168,8 +166,7 @@ def _cmd_analyze(args):
     if args.dump_transformed:
         print(front.transformed, file=sys.stderr)
     if args.dot:
-        _write_dot(args.dot, TransformedProgram(state.residual)
-                   if state.residual else front.transformed)
+        _write_dot(args.dot, state.residual or front.transformed.entries)
     passed = solver.component_pass(front, cfg)
     first = {plan.component: plan for plan in reversed(passed.plans)}
     info = {

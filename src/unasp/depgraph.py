@@ -1,9 +1,10 @@
 """Dependency-graph analysis of a transformed program.
 
-Two views are kept: the full operator-labelled graph (atom, operator,
-and constant nodes; used for DOT output and structural reporting) and
-an atom-level projection used for SCC condensation, topological
-ordering, and simple-cycle enumeration.  The graph algorithms are the
+One graph is kept: the atom projection of the bodies (an edge u->v when
+v's body mentions u), used for SCC condensation, topological ordering
+and simple-cycle enumeration.  `to_dot` draws the paper's operator
+graph (atom, operator and constant nodes, naf and classical-negation
+edges) straight from the bodies.  The graph algorithms are the
 textbook ones: Tarjan's (1972) strongly connected components, Kahn's
 topological sort taking the smallest ready component first, and
 Johnson's (1975) elementary circuits.  On top of those sit the
@@ -14,8 +15,6 @@ unfurling of cycles into acyclic value-propagation paths.
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass, field
 
 from .intervals import tconorm, tnorm
 from . import transform as tf
@@ -36,71 +35,6 @@ class NoValidAssumptionSet(RuntimeError):
 
 class CyclicVpg(RuntimeError):
     pass
-
-
-@dataclass
-class DepGraph:
-    nodes: list = field(default_factory=list)   # ("atom", a) | ("op", kind, id) | ("const", iv, id)
-    edges: list = field(default_factory=list)   # (src, dst)
-    edge_weight: dict = field(default_factory=dict)  # (src, dst) -> NAF_EDGE | NEG_EDGE
-
-    def atom_nodes(self):
-        return [n for n in self.nodes if n[0] == "atom"]
-
-    def op_nodes(self, kind=None):
-        return [n for n in self.nodes if n[0] == "op"
-                and (kind is None or n[1] == kind)]
-
-    def const_nodes(self):
-        return [n for n in self.nodes if n[0] == "const"]
-
-
-def build_dep_graph(p: tf.TransformedProgram) -> DepGraph:
-    g = DepGraph()
-    seen_atoms = set()
-
-    def atom_node(a):
-        node = ("atom", a)
-        if a not in seen_atoms:
-            seen_atoms.add(a)
-            g.nodes.append(node)
-        return node
-
-    counter = itertools.count()
-
-    def add_edge(src, dst, weight):
-        g.edges.append((src, dst))
-        if weight:
-            g.edge_weight[(src, dst)] = weight
-
-    def walk(expr, target, weight):
-        if isinstance(expr, tf.Const):
-            node = ("const", expr.value, next(counter))
-            g.nodes.append(node)
-            add_edge(node, target, weight)
-        elif isinstance(expr, tf.Ref):
-            src = atom_node(expr.literal.atom)
-            if expr.literal.negated:
-                weight = NEG_EDGE
-            add_edge(src, target, weight)
-        elif isinstance(expr, tf.Naf):
-            walk(expr.child, target, NAF_EDGE)
-        elif isinstance(expr, tf.Neg):
-            walk(expr.child, target, NEG_EDGE)
-        else:
-            kind = {"And": "and", "Or": "or", "Kagg": "kagg"}[type(expr).__name__]
-            node = ("op", kind, next(counter))
-            g.nodes.append(node)
-            add_edge(node, target, weight)
-            children = ((expr.left, expr.right) if isinstance(expr, tf.Kagg)
-                        else expr.children)
-            for c in children:
-                walk(c, node, None)
-
-    for atom in sorted(p.entries, key=str):
-        target = atom_node(atom)
-        walk(p.entries[atom], target, None)
-    return g
 
 
 class AtomGraph(dict):
@@ -404,23 +338,46 @@ def build_vpg(entries: dict, component, assumption_set, cycles):
     return vpg
 
 
-def to_dot(g: DepGraph) -> str:
-    """Graphviz text for the full operator-labelled graph."""
-    names = {}
-    lines = ["digraph dependencies {"]
-    for k, node in enumerate(g.nodes):
-        names[node] = f"n{k}"
-        if node[0] == "atom":
-            label, shape = str(node[1]), "ellipse"
-        elif node[0] == "op":
-            label = {"and": "AND", "or": "OR", "kagg": "KAGG"}[node[1]]
-            shape = "box"
+def to_dot(entries: dict) -> str:
+    """Graphviz text for the operator graph of the bodies, drawn in one
+    walk over each body: atoms are ellipses, AND/OR/KAGG boxes and
+    constants plain text.  Each edge carries the label of the operator
+    it leaves, NAF_EDGE for naf and NEG_EDGE for classical negation, so
+    two edges between the same nodes keep their own labels."""
+    nodes, edges, atom_names = [], [], {}
+
+    def node(label, shape):
+        name = f"n{len(nodes)}"
+        nodes.append(f'  {name} [label="{label}", shape={shape}];')
+        return name
+
+    def atom_node(atom):
+        if atom not in atom_names:
+            atom_names[atom] = node(atom, "ellipse")
+        return atom_names[atom]
+
+    def walk(expr, target, label=None):
+        if isinstance(expr, (tf.Naf, tf.Neg)):
+            walk(expr.child, target,
+                 NAF_EDGE if isinstance(expr, tf.Naf) else NEG_EDGE)
+            return
+        if isinstance(expr, tf.Ref):
+            src = atom_node(expr.literal.atom)
+            if expr.literal.negated:
+                label = NEG_EDGE
+        elif isinstance(expr, tf.Const):
+            src = node(expr.value, "plaintext")
         else:
-            label, shape = str(node[1]), "plaintext"
-        lines.append(f'  {names[node]} [label="{label}", shape={shape}];')
-    for edge in g.edges:
-        w = g.edge_weight.get(edge)
-        attr = f' [label="{w}"]' if w else ""
-        lines.append(f"  {names[edge[0]]} -> {names[edge[1]]}{attr};")
-    lines.append("}")
-    return "\n".join(lines)
+            src = node(type(expr).__name__.upper(), "box")
+        attr = f' [label="{label}"]' if label else ""
+        edges.append(f"  {src} -> {target}{attr};")
+        if isinstance(expr, tf.Kagg):
+            walk(expr.left, src)
+            walk(expr.right, src)
+        elif isinstance(expr, (tf.And, tf.Or)):
+            for child in expr.children:
+                walk(child, src)
+
+    for atom in sorted(entries, key=str):
+        walk(entries[atom], atom_node(atom))
+    return "\n".join(["digraph dependencies {", *nodes, *edges, "}"])

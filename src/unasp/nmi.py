@@ -12,6 +12,7 @@ components with no constants to anchor the iteration.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .intervals import BOTTOM, EPS_CMP, Interval
@@ -31,8 +32,10 @@ class NmiConfig:
     n_b: int = 5
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
+        if self.max_outer_iters < 1:
+            raise ValueError("max_outer_iters must be at least 1")
         if self.n_b < 2:
             raise ValueError("n_b must be at least 2")
 

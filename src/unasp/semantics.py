@@ -294,12 +294,24 @@ def model_to_json(i: dict) -> dict:
 
 
 def model_from_json(data: dict, p: Program) -> dict:
+    """The interpretation a model file's JSON gives: an object with
+    `positive` and `negative` objects mapping atom names to [lower,
+    upper].  A bad shape raises ValueError naming the section or atom."""
+    if not isinstance(data, dict):
+        raise ValueError("model must be a JSON object")
     atoms = {str(a): a for a in p.atom_base}
     i = {}
     for section, negated in (("positive", False), ("negative", True)):
-        for name, (lo, hi) in data.get(section, {}).items():
+        bounds = data.get(section, {})
+        if not isinstance(bounds, dict):
+            raise ValueError(f"model {section!r} must be a JSON object")
+        for name, value in bounds.items():
+            if not (isinstance(value, list) and len(value) == 2
+                    and all(type(x) in (int, float) for x in value)):
+                raise ValueError(f"model {section} {name!r}: expected two "
+                                 f"numbers, got {json.dumps(value)}")
             atom = atoms.get(name, Atom(name))
-            i[Literal(atom, negated)] = Interval(lo, hi)
+            i[Literal(atom, negated)] = Interval(*value)
     # strictly consistent closure for missing negative literals
     for lit in list(i):
         comp = lit.complement()

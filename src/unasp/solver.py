@@ -32,6 +32,10 @@ class SolverConfig:
     trace: set = field(default_factory=set)   # subset of {mi, nmi, graph}
     trace_sink: object = None                 # callable(str)
 
+    def __post_init__(self):
+        if self.max_answer_sets < 1:
+            raise ValueError("max_answer_sets must be at least 1")
+
     def _emit(self, kind, text):
         if kind in self.trace and self.trace_sink:
             self.trace_sink(text)

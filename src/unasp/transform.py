@@ -79,10 +79,6 @@ class Kagg:
 class TransformedProgram:
     entries: dict = field(default_factory=dict)  # Atom -> BodyExpr
 
-    @property
-    def atom_base(self) -> set:
-        return set(self.entries)
-
     def __str__(self):
         lines = []
         for atom in sorted(self.entries, key=str):

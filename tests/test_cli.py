@@ -256,3 +256,45 @@ def test_dot_labels_each_parallel_edge_by_its_own_operator(command, tmp_path,
     for line in ("  n0 -> n3;", '  n0 -> n3 [label="-1"];',
                  "  n2 -> n6;", '  n2 -> n6 [label="~"];'):
         assert line in lines
+
+
+@pytest.mark.parametrize("text, names", [
+    ('{"positive": {"a": 5}}', "'a'"),
+    ('{"positive": {"a": [null, 1]}}', "'a'"),
+    ('{"positive": 5}', "'positive'"),
+    ('[1]', "JSON object"),
+    ('{"positive": {"a": [0.2]}}', "'a'"),
+    ('{"positive": {"a": ["x", 1]}}', "'a'"),
+    ('{"positive": ', "Expecting value")])
+def test_malformed_model_file_is_a_usage_error(text, names, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(text)
+    assert run_cli(["check", path("ex2"), "--model", str(model)]) \
+        == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and names in err
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("solve", "--eps nan", "eps must be positive"),
+    ("solve", "--eps inf", "eps must be positive"),
+    ("analyze", "--eps nan", "eps must be positive"),
+    ("check", "--eps nan", "eps must be positive"),
+    ("check", "--eps inf", "eps must be positive"),
+    ("solve", "--seeds nan", "seeds must lie in [0,1]"),
+    ("solve", "--max-answer-sets -1", "max_answer_sets must be at least 1"),
+    ("solve", "--max-iter -1", "max_outer_iters must be at least 1")])
+def test_out_of_range_setting_is_a_usage_error(command, flags, message,
+                                               capsys):
+    model = (["--model", str(PROGRAMS / "ex2.model.json")]
+             if command == "check" else [])
+    assert run_cli([command, path("ex2"), *model, *flags.split()]) \
+        == EXIT_USAGE
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_eps_env_falls_back_to_default(value, monkeypatch):
+    from unasp import cli
+    monkeypatch.setenv("UNASP_EPS", value)
+    assert cli._default_eps() == 0.009

@@ -4,14 +4,12 @@ import pytest
 
 from unasp import Atom, Literal, transform_program
 from unasp.depgraph import (NAF_EDGE, NEG_EDGE, NoValidAssumptionSet,
-                            atom_digraph, build_dep_graph, build_vpg,
-                            enumerate_cycles, intersection_table,
-                            occurrence_paths, scc_condense,
-                            select_assumption_set, to_dot)
+                            atom_digraph, build_vpg, enumerate_cycles,
+                            intersection_table, occurrence_paths,
+                            scc_condense, select_assumption_set, to_dot)
 from unasp.intervals import Interval
 from unasp.mi import mi_fixpoint
-from unasp.transform import (And, Const, Naf, Neg, Or, Ref,
-                             TransformedProgram)
+from unasp.transform import And, Const, Naf, Neg, Or, Ref
 
 
 def ref(name, negated=False):
@@ -34,22 +32,21 @@ def ex7_entries(ex7):
 
 class TestOperatorGraph:
     def test_example6_residual_node_multiset(self, ex6_residual):
-        g = build_dep_graph(TransformedProgram(ex6_residual))
-        assert len(g.atom_nodes()) == 18
-        assert len(g.op_nodes("and")) == 9
-        assert len(g.op_nodes("or")) == 2
-        assert len(g.op_nodes("kagg")) == 1
-        assert len(g.const_nodes()) == 7
+        dot = to_dot(ex6_residual)
+        assert dot.count("shape=ellipse") == 18
+        assert dot.count('label="AND"') == 9
+        assert dot.count('label="OR"') == 2
+        assert dot.count('label="KAGG"') == 1
+        assert dot.count("shape=plaintext") == 7
 
     def test_example6_residual_edge_weights(self, ex6_residual):
-        g = build_dep_graph(TransformedProgram(ex6_residual))
-        weights = list(g.edge_weight.values())
-        assert weights.count(NAF_EDGE) == 5
-        assert weights.count(NEG_EDGE) == 4
+        edges = [line for line in to_dot(ex6_residual).splitlines()
+                 if "->" in line]
+        assert sum(f'[label="{NAF_EDGE}"]' in e for e in edges) == 5
+        assert sum(f'[label="{NEG_EDGE}"]' in e for e in edges) == 4
 
     def test_dot_output(self, ex3):
-        g = build_dep_graph(transform_program(ex3))
-        dot = to_dot(g)
+        dot = to_dot(transform_program(ex3).entries)
         assert dot.startswith("digraph")
         assert 'label="-1"' in dot  # the naf edge
         assert 'label="p"' in dot

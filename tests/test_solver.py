@@ -185,6 +185,20 @@ def test_solve_groups_rules_without_scanning(path, monkeypatch):
     assert solve(program).status in ("ok", "no_answer_set")
 
 
+@pytest.mark.parametrize("config, kw", [
+    (NmiConfig, {"eps": float("nan")}), (NmiConfig, {"eps": float("inf")}),
+    (NmiConfig, {"eps": -0.1}), (NmiConfig, {"max_outer_iters": 0}),
+    (NmiConfig, {"max_outer_iters": -1}),
+    (SolverConfig, {"max_answer_sets": 0}),
+    (SolverConfig, {"max_answer_sets": -1})],
+    ids=lambda v: getattr(v, "__name__", None) or str(v))
+def test_config_rejects_out_of_range_settings(config, kw):
+    """A NaN or infinite eps judged nothing, and a cap of -1 sliced the
+    answer sets [:-1] or ran no iteration."""
+    with pytest.raises(ValueError, match="must be"):
+        config(**kw)
+
+
 class TestUnsolvedComponents:
     def test_no_valid_assumption_set_reports_incomplete(self):
         report = solve(parse_program(UNCOVERABLE))
@@ -286,8 +300,8 @@ def random_programs(draw):
 @example(FOLDED_CYCLES["a-c"])
 @example(FOLDED_CYCLES["b-c"])
 def test_random_programs_solve_to_a_status(tmp_path_factory, text):
-    """Any program gives a status and verified answer sets, and the
-    CLI a documented exit code."""
+    """Any program gives a status and verified answer sets, the CLI a
+    documented exit code, and `check` accepts every emitted set."""
     p = parse_program(text)
     cfg = SolverConfig()
     report = solve(p, cfg)
@@ -295,7 +309,13 @@ def test_random_programs_solve_to_a_status(tmp_path_factory, text):
     for answer in report.answer_sets:
         assert is_answer_set(answer, p, candidates=report.answer_sets,
                              eps=cfg.nmi.answer_tol)
-    target = tmp_path_factory.getbasetemp() / "random.unasp"
+    base = tmp_path_factory.getbasetemp()
+    target = base / "random.unasp"
     target.write_text(text)
     for command in ("solve", "analyze"):
-        assert run_cli([command, str(target), "--format", "json"]) in (0, 1, 3)
+        assert run_cli([command, str(target), "--format", "json",
+                        "--dot", str(base / "random.dot")]) in (0, 1, 3)
+    model = base / "random.model.json"
+    for answer in report.answer_sets:
+        model.write_text(json.dumps(model_to_json(answer)))
+        assert run_cli(["check", str(target), "--model", str(model)]) == 0
