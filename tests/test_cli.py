@@ -59,6 +59,37 @@ class TestSolve:
         assert run_cli(["solve", path("ex3"), "--dump-transformed"]) == EXIT_OK
         assert "p <- not p." in capsys.readouterr().err
 
+    def test_dump_transformed_text_of_ex6(self, capsys):
+        assert run_cli(["solve", path("ex6"), "--dump-transformed"]) \
+            == EXIT_OK
+        assert capsys.readouterr().err == (
+            "a <- (b & p).\n"
+            "b <- (not a | g).\n"
+            "c <- h.\n"
+            "d <- (-g & a).\n"
+            "e <- (d & w).\n"
+            "f <- not e.\n"
+            "g <- (-c & f).\n"
+            "h <- ([0.7,1] & k).\n"
+            "i <- not h.\n"
+            "j <- (([0.8,0.8] & i & not s) (x)k -(s)).\n"
+            "k <- -j.\n"
+            "l <- ([0.4,0.6] & z).\n"
+            "m <- ([0.6,0.8] & n).\n"
+            "n <- [0.7,0.9].\n"
+            "p <- ((([0.7,1] & q & not s) | ([0.3,0.3] & r & not t)) "
+            "(x)k -((s | t))).\n"
+            "q <- [0.7,0.7].\n"
+            "r <- [0.5,0.5].\n"
+            "s <- m.\n"
+            "t <- [0,1].\n"
+            "u <- ([0.5,0.8] & w).\n"
+            "v <- (x | -u).\n"
+            "w <- x.\n"
+            "x <- ([0.2,0.3] & v).\n"
+            "y <- not z.\n"
+            "z <- not y.\n")
+
     def test_dot_file(self, tmp_path, capsys):
         dot = tmp_path / "graph.dot"
         assert run_cli(["solve", path("ex3"), "--dot", str(dot)]) == EXIT_OK
