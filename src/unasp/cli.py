@@ -77,8 +77,6 @@ def _solver_config(args):
     seeds = None
     if args.seeds:
         seeds = [float(s) for s in args.seeds.split(",") if s != ""]
-        if not all(0 <= x <= 1 for x in seeds):
-            raise ValueError("seeds must lie in [0,1]")
     return solver.SolverConfig(
         nmi=nmi.NmiConfig(eps=args.eps, max_outer_iters=args.max_iter,
                           n_b=args.nb),
@@ -106,6 +104,11 @@ def _print_answer_set(i, index):
             print(f"  {lit.atom}: [{v.lower:.9g},{v.upper:.9g}]")
 
 
+def _dump_bodies(bodies):
+    print("\n".join(f"{atom} <- {bodies[atom]}."
+                    for atom in sorted(bodies, key=str)), file=sys.stderr)
+
+
 def _write_dot(path, entries):
     with open(path, "w") as fh:
         fh.write(depgraph.to_dot(entries))
@@ -116,10 +119,10 @@ def _cmd_solve(args):
     cfg = _solver_config(args)
     front = solver.front_half(program)
     if args.dump_transformed:
-        print(front.transformed, file=sys.stderr)
+        _dump_bodies(front.bodies)
     report = solver.solve_front(front, cfg)
     if args.dot:
-        _write_dot(args.dot, front.transformed.entries)
+        _write_dot(args.dot, front.bodies)
     if args.format == "json":
         print(json.dumps(_report_json(report), sort_keys=True, indent=2))
     else:
@@ -164,9 +167,9 @@ def _cmd_analyze(args):
     front = solver.front_half(program)
     state = front.mi
     if args.dump_transformed:
-        print(front.transformed, file=sys.stderr)
+        _dump_bodies(front.bodies)
     if args.dot:
-        _write_dot(args.dot, state.residual or front.transformed.entries)
+        _write_dot(args.dot, state.residual or front.bodies)
     passed = solver.component_pass(front, cfg)
     first = {plan.component: plan for plan in reversed(passed.plans)}
     info = {

@@ -37,17 +37,10 @@ class CyclicVpg(RuntimeError):
     pass
 
 
-class AtomGraph(dict):
-    """Adjacency dict: atom -> list of the atoms whose bodies mention it."""
-
-    @property
-    def edges(self):
-        return [(u, v) for u, succ in self.items() for v in succ]
-
-
-def atom_digraph(entries: dict) -> AtomGraph:
-    """Atom-level projection: edge u->v when v's body mentions u."""
-    g = AtomGraph((a, []) for a in entries)
+def atom_digraph(entries: dict) -> dict:
+    """Atom-level projection as an adjacency dict: atom u -> the atoms v
+    whose bodies mention it (edge u->v)."""
+    g = {a: [] for a in entries}
     for v, expr in entries.items():
         for u in tf.referenced_atoms(expr):
             if u in entries:
@@ -165,8 +158,8 @@ def scc_condense(entries: dict):
     components.sort(key=lambda c: str(c[0]))
     index = {a: k for k, comp in enumerate(components) for a in comp}
     topo = _topological(len(components),
-                        ((index[u], index[v]) for u, v in g.edges
-                         if index[u] != index[v]))
+                        ((index[u], index[v]) for u, succ in g.items()
+                         for v in succ if index[u] != index[v]))
     return components, topo
 
 

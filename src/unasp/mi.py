@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .intervals import INCONSISTENT
-from .transform import Const, TransformedProgram, referenced_atoms, substitute
+from .transform import Const, referenced_atoms, substitute
 
 
 @dataclass
@@ -35,8 +35,8 @@ class MiState:
     trace: list = field(default_factory=list)       # (step, assigned, residual count)
 
 
-def initial_state(p: TransformedProgram) -> MiState:
-    return MiState(residual=dict(p.entries))
+def initial_state(bodies: dict) -> MiState:
+    return MiState(residual=dict(bodies))
 
 
 def _ready(residual: dict, atoms) -> list:
@@ -76,10 +76,10 @@ def gamma_step(s: MiState) -> MiState:
     return nxt
 
 
-def mi_fixpoint(p: TransformedProgram) -> MiState:
-    """Iterate to the state where gamma_step changes nothing or
-    inconsistency halts, substituting only through the watch list."""
-    s = initial_state(p)
+def mi_fixpoint(bodies: dict) -> MiState:
+    """Iterate the bodies to the state where gamma_step changes nothing
+    or inconsistency halts, substituting only through the watch list."""
+    s = initial_state(bodies)
     order = {a: k for k, a in enumerate(s.residual)}
     watchers = {}   # Atom -> the atoms whose body refers to it
     for atom, e in s.residual.items():

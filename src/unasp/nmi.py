@@ -19,8 +19,7 @@ from .intervals import BOTTOM, EPS_CMP, Interval
 from .mi import mi_fixpoint
 from .program import Literal
 from .semantics import evaluate
-from .transform import (Const, Kagg, Naf, TransformedProgram, node_kinds,
-                        simplify, substitute)
+from .transform import Const, Kagg, Naf, node_kinds, simplify, substitute
 from .depgraph import (CYCLE_CAP, NonConstantOperand, enumerate_cycles,
                        select_assumption_set, build_vpg)
 
@@ -74,8 +73,7 @@ class UnresolvedComponent(RuntimeError):
 
 
 def _inner_pass(entries: dict, values: dict):
-    sub = {a: substitute(e, values) for a, e in entries.items()}
-    return mi_fixpoint(TransformedProgram(sub))
+    return mi_fixpoint({a: substitute(e, values) for a, e in entries.items()})
 
 
 def nmi_iterate(entries: dict, assumption_set, cfg: NmiConfig,
@@ -171,7 +169,6 @@ class ContractionReport:
                           # conj_path_bound | kagg_cycle |
                           # branch_bound_required | unclassified
     gains: dict = field(default_factory=dict)   # Atom -> GainVector | None
-    k_counts: dict = field(default_factory=dict)
 
 
 def check_contraction(entries: dict, component, assumption_set,
@@ -198,7 +195,7 @@ def check_contraction(entries: dict, component, assumption_set,
                 return ContractionReport("unclassified", {atom: gain})
             except NonConstantOperand:
                 pass
-    bounds, k_counts, gains = [], {}, {}
+    bounds, gains = [], {}
     for atom in assumption_set:
         for vpp in vpg.get(atom, []):
             # a conjunction-only path: constant-only gain against the
@@ -207,12 +204,11 @@ def check_contraction(entries: dict, component, assumption_set,
             if ops & {"or", "kagg"}:
                 bounds.append(False)
                 continue
-            k_counts[atom] = k
             gains[atom] = GainVector(gain.norm, gain.norm)
             bounds.append(gain.norm < 1.0 / (k + 2))
     if bounds and all(bounds):
-        return ContractionReport("conj_path_bound", gains, k_counts)
-    return ContractionReport("unclassified", gains, k_counts)
+        return ContractionReport("conj_path_bound", gains)
+    return ContractionReport("unclassified", gains)
 
 
 class StructuralMismatch(RuntimeError):

@@ -6,9 +6,9 @@ answer-set check (supported model of the reduct, minimally certain
 among known candidates).
 
 An interpretation is a supported model when every atom equals the value
-its rules force: `transform.atom_body`, the same expression that
-`transform_program` folds for `mi`, evaluated here unfolded, one atom at
-a time, at the caller's tie tolerance.
+its rules force: its body from `transform.atom_bodies`, the same
+expression that `transform_program` folds for `mi`, evaluated here
+unfolded, one atom at a time, at the caller's tie tolerance.
 
 The grid oracle, which supplies the rivals of small programs, tries
 every grid cell only for the cut atoms, those whose bodies mention
@@ -142,11 +142,11 @@ def is_supported_model(i: dict, p: Program, eps: float = EPS_CMP) -> bool:
     """Every atom carries exactly the value its rules produce and the
     complementary literal mirrors it."""
     try:
-        for atom, group in tf.rules_by_head(p).items():
+        for atom, body in tf.atom_bodies(p):
             actual = lookup(i, Literal(atom, False))
             if actual is INCONSISTENT:
                 return False
-            if not _agrees(actual, evaluate(tf.atom_body(*group), i), eps):
+            if not _agrees(actual, evaluate(body, i), eps):
                 return False
             actual_neg = lookup(i, Literal(atom, True))
             if actual_neg is INCONSISTENT:
@@ -200,8 +200,7 @@ def enumerate_grid_supported(p: Program, points=GRID_POINTS,
     `atom_body` on the complete interpretation) and nothing else is
     pruned: the result is that of trying every cell for every atom, at
     the cost of the cut atoms' cells alone.  Exponential in the cut."""
-    bodies = {atom: tf.atom_body(*group)
-              for atom, group in tf.rules_by_head(p).items()}
+    bodies = dict(tf.atom_bodies(p))
     components, topo = scc_condense(bodies)
     order = [a for k in topo for a in components[k]]
     place = {a: n for n, a in enumerate(order)}
@@ -296,7 +295,7 @@ def model_to_json(i: dict) -> dict:
 def model_from_json(data: dict, p: Program) -> dict:
     """The interpretation a model file's JSON gives: an object with
     `positive` and `negative` objects mapping atom names to [lower,
-    upper].  A bad shape raises ValueError naming the section or atom."""
+    upper].  A bad entry raises ValueError naming the section or atom."""
     if not isinstance(data, dict):
         raise ValueError("model must be a JSON object")
     atoms = {str(a): a for a in p.atom_base}
@@ -310,8 +309,11 @@ def model_from_json(data: dict, p: Program) -> dict:
                     and all(type(x) in (int, float) for x in value)):
                 raise ValueError(f"model {section} {name!r}: expected two "
                                  f"numbers, got {json.dumps(value)}")
-            atom = atoms.get(name, Atom(name))
-            i[Literal(atom, negated)] = Interval(*value)
+            try:
+                value = Interval(*value)
+            except ValueError as exc:
+                raise ValueError(f"model {section} {name!r}: {exc}") from None
+            i[Literal(atoms.get(name, Atom(name)), negated)] = value
     # strictly consistent closure for missing negative literals
     for lit in list(i):
         comp = lit.complement()

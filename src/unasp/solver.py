@@ -19,8 +19,8 @@ from .intervals import BOTTOM
 from .program import Program, ground
 from . import depgraph, nmi, semantics
 from .mi import MiState, mi_fixpoint
-from .transform import (Const, Kagg, Naf, TransformedProgram, node_kinds,
-                        substitute, transform_program)
+from .transform import (Const, Kagg, Naf, node_kinds, substitute,
+                        transform_program)
 
 
 @dataclass
@@ -35,10 +35,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_answer_sets < 1:
             raise ValueError("max_answer_sets must be at least 1")
+        if self.seeds is not None and not (
+                self.seeds and all(0 <= x <= 1 for x in self.seeds)):
+            raise ValueError("seeds must lie in [0,1]")
 
-    def _emit(self, kind, text):
-        if kind in self.trace and self.trace_sink:
-            self.trace_sink(text)
+    def _sink(self, kind):
+        """Where trace lines of this kind go; None when it is not
+        traced, so the caller builds no text."""
+        return self.trace_sink if kind in self.trace else None
 
 
 @dataclass
@@ -51,7 +55,7 @@ class SolveReport:
 @dataclass
 class FrontHalf:
     program: Program                  # the ground program
-    transformed: TransformedProgram
+    bodies: dict                      # Atom -> body, as transformed
     mi: MiState
 
 
@@ -163,8 +167,8 @@ def _solve_component(plan: ComponentPlan, entries, cfg: SolverConfig, out):
 def front_half(p: Program) -> FrontHalf:
     """Ground, transform, and run the monotonic fixpoint."""
     g = ground(p)
-    tp = transform_program(g)
-    return FrontHalf(g, tp, mi_fixpoint(tp))
+    bodies = transform_program(g)
+    return FrontHalf(g, bodies, mi_fixpoint(bodies))
 
 
 def component_pass(front: FrontHalf, cfg: SolverConfig) -> ComponentPass:
@@ -178,15 +182,17 @@ def component_pass(front: FrontHalf, cfg: SolverConfig) -> ComponentPass:
         return out
     components, topo = depgraph.scc_condense(residual)
     out.components = [components[k] for k in topo]
-    cfg._emit("graph", "components (topo order): "
-              + " | ".join(",".join(str(a) for a in comp)
-                           for comp in out.components))
+    trace_graph, trace_nmi = cfg._sink("graph"), cfg._sink("nmi")
+    if trace_graph:
+        trace_graph("components (topo order): "
+                    + " | ".join(",".join(str(a) for a in comp)
+                                 for comp in out.components))
     for comp in out.components:
         names = ",".join(str(a) for a in comp)
         next_branches = []
         for branch in out.branches:
-            state = mi_fixpoint(TransformedProgram(
-                {a: substitute(residual[a], branch) for a in comp}))
+            state = mi_fixpoint({a: substitute(residual[a], branch)
+                                 for a in comp})
             if state.halted_inconsistent:
                 out.notes.append(
                     "branch dropped: inconsistent value at "
@@ -208,8 +214,9 @@ def component_pass(front: FrontHalf, cfg: SolverConfig) -> ComponentPass:
                 continue
             for k, values in enumerate(results):
                 values = {**state.interp, **values}
-                cfg._emit("nmi", f"component {names} [{plan.method}] "
-                          f"result {k}: {_fmt_vals(values)}")
+                if trace_nmi:
+                    trace_nmi(f"component {names} [{plan.method}] "
+                              f"result {k}: {_fmt_vals(values)}")
                 next_branches.append({**branch, **values})
             if len(next_branches) > cfg.max_answer_sets:
                 next_branches = next_branches[:cfg.max_answer_sets]
@@ -228,9 +235,11 @@ def solve(p: Program, cfg: SolverConfig = None) -> SolveReport:
 def solve_front(front: FrontHalf, cfg: SolverConfig) -> SolveReport:
     """The component pass and the verifier over a computed front half."""
     mi_state = front.mi
-    for step, assigned, left in mi_state.trace:
-        cfg._emit("mi", f"mi step {step}: {_fmt_vals(assigned)} "
-                        f"({left} rules residual)")
+    trace_mi = cfg._sink("mi")
+    if trace_mi:
+        for step, assigned, left in mi_state.trace:
+            trace_mi(f"mi step {step}: {_fmt_vals(assigned)} "
+                     f"({left} rules residual)")
     diagnostics = {
         "mi_steps": mi_state.step,
         "mi_assigned": len(mi_state.interp),

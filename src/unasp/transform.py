@@ -4,14 +4,15 @@ All rules sharing a head literal are joined into a disjunction of
 (body ∧ weight) conjunctions; positive and negative evidence for the
 same atom are then combined with the certainty aggregator.  Atoms that
 head no rule get the constraint body [0,1].  `atom_body` is that rule,
-the one place it is written; `transform_program` folds it for `mi`, and
-the verifier in `semantics` evaluates it unfolded.  The resulting rules
-carry no weights.
+the one place it is written, and `atom_bodies` the one place a
+program's rule groups become bodies; `transform_program` folds them into
+the Atom -> body dict `mi` works on, and the verifier in `semantics`
+evaluates them unfolded.  The resulting rules carry no weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .intervals import (BOTTOM, FALSE, INCONSISTENT, TRUE, kagg, naf,
                         negate, tconorm, tnorm)
@@ -73,17 +74,6 @@ class Kagg:
 
     def __str__(self):
         return f"({self.left} (x)k {self.right})"
-
-
-@dataclass
-class TransformedProgram:
-    entries: dict = field(default_factory=dict)  # Atom -> BodyExpr
-
-    def __str__(self):
-        lines = []
-        for atom in sorted(self.entries, key=str):
-            lines.append(f"{atom} <- {self.entries[atom]}.")
-        return "\n".join(lines)
 
 
 def simplify(e, values: dict = None):
@@ -234,12 +224,16 @@ def atom_body(pos_rules, neg_rules):
     return Const(BOTTOM)
 
 
-def transform_program(p: Program) -> TransformedProgram:
-    entries = {}
-    for atom, group in rules_by_head(p).items():
-        body = atom_body(*group)
-        # join_rules has folded the joins; only a wrapper around them is left
-        if isinstance(body, (Kagg, Neg)):
-            body = simplify(body)
-        entries[atom] = body
-    return TransformedProgram(entries)
+def atom_bodies(p: Program):
+    """(atom, atom_body) for every atom of the program, in program
+    order, built one at a time as the caller asks for them."""
+    return ((atom, atom_body(*group))
+            for atom, group in rules_by_head(p).items())
+
+
+def transform_program(p: Program) -> dict:
+    """Atom -> its body, folded: the one table `mi` and the analyses
+    work on."""
+    # join_rules has folded the joins; only a wrapper around them is left
+    return {atom: simplify(body) if isinstance(body, (Kagg, Neg)) else body
+            for atom, body in atom_bodies(p)}

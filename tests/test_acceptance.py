@@ -101,7 +101,7 @@ EX7_FINAL = {"a": (0.39409, 0.67514), "b": (0.65682, 0.84393),
 
 
 def test_criterion_02_trajectory(ex7):
-    entries = transform_program(ex7).entries
+    entries = transform_program(ex7)
     out = nmi_iterate(entries, [Atom("a"), Atom("g")], NmiConfig(eps=0.009))
     assert out.status == "converged"
     assert out.iters == 8
@@ -223,7 +223,7 @@ def test_criterion_05_nesting_lemma():
     rng = random.Random(505)
     for _ in range(200):
         p, atoms = _random_positive_cycle_program(rng)
-        entries = transform_program(p).entries
+        entries = transform_program(p)
         comp = tuple(sorted(entries, key=str))
         cycles = enumerate_cycles(entries, comp)
         aset = select_assumption_set(entries, comp, cycles)

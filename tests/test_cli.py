@@ -55,6 +55,22 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "mi step 1" in err
 
+    @pytest.mark.parametrize("name, text", [
+        ("ex2", "mi step 1: b:[1,1], c:[1,1] (1 rules residual)\n"
+                "mi step 2: a:[0,0] (0 rules residual)\n"),
+        ("ex4", "components (topo order): a,b\n"
+                + "".join(f"component a,b [branch_and_bound] result {k}: "
+                          f"a:[{a}], b:[{b}]\n"
+                          for k, (a, b) in enumerate([
+                              ("0,0", "1,1"), ("0.25,0.25", "0.75,0.75"),
+                              ("0.5,0.5", "0.5,0.5"),
+                              ("0.75,0.75", "0.25,0.25"),
+                              ("1,1", "0,0")])))])
+    def test_trace_text(self, name, text, capsys):
+        assert run_cli(["solve", path(name), "--trace", "mi,nmi,graph"]) \
+            == EXIT_OK
+        assert capsys.readouterr().err == text
+
     def test_dump_transformed(self, capsys):
         assert run_cli(["solve", path("ex3"), "--dump-transformed"]) == EXIT_OK
         assert "p <- not p." in capsys.readouterr().err
@@ -296,6 +312,10 @@ def test_dot_labels_each_parallel_edge_by_its_own_operator(command, tmp_path,
     ('[1]', "JSON object"),
     ('{"positive": {"a": [0.2]}}', "'a'"),
     ('{"positive": {"a": ["x", 1]}}', "'a'"),
+    ('{"positive": {"a": [0.5, 0.2]}}',
+     "model positive 'a': interval bounds out of order"),
+    ('{"negative": {"b": [0, 2]}}',
+     "model negative 'b': interval outside [0,1]"),
     ('{"positive": ', "Expecting value")])
 def test_malformed_model_file_is_a_usage_error(text, names, tmp_path, capsys):
     model = tmp_path / "model.json"
@@ -313,6 +333,7 @@ def test_malformed_model_file_is_a_usage_error(text, names, tmp_path, capsys):
     ("check", "--eps nan", "eps must be positive"),
     ("check", "--eps inf", "eps must be positive"),
     ("solve", "--seeds nan", "seeds must lie in [0,1]"),
+    ("solve", "--seeds ,", "seeds must lie in [0,1]"),
     ("solve", "--max-answer-sets -1", "max_answer_sets must be at least 1"),
     ("solve", "--max-iter -1", "max_outer_iters must be at least 1")])
 def test_out_of_range_setting_is_a_usage_error(command, flags, message,

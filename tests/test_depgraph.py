@@ -27,7 +27,7 @@ def ex6_residual(ex6):
 
 @pytest.fixture(scope="module")
 def ex7_entries(ex7):
-    return transform_program(ex7).entries
+    return transform_program(ex7)
 
 
 class TestOperatorGraph:
@@ -46,7 +46,7 @@ class TestOperatorGraph:
         assert sum(f'[label="{NEG_EDGE}"]' in e for e in edges) == 4
 
     def test_dot_output(self, ex3):
-        dot = to_dot(transform_program(ex3).entries)
+        dot = to_dot(transform_program(ex3))
         assert dot.startswith("digraph")
         assert 'label="-1"' in dot  # the naf edge
         assert 'label="p"' in dot
@@ -67,7 +67,7 @@ class TestCondensation:
         assert pos[frozenset("yz")] < pos[frozenset("l")]
 
     def test_acyclic_program_gives_singletons(self, ex2):
-        entries = transform_program(ex2).entries
+        entries = transform_program(ex2)
         components, topo = scc_condense(entries)
         assert all(len(c) == 1 for c in components)
         assert len(topo) == len(components)
@@ -84,7 +84,7 @@ class TestCondensation:
         rank = {a: topo.index(k)
                 for k, comp in enumerate(components) for a in comp}
         g = atom_digraph(ex6_residual)
-        assert all(rank[u] <= rank[v] for u, v in g.edges)
+        assert all(rank[u] <= rank[v] for u, succ in g.items() for v in succ)
 
     def test_against_reachability_on_random_graphs(self):
         rng = random.Random(43)

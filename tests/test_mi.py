@@ -162,7 +162,7 @@ def test_acyclic_chain_substitutes_once_per_reference(monkeypatch):
     lines += [f"a{i} <- [0.95,1] : a{i - 1}, not a{i // 2}, [0.8,1]."
               for i in range(1, n)]
     p = transform_program(parse_program("\n".join(lines) + "\n"))
-    bound = sum(len(referenced_atoms(e)) for e in p.entries.values())
+    bound = sum(len(referenced_atoms(e)) for e in p.values())
     calls = 0
 
     def counting(e, values):

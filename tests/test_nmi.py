@@ -27,7 +27,7 @@ def iv(lo, hi):
 
 @pytest.fixture(scope="module")
 def ex7_entries(ex7):
-    return transform_program(ex7).entries
+    return transform_program(ex7)
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +97,7 @@ class TestIterationTrajectory:
         assert out.iters == 3
 
     def test_aggregation_conflict_halts(self, ex8):
-        entries = transform_program(ex8).entries
+        entries = transform_program(ex8)
         out = nmi_iterate(entries, [Atom("a")], NmiConfig())
         assert out.status == "inconsistent"
         assert out.iters == 1
@@ -151,7 +151,7 @@ class TestCycleGain:
 
 class TestContractionClassification:
     def test_positive_cycle(self, ex1):
-        entries = transform_program(ex1).entries
+        entries = transform_program(ex1)
         comp = tuple(sorted(entries, key=str))
         cycles = enumerate_cycles(entries, comp)
         report = check_contraction(entries, comp, [Atom("a")], cycles)
@@ -188,7 +188,7 @@ class TestContractionClassification:
 
 class TestAggregationCycleResolution:
     def test_example8(self, ex8):
-        entries = transform_program(ex8).entries
+        entries = transform_program(ex8)
         comp = tuple(sorted(entries, key=str))
         results = solve_kagg_cycle(entries, comp, TIGHT)
         assert len(results) == 1
@@ -270,7 +270,7 @@ class TestExactOrbit:
     would, with the orbit as far as it was iterated and its period."""
 
     def test_period_three_stops_early(self, monkeypatch):
-        entries = transform_program(parse_program(PERIOD_THREE)).entries
+        entries = transform_program(parse_program(PERIOD_THREE))
         passes = 0
 
         def counting(*args):

@@ -199,6 +199,27 @@ def test_config_rejects_out_of_range_settings(config, kw):
         config(**kw)
 
 
+@pytest.mark.parametrize("seeds", [[], [2.0], [-0.5], [float("nan")],
+                                   [0, 1.5]])
+def test_config_rejects_empty_or_out_of_range_seeds(seeds):
+    """An empty list tried no seed and answered no_answer_set, and a
+    seed outside [0,1] raised from inside branch_and_bound."""
+    with pytest.raises(ValueError, match=r"^seeds must lie in \[0,1\]$"):
+        SolverConfig(seeds=seeds)
+
+
+def test_untraced_solve_builds_no_trace_text(ex6, monkeypatch):
+    """Trace lines are formatted only for a traced kind with a sink."""
+    from unasp import solver
+
+    def fmt(values):
+        raise AssertionError("trace text built while untraced")
+    monkeypatch.setattr(solver, "_fmt_vals", fmt)
+    assert solve(ex6, SolverConfig(trace_sink=print)).status == "ok"
+    assert solve(ex6, SolverConfig(trace={"mi", "nmi", "graph"})).status \
+        == "ok"
+
+
 class TestUnsolvedComponents:
     def test_no_valid_assumption_set_reports_incomplete(self):
         report = solve(parse_program(UNCOVERABLE))

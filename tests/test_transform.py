@@ -70,29 +70,29 @@ class TestTransformProgram:
     def test_single_fact_folds(self):
         p = parse_program("a <- [1,1] : [0.7,0.7].")
         tp = transform_program(p)
-        assert tp.entries[Atom("a")] == Const(Interval(0.7, 0.7))
+        assert tp[Atom("a")] == Const(Interval(0.7, 0.7))
 
     def test_mixed_polarity_gets_aggregation_root(self, ex6):
         tp = transform_program(ex6)
-        assert isinstance(tp.entries[Atom("p")], Kagg)
-        assert isinstance(tp.entries[Atom("j")], Kagg)
+        assert isinstance(tp[Atom("p")], Kagg)
+        assert isinstance(tp[Atom("j")], Kagg)
         # single-polarity atoms do not
-        assert not isinstance(tp.entries[Atom("b")], Kagg)
+        assert not isinstance(tp[Atom("b")], Kagg)
 
     def test_headless_atom_gets_ignorance_constraint(self, ex6):
         tp = transform_program(ex6)
-        assert tp.entries[Atom("t")] == Const(Interval(0.0, 1.0))
+        assert tp[Atom("t")] == Const(Interval(0.0, 1.0))
 
     def test_negative_only_atom(self):
         p = parse_program("-a <- [1,1] : b.")
         tp = transform_program(p)
-        e = tp.entries[Atom("a")]
+        e = tp[Atom("a")]
         assert isinstance(e, Neg)
         assert e.child == Ref(Literal(Atom("b")))
 
     def test_every_atom_has_exactly_one_entry(self, ex6):
         tp = transform_program(ex6)
-        assert set(tp.entries) == ex6.atom_base
+        assert set(tp) == ex6.atom_base
 
 
 def _random_expr(rng, atoms, depth):
@@ -205,7 +205,7 @@ class TestSupportedModelEquivalence:
     equals its combined body expression in the transformed program."""
 
     def _transformed_supported(self, i, tp, eps=1e-9):
-        for atom, expr in tp.entries.items():
+        for atom, expr in tp.items():
             v = evaluate(expr, i)
             if v is INCONSISTENT or not i[Literal(atom)].same_as(v, eps):
                 return False
