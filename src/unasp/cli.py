@@ -74,9 +74,8 @@ def _load_program(path):
 
 
 def _solver_config(args):
-    seeds = None
-    if args.seeds:
-        seeds = [float(s) for s in args.seeds.split(",") if s != ""]
+    seeds = (None if args.seeds is None
+             else [float(s) for s in args.seeds.split(",") if s])
     return solver.SolverConfig(
         nmi=nmi.NmiConfig(eps=args.eps, max_outer_iters=args.max_iter,
                           n_b=args.nb),

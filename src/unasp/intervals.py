@@ -177,28 +177,27 @@ def tconorm(x: EpistemicValue, y: EpistemicValue) -> EpistemicValue:
                     x.upper + y.upper - x.upper * y.upper)
 
 
-def kmax(x: Interval, y: Interval, eps: float = EPS_CMP) -> Interval:
+def kmax(x: Interval, y: Interval) -> Interval:
     """The more certain (narrower) of two values.
 
-    Undefined when the widths tie but the values differ; callers that
-    can face that case must go through kagg instead.
+    Undefined when the widths tie (within EPS_CMP) but the values
+    differ; callers that can face that case must go through kagg.
     """
-    value = kagg(x, y, eps)
+    value = kagg(x, y)
     if value is INCONSISTENT:
         raise ValueError(f"kmax undefined for equal-width values {x}, {y}")
     return value
 
 
-def kagg(x: EpistemicValue, y: EpistemicValue,
-         eps: float = EPS_CMP) -> EpistemicValue:
+def kagg(x: EpistemicValue, y: EpistemicValue) -> EpistemicValue:
     """Certainty aggregation: the narrower of two values, with an
     equal-width tie between different values resolving to INCONSISTENT,
-    which then absorbs.  Values equal within eps give the narrower one,
-    ties broken by bounds, so the result does not depend on argument
-    order."""
+    which then absorbs.  Values equal within EPS_CMP, the solver's one
+    tie tolerance, give the narrower one, ties broken by bounds, so the
+    result does not depend on argument order."""
     if x is INCONSISTENT or y is INCONSISTENT:
         return INCONSISTENT
-    if not x.same_as(y, eps) and abs(x.width - y.width) <= eps:
+    if not x.same_as(y) and abs(x.width - y.width) <= EPS_CMP:
         return INCONSISTENT
     if (x.width, x.lower, x.upper) <= (y.width, y.lower, y.upper):
         return x

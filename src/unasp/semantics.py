@@ -8,7 +8,8 @@ among known candidates).
 An interpretation is a supported model when every atom equals the value
 its rules force: its body from `transform.atom_bodies`, the same
 expression that `transform_program` folds for `mi`, evaluated here
-unfolded, one atom at a time, at the caller's tie tolerance.
+unfolded, one atom at a time; `kagg` breaks ties at `EPS_CMP`, and a
+caller's eps only bounds how far a value may sit from the forced one.
 
 The grid oracle, which supplies the rivals of small programs, tries
 every grid cell only for the cut atoms, those whose bodies mention
@@ -59,9 +60,8 @@ def lookup(i: dict, lit: Literal):
     raise UnboundLiteral(lit)
 
 
-def evaluate(e, i: dict, eps: float = EPS_CMP):
-    """Recursive valuation of a body expression; inconsistency absorbs.
-    eps is the tie tolerance of the certainty aggregation."""
+def evaluate(e, i: dict):
+    """Recursive valuation of a body expression; inconsistency absorbs."""
     kind = type(e)
     if kind is tf.Ref:
         return lookup(i, e.literal)
@@ -69,16 +69,16 @@ def evaluate(e, i: dict, eps: float = EPS_CMP):
         return e.value
     if kind is tf.And or kind is tf.Or:
         combine = tnorm if kind is tf.And else tconorm
-        value = evaluate(e.children[0], i, eps)
+        value = evaluate(e.children[0], i)
         for c in e.children[1:]:
-            value = combine(value, evaluate(c, i, eps))
+            value = combine(value, evaluate(c, i))
         return value
     if kind is tf.Naf:
-        return naf(evaluate(e.child, i, eps))
+        return naf(evaluate(e.child, i))
     if kind is tf.Neg:
-        return negate(evaluate(e.child, i, eps))
+        return negate(evaluate(e.child, i))
     if kind is tf.Kagg:
-        return kagg(evaluate(e.left, i, eps), evaluate(e.right, i, eps), eps)
+        return kagg(evaluate(e.left, i), evaluate(e.right, i))
     raise TypeError(f"not a body expression: {e!r}")
 
 
@@ -217,14 +217,14 @@ def enumerate_grid_supported(p: Program, points=GRID_POINTS,
 
     def extend(n):
         if n == len(order):
-            if all(_agrees(i[lits[m]], evaluate(exprs[m], i, eps), eps)
+            if all(_agrees(i[lits[m]], evaluate(exprs[m], i), eps)
                    for m in range(n) if cut[m]):
                 found.append([chosen[m] for m in sorted_places])
             return
         if cut[n]:
             options = every_cell
         else:
-            req = evaluate(exprs[n], i, eps)
+            req = evaluate(exprs[n], i)
             options = [(k, c) for k, c in every_cell if _agrees(c, req, eps)]
         for k, c in options:
             chosen[n] = k
@@ -263,7 +263,9 @@ def is_answer_set(i: dict, p: Program, candidates=(),
 
     Minimality over the continuum is undecidable; it is checked against
     the supplied candidates plus, for small programs, a brute-force
-    grid enumeration.
+    grid enumeration.  Grid models are supported models of the reduct by
+    construction (the same bodies, `evaluate` and `_agrees` as
+    `is_supported_model`), so only the candidates are re-checked.
     """
     try:
         red = reduct(with_constraints(p), i)
@@ -271,14 +273,13 @@ def is_answer_set(i: dict, p: Program, candidates=(),
         return False
     if not is_supported_model(i, red, eps):
         return False
-    rivals = list(candidates)
-    if len(p.atom_base) <= GRID_MAX_ATOMS:
-        rivals += enumerate_grid_supported(red, eps=eps)
-    for c in rivals:
-        if c is not i and interp_kp_below(c, i, eps) \
-                and is_supported_model(c, red, eps):
-            return False
-    return True
+    if any(c is not i and interp_kp_below(c, i, eps)
+           and is_supported_model(c, red, eps) for c in candidates):
+        return False
+    if len(p.atom_base) > GRID_MAX_ATOMS:
+        return True
+    return not any(interp_kp_below(c, i, eps)
+                   for c in enumerate_grid_supported(red, eps=eps))
 
 
 def model_to_json(i: dict) -> dict:

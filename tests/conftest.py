@@ -122,7 +122,7 @@ def brute_force_grid(p, points=GRID_POINTS, eps=EPS_CMP):
     bodies = [atom_body(*groups[a]) for a in atoms]
 
     def agrees(actual, body, i):
-        req = evaluate(body, i, eps)
+        req = evaluate(body, i)
         return req is not INCONSISTENT and actual.same_as(req, eps)
 
     found = []

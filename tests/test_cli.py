@@ -345,6 +345,12 @@ def test_out_of_range_setting_is_a_usage_error(command, flags, message,
     assert f"error: {message}" in capsys.readouterr().err
 
 
+def test_empty_seeds_value_is_a_usage_error(capsys):
+    """`--seeds ""` asks for no seed at all, as `--seeds ,` does."""
+    assert run_cli(["solve", path("ex4"), "--seeds", ""]) == EXIT_USAGE
+    assert "error: seeds must lie in [0,1]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_eps_env_falls_back_to_default(value, monkeypatch):
     from unasp import cli

@@ -8,8 +8,9 @@ from unasp.intervals import Interval
 from unasp.program import ConstItem, LitItem, Program, Rule
 from unasp import semantics
 from unasp.semantics import (GRID_POINTS, enumerate_grid_supported,
-                             grid_intervals, load_model_file, reduct,
-                             total_from_positive, with_constraints)
+                             grid_intervals, is_supported_model,
+                             load_model_file, reduct, total_from_positive,
+                             with_constraints)
 from unasp.transform import atom_body, referenced_atoms, rules_by_head
 
 from conftest import PROGRAMS, brute_force_grid
@@ -74,6 +75,8 @@ def test_matches_brute_force_in_order():
                     found = enumerate_grid_supported(prog, points, eps)
                     assert found == brute_force_grid(prog, points, eps), \
                         str(prog)
+                    assert all(is_supported_model(c, prog, eps)
+                               for c in found), str(prog)
                     compared += 1
                     nonempty += bool(found)
     assert compared == 720 and nonempty > 100
@@ -105,10 +108,10 @@ def test_acyclic_reduct_takes_one_pass(monkeypatch, ex2):
     calls = 0
     evaluate = semantics.evaluate
 
-    def counting(e, i, eps=semantics.EPS_CMP):
+    def counting(e, i):
         nonlocal calls
         calls += 1
-        return evaluate(e, i, eps)
+        return evaluate(e, i)
 
     monkeypatch.setattr(semantics, "evaluate", counting)
     found = enumerate_grid_supported(red)

@@ -1,6 +1,6 @@
 import pytest
 
-from unasp import Atom, Literal, parse_program, r_join
+from unasp import Atom, Literal, parse_program, r_join, semantics
 from unasp.intervals import INCONSISTENT, Interval
 from unasp.program import ConstItem
 from unasp.semantics import (ConsistencyClass, UnboundLiteral,
@@ -159,6 +159,25 @@ class TestAnswerSet:
         assert is_answer_set(narrow, p, candidates=[])
         assert not is_answer_set(narrow, p, candidates=[wide, narrow])
 
+    def test_grid_rivals_are_not_rechecked(self, ex1, monkeypatch):
+        """A grid model is a supported model of the reduct by
+        construction, so only i and the candidates below it in certainty
+        go through is_supported_model."""
+        i = interp(a=(0.3, 0.3), b=(0.3, 0.3))
+        below = interp(a=(0, 1), b=(0.2, 0.4))    # wider, not supported
+        level = interp(a=(0.5, 0.5), b=(0.5, 0.5))  # equally certain
+        red = reduct(with_constraints(ex1), i)
+        assert any(interp_kp_below(c, i) for c in enumerate_grid_supported(red))
+        checked = []
+        supported = semantics.is_supported_model
+
+        def recording(c, prog, eps):
+            checked.append(c)
+            return supported(c, prog, eps)
+        monkeypatch.setattr(semantics, "is_supported_model", recording)
+        assert not is_answer_set(i, ex1, candidates=[below, level, i])
+        assert [id(c) for c in checked] == [id(i), id(below)]
+
 
 class TestGridEnumeration:
     def test_example3_reduct_unique_on_grid(self, ex3):
@@ -171,12 +190,13 @@ class TestGridEnumeration:
         # every grid cell x gives the supported model {a:x, b:x}
         assert len(enumerate_grid_supported(ex1)) == 15
 
-    def test_ties_are_broken_at_the_callers_tolerance(self):
-        # widths 0.25 and 0.2500001: a clash at 1e-6, the narrower at 1e-9
+    def test_ties_are_broken_at_one_tolerance_whatever_the_eps(self):
+        # widths 0.25 and 0.2500001 differ by more than EPS_CMP, so kagg
+        # keeps the narrower whatever tolerance the caller compares at
         p = parse_program("a <- [0.25,0.5].\n-a <- [0.2499999,0.5].")
-        assert enumerate_grid_supported(p, eps=1e-6) == []
-        (i,) = enumerate_grid_supported(p, eps=1e-9)
-        assert i[Literal(Atom("a"))].same_as(Interval(0.25, 0.5))
+        for eps in (1e-6, 1e-9):
+            (i,) = enumerate_grid_supported(p, eps=eps)
+            assert i[Literal(Atom("a"))].same_as(Interval(0.25, 0.5))
 
 
 class TestInterpOrdering:

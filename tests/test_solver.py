@@ -8,8 +8,11 @@ from unasp.cli import run_cli
 from unasp.intervals import Interval
 from unasp.nmi import NmiConfig
 from unasp.program import Program
-from unasp.semantics import is_answer_set, model_to_json
-from unasp.solver import SolverConfig
+from unasp.semantics import (enumerate_grid_supported, interp_kp_below,
+                             is_answer_set, is_supported_model,
+                             model_to_json, reduct, total_from_positive,
+                             with_constraints)
+from unasp.solver import SolverConfig, component_pass, front_half
 
 from conftest import FOLDED_CYCLES, PROGRAMS, UNCOVERABLE, atom_values
 
@@ -218,6 +221,40 @@ def test_untraced_solve_builds_no_trace_text(ex6, monkeypatch):
     assert solve(ex6, SolverConfig(trace_sink=print)).status == "ok"
     assert solve(ex6, SolverConfig(trace={"mi", "nmi", "graph"})).status \
         == "ok"
+
+
+class TestGridTieTolerance:
+    """The grid breaks kagg ties at EPS_CMP, as the rest of the solver
+    does, so it finds rivals that is_supported_model accepts."""
+
+    def test_one_atom_candidate_has_a_less_certain_grid_rival(self):
+        p = parse_program("a <- [0.765,0.936] : -a, a.\n"
+                          "-a <- [0.212,0.989] : not a, a.")
+        cfg = SolverConfig()
+        report = solve(p, cfg)
+        assert report.status == "no_answer_set"
+        assert "verifier rejected 1 candidate(s)" \
+            in report.diagnostics["notes"]
+        (branch,) = component_pass(front_half(p), cfg).branches
+        candidate = total_from_positive(branch)
+        a = Literal(Atom("a"))
+        assert candidate[a].same_as(Interval(0, 0.120455646), 1e-8)
+        red = reduct(with_constraints(p), candidate)
+        eps = cfg.nmi.answer_tol
+        rival = {a: Interval(0, 0.25)}
+        assert rival in enumerate_grid_supported(red, eps=eps)
+        assert interp_kp_below(rival, candidate, eps)
+        assert is_supported_model(rival, red, eps)
+
+    def test_three_atom_program_has_no_answer_set(self):
+        report = solve(parse_program(
+            "a <- [0.251,0.673] : a, not a.\n"
+            "c <- [0.239,0.572] : [0.215,0.564], not c, [0.188,0.513].\n"
+            "-c <- [0.072,0.476] : b, [0.718,0.891], [0.438,0.515].\n"
+            "c <- [0.213,0.824] : [0.059,0.149], [0.265,0.642], -c."))
+        assert report.status == "no_answer_set"
+        assert "verifier rejected 1 candidate(s)" \
+            in report.diagnostics["notes"]
 
 
 class TestUnsolvedComponents:
