@@ -16,8 +16,8 @@ from .depgraph import (AnalysisOverflow, CyclicVpg, NoValidAssumptionSet,
                        intersection_table, scc_condense,
                        select_assumption_set)
 from .nmi import (ContractionReport, GainVector, NmiConfig, NmiOutcome,
-                  StructuralMismatch, branch_and_bound, check_contraction,
-                  cycle_gain, nmi_iterate, solve_kagg_cycle)
+                  branch_and_bound, check_contraction, cycle_gain,
+                  nmi_iterate, solve_kagg_cycle)
 from .solver import SolveReport, SolverConfig, solve
 
 __version__ = "0.1.0"

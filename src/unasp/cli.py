@@ -15,7 +15,7 @@ import os
 import sys
 
 from .intervals import INCONSISTENT
-from .program import ParseError, ground, parse_program
+from .program import ground, parse_program
 from . import depgraph, nmi, semantics, solver
 
 EXIT_OK = 0
@@ -69,8 +69,9 @@ def _build_parser():
 
 
 def _load_program(path):
+    """The ground program in the file."""
     with open(path) as fh:
-        return parse_program(fh.read())
+        return ground(parse_program(fh.read()))
 
 
 def _solver_config(args):
@@ -113,9 +114,7 @@ def _write_dot(path, entries):
         fh.write(depgraph.to_dot(entries))
 
 
-def _cmd_solve(args):
-    program = _load_program(args.file)
-    cfg = _solver_config(args)
+def _cmd_solve(args, program, cfg):
     front = solver.front_half(program)
     if args.dump_transformed:
         _dump_bodies(front.bodies)
@@ -160,9 +159,7 @@ def _analysis_record(comp, plan):
     return record
 
 
-def _cmd_analyze(args):
-    program = _load_program(args.file)
-    cfg = _solver_config(args)
+def _cmd_analyze(args, program, cfg):
     front = solver.front_half(program)
     state = front.mi
     if args.dump_transformed:
@@ -197,17 +194,25 @@ def _cmd_analyze(args):
     return EXIT_OK
 
 
-def _cmd_check(args):
-    program = _load_program(args.file)
-    grounded = ground(program)
-    model = semantics.load_model_file(args.model, grounded)
-    ok = semantics.is_answer_set(
-        model, grounded, eps=nmi.NmiConfig(eps=args.eps).answer_tol)
+def _check_settings(args, program):
+    """The model to check and the tolerance it is judged to."""
+    return (semantics.load_model_file(args.model, program),
+            nmi.NmiConfig(eps=args.eps).answer_tol)
+
+
+def _cmd_check(args, program, settings):
+    model, eps = settings
+    ok = semantics.is_answer_set(model, program, eps=eps)
     if args.format == "json":
         print(json.dumps({"valid": ok}))
     else:
         print("VALID" if ok else "INVALID")
     return EXIT_OK if ok else EXIT_NO_ANSWER
+
+
+def _usage_error(exc):
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def run_cli(argv=None) -> int:
@@ -217,14 +222,19 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        return _cmd_check(args)
-    except (ParseError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # reading the input: every ValueError here is bad input, a
+        # ParseError and a UnicodeDecodeError included
+        program = _load_program(args.file)
+        settings = (_check_settings(args, program) if args.command == "check"
+                    else _solver_config(args))
+    except (ValueError, OSError) as exc:
+        return _usage_error(exc)
+    command = {"solve": _cmd_solve, "analyze": _cmd_analyze,
+               "check": _cmd_check}[args.command]
+    try:
+        return command(args, program, settings)
+    except OSError as exc:   # the --dot file
+        return _usage_error(exc)
 
 
 def main():

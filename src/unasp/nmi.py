@@ -4,9 +4,11 @@ The chosen (assumption-set) atoms act as the iteration state: each
 outer step substitutes their current values into every body, runs the
 monotonic engine to a fixpoint on the now-acyclic subprogram, and reads
 the chosen atoms back.  Also here: the cycle-gain computation used for
-contraction checks, the special-case resolver for a single cycle
-through a certainty aggregation, and grid-seeded branch-and-bound for
-components with no constants to anchor the iteration.
+contraction checks, the resolver for components with certainty
+aggregations, which tries each side of every aggregation and keeps the
+valuations in which the chosen sides win, and grid-seeded
+branch-and-bound for components with no constants to anchor the
+iteration.
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .intervals import BOTTOM, EPS_CMP, Interval
+from .intervals import BOTTOM, INCONSISTENT, Interval
 from .mi import mi_fixpoint
 from .program import Literal
 from .semantics import evaluate
-from .transform import Const, Kagg, Naf, node_kinds, simplify, substitute
-from .depgraph import (CYCLE_CAP, NonConstantOperand, enumerate_cycles,
-                       select_assumption_set, build_vpg)
+from .transform import Const, Kagg, Naf, node_kinds, substitute
+from .depgraph import AnalysisOverflow, NonConstantOperand, build_vpg
+# not called here; the benchmark's spans wrap them under this module too
+from .depgraph import enumerate_cycles, select_assumption_set  # noqa: F401
 
 
 @dataclass
@@ -211,79 +214,37 @@ def check_contraction(entries: dict, component, assumption_set,
     return ContractionReport("unclassified", gains)
 
 
-class StructuralMismatch(RuntimeError):
-    pass
+KAGG_CAP = 8   # aggregations in one component: 2**8 side selections
 
 
-def kagg_anchor(entries: dict, component, cycles):
-    """The atom a, constant c and other operand B of the one aggregation
-    rule a <- c (x)k B on a simple cycle; raises StructuralMismatch when
-    the component has another shape."""
+def _valuation_key(values: dict):
+    return tuple(sorted((str(a), round(v.lower, 9), round(v.upper, 9))
+                        for a, v in values.items()))
+
+
+def solve_kagg_cycle(entries: dict, component, cfg: NmiConfig, solve):
+    """Resolve a component through its certainty aggregations, each an
+    entry a <- L (x)k R: for every selection of one side of each, value
+    the aggregation-free entries with solve(entries), a list of
+    valuations, and keep those in which every chosen side really wins,
+    that is, each original aggregation evaluates to its atom's value.
+    Raises AnalysisOverflow beyond KAGG_CAP aggregations."""
     kagg_atoms = [a for a in component if isinstance(entries[a], Kagg)]
-    if len(kagg_atoms) != 1:
-        raise StructuralMismatch("expected exactly one aggregation rule")
-    atom = kagg_atoms[0]
-    node = entries[atom]
-    if isinstance(node.left, Const):
-        cbar, branch = node.left.value, node.right
-    elif isinstance(node.right, Const):
-        cbar, branch = node.right.value, node.left
-    else:
-        raise StructuralMismatch("no constant aggregation operand")
-    if len(cycles) != 1:
-        raise StructuralMismatch("component is not a simple cycle")
-    return atom, cbar, branch
-
-
-def solve_kagg_cycle(entries: dict, component, cfg: NmiConfig,
-                     cap: int = CYCLE_CAP):
-    """Resolve a simple cycle containing exactly one aggregation rule
-    a <- c (x)k B by comparing two candidate fixpoints: the cycle with
-    the aggregation dropped, and a single pass anchored at a = c.
-
-    Returns the surviving candidate interpretations (0, 1, or 2).
-    """
-    atom, cbar, branch = kagg_anchor(
-        entries, component, enumerate_cycles(entries, component, cap))
-
-    # candidate 1: iterate with the aggregation dropped
-    dropped = dict(entries)
-    dropped[atom] = simplify(branch)
-    aset = select_assumption_set(dropped, component,
-                                 enumerate_cycles(dropped, component, cap))
-    outcome = nmi_iterate(dropped, aset, cfg)
-    i_minus = outcome.interp if outcome.status == "converged" else None
-    # stability: the branch value must be strictly more certain than c
-    stable_minus = (i_minus is not None
-                    and i_minus[atom].width < cbar.width - EPS_CMP)
-
-    # candidate 2: single anchored pass from a = c
-    state = _inner_pass({x: e for x, e in entries.items() if x != atom},
-                        {atom: cbar})
-    i_s = None
-    if not state.halted_inconsistent and not state.residual:
-        i_s = dict(state.interp)
-        i_s[atom] = cbar
-    # the incoming evidence must be strictly less certain than c
-    stable_s = (i_s is not None
-                and evaluate(branch, {Literal(a): v for a, v in i_s.items()})
-                .width > cbar.width + EPS_CMP)
-
-    if stable_minus and stable_s:
-        below_minus = all(i_minus[x].width >= i_s[x].width - EPS_CMP
-                          for x in component)
-        below_s = all(i_s[x].width >= i_minus[x].width - EPS_CMP
-                      for x in component)
-        if below_minus:
-            return [(i_minus, "kagg_dropped")]
-        if below_s:
-            return [(i_s, "kagg_anchored")]
-        return [(i_minus, "kagg_dropped"), (i_s, "kagg_anchored")]
-    if stable_minus:
-        return [(i_minus, "kagg_dropped")]
-    if stable_s:
-        return [(i_s, "kagg_anchored")]
-    return []
+    if len(kagg_atoms) > KAGG_CAP:
+        raise AnalysisOverflow(f"more than {KAGG_CAP} aggregations")
+    results = {}
+    for sides in itertools.product((0, 1), repeat=len(kagg_atoms)):
+        chosen = dict(entries)
+        for a, side in zip(kagg_atoms, sides):
+            chosen[a] = entries[a].right if side else entries[a].left
+        for values in solve(chosen):
+            lits = {Literal(a): v for a, v in values.items()}
+            wins = (evaluate(entries[a], lits) for a in kagg_atoms)
+            if all(v is not INCONSISTENT
+                   and v.same_as(values[a], cfg.answer_tol)
+                   for a, v in zip(kagg_atoms, wins)):
+                results.setdefault(_valuation_key(values), values)
+    return list(results.values())
 
 
 def branch_and_bound(entries: dict, assumption_set, cfg: NmiConfig,
@@ -291,22 +252,13 @@ def branch_and_bound(entries: dict, assumption_set, cfg: NmiConfig,
     """Try every combination of exact seeds over the chosen atoms; keep
     those that reproduce themselves under one inner pass."""
     points = list(seeds) if seeds is not None else cfg.grid_seeds()
-    results = []
-    seen = set()
+    results = {}
     for combo in itertools.product(points, repeat=len(assumption_set)):
         values = {a: Interval(x, x) for a, x in zip(assumption_set, combo)}
         state = _inner_pass(entries, values)
-        if state.halted_inconsistent or state.residual:
-            continue
-        stable = all(state.interp[a].same_as(values[a], cfg.eps)
-                     for a in assumption_set)
-        if not stable:
-            continue
-        result = dict(state.interp)
-        key = tuple(sorted((str(a), round(v.lower, 9), round(v.upper, 9))
-                           for a, v in result.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        results.append(result)
-    return results
+        if not (state.halted_inconsistent or state.residual) and all(
+                state.interp[a].same_as(values[a], cfg.eps)
+                for a in assumption_set):
+            results.setdefault(_valuation_key(state.interp),
+                               dict(state.interp))
+    return list(results.values())

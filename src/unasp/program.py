@@ -149,7 +149,8 @@ class ParseError(ValueError):
 
 
 # the token alternatives in priority order: number, ident, arrow, punctuation
-_TOKEN = r"\d+(?:\.\d+)?|[a-zA-Z_][a-zA-Z0-9_]*|<-|[\[\](),.:-]"
+_TOKEN = (r"\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|[a-zA-Z_][a-zA-Z0-9_]*|<-"
+          r"|[\[\](),.:-]")
 _TOKEN_RE = re.compile(_TOKEN)
 # whitespace and comments leave group 1 empty; a character that starts no
 # token becomes a one-character token, which _TOKEN_RE then rejects

@@ -4,8 +4,11 @@ Front half: ground -> transform -> monotonic fixpoint.  Component pass:
 dependency analysis of the residual, then per component in topological
 order and per branch, the branch's values are substituted and the
 monotonic fixpoint values what that leaves acyclic.  Only the cycles
-left are planned (iteration, trivial [0,1] fill, aggregation-cycle
-resolution, or branch-and-bound) and run, branching the downstream
+left are planned (iteration, trivial [0,1] fill, branch-and-bound, or,
+for a component with a certainty aggregation, side selection: each
+selection of one side of every aggregation is valued the same way,
+and kept where the chosen sides win, merged with what exact seeds and
+iterating the aggregations reach) and run, branching the downstream
 computation whenever a component admits several stable valuations.
 `solve` re-checks every emitted answer set with the declarative
 verifier; `unasp analyze` reports the plans instead.
@@ -13,6 +16,7 @@ verifier; `unasp analyze` reports the plans instead.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .intervals import BOTTOM
@@ -63,18 +67,27 @@ class FrontHalf:
 class ComponentPlan:
     """How the cycles left in one component are solved on one branch."""
     component: tuple
+    entries: dict = None   # the component's bodies the monotonic stage left
     method: str = None     # kagg_cycle | nmi | branch_and_bound | ignorance
     cycles: list = None
     assumption_set: list = None
-    contraction: nmi.ContractionReport = None
     error: str = None      # why the component could not be solved
+
+    @functools.cached_property
+    def contraction(self):
+        """The advisory contraction class, checked when first read (a
+        side selection's plan never is); the entries are let go then."""
+        entries, self.entries = self.entries, None
+        if self.assumption_set is None:
+            return None
+        return nmi.check_contraction(entries, tuple(entries),
+                                     self.assumption_set, self.cycles)
 
     def summary(self) -> dict:
         record = {"component": [str(a) for a in self.component],
                   "method": self.method}
         if self.assumption_set is not None:
             record["assumption_set"] = [str(a) for a in self.assumption_set]
-        if self.contraction is not None:
             record["contraction"] = self.contraction.classification
         if self.error is not None:
             record["assumption_set_error"] = self.error
@@ -95,17 +108,17 @@ def _fmt_vals(values):
                                                    key=lambda kv: str(kv[0])))
 
 
-def _close_valuations(a, b, tol):
-    return set(a) == set(b) and all(a[x].same_as(b[x], tol) for x in a)
+def _merge(kept, more, tol):
+    """kept, then each valuation of more not close to one of them."""
+    return kept + [r for r in more
+                   if not any(set(r) == set(k)
+                              and all(r[x].same_as(k[x], tol) for x in r)
+                              for k in kept)]
 
 
-def _method(entries, comp, cycles, kinds):
+def _method(kinds):
     if Kagg in kinds:
-        try:
-            nmi.kagg_anchor(entries, comp, cycles)
-            return "kagg_cycle"
-        except nmi.StructuralMismatch:
-            pass
+        return "kagg_cycle"
     if Const in kinds:
         return "nmi"
     if Naf in kinds:
@@ -114,67 +127,96 @@ def _method(entries, comp, cycles, kinds):
     return "ignorance"
 
 
-def _solve_component(plan: ComponentPlan, entries, cfg: SolverConfig, out):
-    """Plan the cycles left in a component, over the entries' atoms, and
+def _solve_component(plan: ComponentPlan, cfg: SolverConfig, out):
+    """Plan the cycles left in a component, over its entries' atoms, and
     run the plan; returns their valuations.  A failing analysis raises
     and leaves the plan as far as it got."""
+    entries = plan.entries
     atoms = tuple(entries)
-    kinds = node_kinds(entries.values())
+    names = ",".join(str(a) for a in plan.component)
     plan.cycles = depgraph.enumerate_cycles(entries, atoms, cfg.cycle_cap)
-    plan.method = _method(entries, atoms, plan.cycles, kinds)
+    plan.method = _method(node_kinds(entries.values()))
     bnb = plan.method == "branch_and_bound"
     aset = plan.assumption_set = depgraph.select_assumption_set(
         entries, atoms, plan.cycles, mode="branch_bound" if bnb else "nmi")
-    plan.contraction = nmi.check_contraction(entries, atoms, aset,
-                                             plan.cycles)
-    if plan.method == "kagg_cycle":
-        resolved = nmi.solve_kagg_cycle(entries, atoms, cfg.nmi,
-                                        cap=cfg.cycle_cap)
-        return [r for r, _ in resolved]
     if bnb:
         return nmi.branch_and_bound(entries, aset, cfg.nmi, cfg.seeds)
     if plan.method == "ignorance":
         return [{a: BOTTOM for a in atoms}]
+    if plan.method == "nmi":
+        outcome = nmi.nmi_iterate(entries, aset, cfg.nmi)
+        if outcome.status == "converged":
+            return [outcome.interp]
+        # only an aggregation is ever inconsistent: the run hit its cap
+        out.truncated = True
+        why = (f"period-{outcome.period} oscillation" if outcome.period
+               else "iteration cap reached")
+        out.notes.append(f"{why} on component {names}")
+        return []
+    noted = len(out.notes)
+    resolved = nmi.solve_kagg_cycle(
+        entries, atoms, cfg.nmi,
+        lambda chosen: _value_component(plan.component, chosen, cfg, out)[0])
+    # a selection values each side from total ignorance, so it reaches
+    # that side's least fixpoint; the sides may also meet at point
+    # fixpoints, or above it, where iterating the aggregation converges
+    try:
+        seed_set = depgraph.select_assumption_set(
+            entries, atoms, plan.cycles, mode="branch_bound")
+    except depgraph.NoValidAssumptionSet:
+        seed_set = aset
+    exact = nmi.branch_and_bound(entries, seed_set, cfg.nmi, cfg.seeds)
     outcome = nmi.nmi_iterate(entries, aset, cfg.nmi)
-    results = [outcome.interp] if outcome.status == "converged" else []
-    if Kagg in kinds:
-        # an aggregation the special-case resolver cannot handle may
-        # hide several point fixpoints the iteration cannot reach;
-        # also try self-reproducing exact seeds
-        try:
-            seed_set = depgraph.select_assumption_set(
-                entries, atoms, plan.cycles, mode="branch_bound")
-        except depgraph.NoValidAssumptionSet:
-            seed_set = aset
-        exact = nmi.branch_and_bound(entries, seed_set, cfg.nmi, cfg.seeds)
-        results = exact + [
-            r for r in results
-            if not any(_close_valuations(r, e, cfg.nmi.answer_tol)
-                       for e in exact)]
-    if not results:
-        names = ",".join(str(a) for a in plan.component)
-        if outcome.status == "max_iters":
-            out.truncated = True
-            why = (f"period-{outcome.period} oscillation" if outcome.period
-                   else "iteration cap reached")
-            out.notes.append(f"{why} on component {names}")
-        else:
-            out.notes.append(
-                f"branch dropped: inconsistent aggregation in {names}")
+    iterated = [outcome.interp] if outcome.status == "converged" else []
+    tol = cfg.nmi.answer_tol
+    results = _merge(_merge(exact, resolved, tol), iterated, tol)
+    # a selection that could not be solved has already noted why
+    if not results and len(out.notes) == noted:
+        out.notes.append(f"no side selection of the aggregations in "
+                         f"component {names} is self-consistent")
     return results
 
 
-def front_half(p: Program) -> FrontHalf:
-    """Ground, transform, and run the monotonic fixpoint."""
-    g = ground(p)
+def _value_component(comp, bodies, cfg: SolverConfig, out):
+    """Value a component's substituted bodies: the monotonic fixpoint
+    first, then a plan for the cycles it leaves.  Returns valuations of
+    every atom of the bodies, and the plan or None; a component that
+    cannot be solved has no valuation, noted in out."""
+    state = mi_fixpoint(bodies)
+    if state.halted_inconsistent:
+        out.notes.append("branch dropped: inconsistent value at "
+                         + ", ".join(str(a) for a in state.inconsistent_atoms))
+        return [], None
+    if not state.residual:
+        return [state.interp], None
+    names = ",".join(str(a) for a in comp)
+    plan = ComponentPlan(comp, state.residual)
+    try:
+        results = _solve_component(plan, cfg, out)
+    except (depgraph.AnalysisOverflow, depgraph.NoValidAssumptionSet,
+            nmi.UnresolvedComponent) as exc:
+        plan.error = str(exc)
+        out.truncated = True
+        out.notes.append(f"branch dropped: component {names} unsolved: {exc}")
+        return [], plan
+    results = [{**state.interp, **values} for values in results]
+    trace_nmi = cfg._sink("nmi")
+    if trace_nmi:
+        for k, values in enumerate(results):
+            trace_nmi(f"component {names} [{plan.method}] "
+                      f"result {k}: {_fmt_vals(values)}")
+    return results, plan
+
+
+def front_half(g: Program) -> FrontHalf:
+    """Transform a ground program and run the monotonic fixpoint."""
     bodies = transform_program(g)
     return FrontHalf(g, bodies, mi_fixpoint(bodies))
 
 
 def component_pass(front: FrontHalf, cfg: SolverConfig) -> ComponentPass:
     """Value every component of the residual, upstream first, on every
-    branch: the monotonic fixpoint first, then a plan for the cycles it
-    leaves.  A component that cannot be solved drops its branch and
+    branch.  A component that cannot be solved drops its branch and
     makes the pass incomplete."""
     residual = front.mi.residual
     out = ComponentPass([dict(front.mi.interp)])
@@ -182,42 +224,19 @@ def component_pass(front: FrontHalf, cfg: SolverConfig) -> ComponentPass:
         return out
     components, topo = depgraph.scc_condense(residual)
     out.components = [components[k] for k in topo]
-    trace_graph, trace_nmi = cfg._sink("graph"), cfg._sink("nmi")
+    trace_graph = cfg._sink("graph")
     if trace_graph:
         trace_graph("components (topo order): "
                     + " | ".join(",".join(str(a) for a in comp)
                                  for comp in out.components))
     for comp in out.components:
-        names = ",".join(str(a) for a in comp)
         next_branches = []
         for branch in out.branches:
-            state = mi_fixpoint({a: substitute(residual[a], branch)
-                                 for a in comp})
-            if state.halted_inconsistent:
-                out.notes.append(
-                    "branch dropped: inconsistent value at "
-                    + ", ".join(str(a) for a in state.inconsistent_atoms))
-                continue
-            if not state.residual:
-                next_branches.append({**branch, **state.interp})
-                continue
-            plan = ComponentPlan(comp)
-            out.plans.append(plan)
-            try:
-                results = _solve_component(plan, state.residual, cfg, out)
-            except (depgraph.AnalysisOverflow, depgraph.NoValidAssumptionSet,
-                    nmi.UnresolvedComponent) as exc:
-                plan.error = str(exc)
-                out.truncated = True
-                out.notes.append(
-                    f"branch dropped: component {names} unsolved: {exc}")
-                continue
-            for k, values in enumerate(results):
-                values = {**state.interp, **values}
-                if trace_nmi:
-                    trace_nmi(f"component {names} [{plan.method}] "
-                              f"result {k}: {_fmt_vals(values)}")
-                next_branches.append({**branch, **values})
+            bodies = {a: substitute(residual[a], branch) for a in comp}
+            valuations, plan = _value_component(comp, bodies, cfg, out)
+            if plan:
+                out.plans.append(plan)
+            next_branches += [{**branch, **values} for values in valuations]
             if len(next_branches) > cfg.max_answer_sets:
                 next_branches = next_branches[:cfg.max_answer_sets]
                 out.truncated = True
@@ -229,7 +248,7 @@ def component_pass(front: FrontHalf, cfg: SolverConfig) -> ComponentPass:
 
 def solve(p: Program, cfg: SolverConfig = None) -> SolveReport:
     cfg = cfg or SolverConfig()
-    return solve_front(front_half(p), cfg)
+    return solve_front(front_half(ground(p)), cfg)
 
 
 def solve_front(front: FrontHalf, cfg: SolverConfig) -> SolveReport:

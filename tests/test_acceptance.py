@@ -21,7 +21,7 @@ from unasp.semantics import (GRID_POINTS, enumerate_grid_supported,
                              grid_intervals, interp_kp_below, is_answer_set,
                              is_supported_model, lookup, reduct,
                              total_from_positive, with_constraints)
-from unasp.solver import SolverConfig
+from unasp.solver import ComponentPass, SolverConfig, _value_component
 from unasp.transform import And, Const, Naf, Neg, Or, Ref
 
 from conftest import atom_values
@@ -139,8 +139,11 @@ def test_criterion_03_pipeline(ex6):
     assert pos[frozenset("yz")] < pos[frozenset("l")]
 
     hijk = {Atom(n): state.residual[Atom(n)] for n in "hijk"}
-    ((values, _),) = solve_kagg_cycle(hijk, tuple(sorted(hijk, key=str)),
-                                      NmiConfig(eps=1e-9))
+    tight = SolverConfig(nmi=NmiConfig(eps=1e-9))
+    (values,) = solve_kagg_cycle(
+        hijk, tuple(sorted(hijk, key=str)), tight.nmi,
+        lambda chosen: _value_component(tuple(chosen), chosen, tight,
+                                        ComponentPass([]))[0])
     assert values[Atom("h")].same_as(Interval(0.5557, 0.7938), eps=5e-4)
 
     uvxw = {Atom(n): state.residual[Atom(n)] for n in "uvxw"}

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from unasp import parse_program
 from unasp.cli import (EXIT_INCOMPLETE, EXIT_NO_ANSWER, EXIT_OK, EXIT_USAGE,
                        run_cli)
+from unasp.intervals import Interval
 
 from conftest import (FOLDED_CYCLES, PARALLEL_EDGES, program_path, PROGRAMS,
                       UNCOVERABLE)
@@ -356,3 +358,42 @@ def test_non_finite_eps_env_falls_back_to_default(value, monkeypatch):
     from unasp import cli
     monkeypatch.setenv("UNASP_EPS", value)
     assert cli._default_eps() == 0.009
+
+
+def test_printed_bound_in_exponent_notation_parses_back(tmp_path, capsys):
+    """solve and --dump-transformed print 6.36e-05; the parser reads it."""
+    target = tmp_path / "small.unasp"
+    target.write_text("a <- [0.0000636,0.5] : [1,1].")
+    assert run_cli(["solve", str(target), "--dump-transformed"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == "a <- [6.36e-05,0.5].\n"
+    (rule,) = parse_program(captured.err).rules
+    assert rule.weight == Interval(0.0000636, 0.5)
+    bound = captured.out.splitlines()[-1].split(": ")[1]
+    assert bound == "[6.36e-05,0.5]"
+    (rule,) = parse_program(f"b <- {bound} : [1,1].").rules
+    assert rule.weight == Interval(0.0000636, 0.5)
+
+
+def test_value_error_from_solving_is_not_a_usage_error(monkeypatch):
+    """Only reading the input turns a ValueError into exit 2; one raised
+    while solving is a fault and propagates."""
+    from unasp import solver
+
+    def fail(front, cfg):
+        raise ValueError("internal fault")
+    monkeypatch.setattr(solver, "component_pass", fail)
+    for command in ("solve", "analyze"):
+        with pytest.raises(ValueError, match="internal fault"):
+            run_cli([command, path("ex6")])
+
+
+@pytest.mark.parametrize("command", ["solve", "analyze", "check"])
+def test_variables_without_constants_are_a_usage_error(command, tmp_path,
+                                                       capsys):
+    target = tmp_path / "unground.unasp"
+    target.write_text("p(X) <- [1,1] : q(X).")
+    model = (["--model", str(PROGRAMS / "ex2.model.json")]
+             if command == "check" else [])
+    assert run_cli([command, str(target), *model]) == EXIT_USAGE
+    assert "has no constants" in capsys.readouterr().err

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from unasp import Atom, Literal, nmi, parse_program, transform_program
+from unasp import (Atom, Literal, is_answer_set, nmi, parse_program, solve,
+                   transform_program)
 from unasp.depgraph import enumerate_cycles, occurrence_paths, build_vpg
 from unasp.intervals import Interval
 from unasp.mi import mi_fixpoint
-from unasp.nmi import (NmiConfig, StructuralMismatch, branch_and_bound,
-                       check_contraction, cycle_gain, nmi_iterate,
-                       solve_kagg_cycle, _inner_pass)
+from unasp.nmi import (NmiConfig, branch_and_bound, check_contraction,
+                       cycle_gain, nmi_iterate, solve_kagg_cycle, _inner_pass)
+from unasp.solver import ComponentPass, SolverConfig, _value_component
 from unasp.transform import And, Const, Kagg, Naf, Neg, Or, Ref
 
 TIGHT = NmiConfig(eps=1e-9)
@@ -186,23 +187,31 @@ class TestContractionClassification:
         assert report.classification == "unclassified"
 
 
+def by_solver(cfg):
+    """The component pass's own valuation of aggregation-free entries,
+    the callback the resolver takes."""
+    out = ComponentPass([])
+    return lambda chosen: _value_component(
+        tuple(chosen), chosen, SolverConfig(nmi=cfg), out)[0]
+
+
 class TestAggregationCycleResolution:
     def test_example8(self, ex8):
         entries = transform_program(ex8)
         comp = tuple(sorted(entries, key=str))
-        results = solve_kagg_cycle(entries, comp, TIGHT)
+        results = solve_kagg_cycle(entries, comp, TIGHT, by_solver(TIGHT))
         assert len(results) == 1
-        values, provenance = results[0]
-        assert provenance == "kagg_dropped"
+        values = results[0]
         assert values[Atom("a")].same_as(iv(0, 0), eps=1e-6)
         assert values[Atom("b")].same_as(iv(0, 0), eps=1e-6)
         assert values[Atom("c")].same_as(iv(1, 1), eps=1e-6)
 
     def test_hijk(self, hijk_entries):
         comp = tuple(sorted(hijk_entries, key=str))
-        results = solve_kagg_cycle(hijk_entries, comp, TIGHT)
+        results = solve_kagg_cycle(hijk_entries, comp, TIGHT,
+                                   by_solver(TIGHT))
         assert len(results) == 1
-        values, _ = results[0]
+        values = results[0]
         assert values[Atom("h")].same_as(iv(0.5557, 0.7938), eps=5e-4)
         assert values[Atom("i")].same_as(iv(0.4443, 0.4443), eps=5e-4)
         assert values[Atom("j")].same_as(iv(0.2062, 0.2062), eps=5e-4)
@@ -212,19 +221,33 @@ class TestAggregationCycleResolution:
         entries = {Atom("a"): Kagg(Const(iv(0, 1)), Naf(ref("b"))),
                    Atom("b"): And((Const(iv(0.5, 0.8)), ref("a")))}
         comp = tuple(sorted(entries, key=str))
-        results = solve_kagg_cycle(entries, comp, TIGHT)
+        results = solve_kagg_cycle(entries, comp, TIGHT, by_solver(TIGHT))
         assert len(results) == 1
-        values, provenance = results[0]
-        assert provenance == "kagg_dropped"
+        values = results[0]
         assert values[Atom("a")].same_as(iv(2 / 3, 2 / 3), eps=1e-6)
 
-    def test_structural_mismatch(self):
-        # no constant operand on the aggregation
+    def test_no_constant_operand(self):
+        """An aggregation with no constant operand is resolved like any
+        other: a = b = [0.5,0.5] is where b ties with not b."""
         entries = {Atom("a"): Kagg(ref("b"), Naf(ref("b"))),
                    Atom("b"): ref("a")}
         comp = tuple(sorted(entries, key=str))
-        with pytest.raises(StructuralMismatch):
-            solve_kagg_cycle(entries, comp, TIGHT)
+        (values,) = solve_kagg_cycle(entries, comp, TIGHT, by_solver(TIGHT))
+        assert values[Atom("a")].same_as(iv(0.5, 0.5), eps=1e-6)
+        assert values[Atom("b")].same_as(iv(0.5, 0.5), eps=1e-6)
+
+    def test_no_constant_operand_through_solve(self):
+        p = parse_program("a <- [1,1] : b. -a <- [0.3,0.6] : b. "
+                          "b <- [0.9,1] : a.")
+        assert str(transform_program(p)[Atom("a")]) \
+            == "(b (x)k -(([0.3,0.6] & b)))"
+        report = solve(p)
+        assert report.status == "ok" and report.answer_sets
+        assert [rec["method"] for rec in report.diagnostics["components"]] \
+            == ["kagg_cycle"]
+        for answer in report.answer_sets:
+            assert is_answer_set(answer, p, candidates=report.answer_sets,
+                                 eps=report.diagnostics["verify_eps"])
 
 
 class TestBranchAndBound:

@@ -83,6 +83,8 @@ class TestParsing:
         ("a <- [x,1].", "1:7: expected 'number', found 'x'"),
         ("a <- [1,1] : b\nc.", "2:1: expected '.', found 'c'"),
         ("a <- [0.5,1.5].", "1:11: number outside [0,1]"),
+        # a number in exponent notation is one token
+        ("a <- [6.36e-05,1e1].", "1:16: number outside [0,1]"),
         ("a <- [0.9,0.2].", "1:6: bad rule weight: "
          "interval bounds out of order: [0.9, 0.2]"),
         ("a <- [1,1] : [0.9,0.2].", "1:14: bad body constant: "

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings, strategies as st
 from unasp import Atom, Literal, parse_program, solve
 from unasp.cli import run_cli
 from unasp.intervals import Interval
-from unasp.nmi import NmiConfig
+from unasp import solver
+from unasp.nmi import KAGG_CAP, NmiConfig
 from unasp.program import Program
 from unasp.semantics import (enumerate_grid_supported, interp_kp_below,
                              is_answer_set, is_supported_model,
@@ -232,10 +233,12 @@ class TestGridTieTolerance:
                           "-a <- [0.212,0.989] : not a, a.")
         cfg = SolverConfig()
         report = solve(p, cfg)
-        assert report.status == "no_answer_set"
+        assert report.status == "ok"
         assert "verifier rejected 1 candidate(s)" \
             in report.diagnostics["notes"]
-        (branch,) = component_pass(front_half(p), cfg).branches
+        branches = component_pass(front_half(p), cfg).branches
+        (branch,) = [b for b in branches
+                     if b[Atom("a")].same_as(Interval(0, 0.120455646), 1e-8)]
         candidate = total_from_positive(branch)
         a = Literal(Atom("a"))
         assert candidate[a].same_as(Interval(0, 0.120455646), 1e-8)
@@ -293,13 +296,96 @@ def test_inconsistent_acyclic_value_drops_its_branch():
 
 
 def test_exact_orbit_reports_its_period():
-    report = solve(parse_program(
-        "a <- [0.32,0.73] : not a, b. -b <- [0.32,0.94] : b, a. "
-        "b <- [0.33,0.97] : a, not a."))
+    report = solve(parse_program("a <- [0.74,0.81] : not a, -a."))
     assert report.status == "incomplete"
     assert not report.answer_sets
     assert report.diagnostics["notes"] \
-        == ["period-3 oscillation on component a,b"]
+        == ["period-2 oscillation on component a"]
+
+
+class TestAggregationSideSelection:
+    def test_no_self_consistent_selection(self):
+        """Iterated, this component ran into a period-3 orbit; neither
+        side of -b's aggregation wins on what its selection gives."""
+        report = solve(parse_program(
+            "a <- [0.32,0.73] : not a, b. -b <- [0.32,0.94] : b, a. "
+            "b <- [0.33,0.97] : a, not a."))
+        assert report.status == "no_answer_set"
+        assert not report.answer_sets
+        assert report.diagnostics["notes"] == [
+            "no side selection of the aggregations in component a,b "
+            "is self-consistent"]
+
+    def test_oscillating_selection_is_incomplete(self):
+        report = solve(parse_program(
+            "a <- [0.09,0.95] : not -a, not a. "
+            "-a <- [0.59,0.73] : a, not -a, a."))
+        assert report.status == "incomplete"
+        assert report.diagnostics["notes"] \
+            == ["period-2 oscillation on component a"]
+        assert [rec["method"] for rec in report.diagnostics["components"]] \
+            == ["kagg_cycle"]
+
+    def test_more_aggregations_than_the_cap(self, monkeypatch):
+        """A ring of KAGG_CAP + 1 aggregations: no side selection is
+        valued, only the component itself."""
+        n = KAGG_CAP + 1
+        p = parse_program(" ".join(
+            f"a{k} <- [0.2,0.6] : [1,1]. -a{k} <- [1,1] : a{(k - 1) % n}."
+            for k in range(n)))
+        calls = []
+        value = solver._value_component
+        monkeypatch.setattr(solver, "_value_component",
+                            lambda *args: calls.append(1) or value(*args))
+        report = solve(p)
+        assert report.status == "incomplete"
+        assert len(calls) == 1
+        (note,) = report.diagnostics["notes"]
+        assert note.startswith("branch dropped: component a0,a1,")
+        assert note.endswith(f"unsolved: more than {KAGG_CAP} aggregations")
+
+    @pytest.mark.parametrize("text, values", [
+        # the right side of a's aggregation, valued from ignorance, stops
+        # at a = [0,0.31], where the left side wins
+        ("a <- [0.08,0.68] : a. a <- [0.6,0.9] : a, [0.1,0.29]. "
+         "-a <- [0.69,1.0] : not a. a <- [0.12,0.18] : not a, not a.",
+         [{"a": (0.12, 0.3928)}, {"a": (1, 1)}]),
+        ("-c <- [0.1,0.2] : a. a <- [0.07,0.98] : [0.53,0.56], -a, c. "
+         "c <- [0.76,0.95] : a, not c, not -c. a <- [0.06,0.94] : c.",
+         [{"a": (0, 7.72408e-09), "c": (0, 0)}])])
+    def test_fixpoints_no_selection_reaches(self, text, values):
+        """Iterating the aggregations themselves finds these."""
+        p = parse_program(text)
+        report = solve(p)
+        assert report.status == "ok"
+        got = sorted((atom_values(i) for i in report.answer_sets),
+                     key=lambda v: v["a"])
+        assert len(got) == len(values)
+        for answer, want in zip(got, values):
+            for name, bounds in want.items():
+                assert answer[name] == pytest.approx(bounds, abs=1e-6)
+        for answer in report.answer_sets:
+            assert is_answer_set(answer, p, candidates=report.answer_sets,
+                                 eps=report.diagnostics["verify_eps"])
+
+    @pytest.mark.parametrize("text, status, values", [
+        # random/97 of tools/answer_corpus.py: a period-3 orbit before
+        ("a <- [0.07,0.7] : not a, -a. -a <- [0.49,0.54] : -a, not a. "
+         "-a <- [0.44,0.59] : [0.02,0.31], a, not -a. "
+         "a <- [0.14,0.62] : not a, a.", "no_answer_set", []),
+        # random/273: a period-4 orbit before
+        ("a <- [0.34,0.97] : not b, not a. -b <- [0.98,1.0] : b. "
+         "b <- [0.26,0.35] : -a, not a, -a.", "ok",
+         [{"a": (0.250634907, 0.715046646),
+           "b": (0.015659870, 0.147001034)}])])
+    def test_former_corpus_oscillations(self, text, status, values):
+        report = solve(parse_program(text))
+        assert report.status == status
+        got = [atom_values(i) for i in report.answer_sets]
+        assert len(got) == len(values)
+        for answer, want in zip(got, values):
+            for name, bounds in want.items():
+                assert answer[name] == pytest.approx(bounds, abs=1e-6)
 
 
 @pytest.mark.parametrize("text", FOLDED_CYCLES.values(), ids=FOLDED_CYCLES)
