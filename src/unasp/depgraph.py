@@ -21,7 +21,7 @@ from . import transform as tf
 
 NAF_EDGE = "-1"
 NEG_EDGE = "~"
-# default bound on the simple cycles of one component
+# bound on the simple cycles of one component
 CYCLE_CAP = 10_000
 
 
@@ -163,7 +163,7 @@ def scc_condense(entries: dict):
     return components, topo
 
 
-def enumerate_cycles(entries: dict, component, cap: int = CYCLE_CAP):
+def enumerate_cycles(entries: dict, component):
     """Every elementary cycle of the component, rotation-normalized,
     as atom sequences without the closing repeat."""
     g = atom_digraph(entries)
@@ -175,8 +175,8 @@ def enumerate_cycles(entries: dict, component, cap: int = CYCLE_CAP):
                           for a in atoms]):
         k = min(range(len(cyc)), key=lambda i: names[cyc[i]])
         cycles.append(cyc[k:] + cyc[:k])
-        if len(cycles) > cap:
-            raise AnalysisOverflow(f"more than {cap} simple cycles")
+        if len(cycles) > CYCLE_CAP:
+            raise AnalysisOverflow(f"more than {CYCLE_CAP} simple cycles")
     cycles.sort(key=lambda c: (len(c), [names[k] for k in c]))
     return [tuple(atoms[k] for k in c) for c in cycles]
 

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 
 from .intervals import BOTTOM, INCONSISTENT, Interval
 from .mi import mi_fixpoint
-from .program import Literal
-from .semantics import evaluate
 from .transform import Const, Kagg, Naf, node_kinds, substitute
 from .depgraph import AnalysisOverflow, NonConstantOperand, build_vpg
 # not called here; the benchmark's spans wrap them under this module too
@@ -227,7 +225,7 @@ def solve_kagg_cycle(entries: dict, component, cfg: NmiConfig, solve):
     entry a <- L (x)k R: for every selection of one side of each, value
     the aggregation-free entries with solve(entries), a list of
     valuations, and keep those in which every chosen side really wins,
-    that is, each original aggregation evaluates to its atom's value.
+    that is, each original aggregation folds to its atom's value.
     Raises AnalysisOverflow beyond KAGG_CAP aggregations."""
     kagg_atoms = [a for a in component if isinstance(entries[a], Kagg)]
     if len(kagg_atoms) > KAGG_CAP:
@@ -238,8 +236,7 @@ def solve_kagg_cycle(entries: dict, component, cfg: NmiConfig, solve):
         for a, side in zip(kagg_atoms, sides):
             chosen[a] = entries[a].right if side else entries[a].left
         for values in solve(chosen):
-            lits = {Literal(a): v for a, v in values.items()}
-            wins = (evaluate(entries[a], lits) for a in kagg_atoms)
+            wins = (substitute(entries[a], values).value for a in kagg_atoms)
             if all(v is not INCONSISTENT
                    and v.same_as(values[a], cfg.answer_tol)
                    for a, v in zip(kagg_atoms, wins)):

@@ -7,9 +7,10 @@ among known candidates).
 
 An interpretation is a supported model when every atom equals the value
 its rules force: its body from `transform.atom_bodies`, the same
-expression that `transform_program` folds for `mi`, evaluated here
-unfolded, one atom at a time; `kagg` breaks ties at `EPS_CMP`, and a
-caller's eps only bounds how far a value may sit from the forced one.
+expression that `transform_program` folds for `mi`, evaluated here as
+written, one atom at a time, by `evaluate`, which shares no code with
+the solver's folding; `kagg` breaks ties at `EPS_CMP`, and a caller's
+eps only bounds how far a value may sit from the forced one.
 
 The grid oracle, which supplies the rivals of small programs, tries
 every grid cell only for the cut atoms, those whose bodies mention

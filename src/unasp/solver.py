@@ -4,14 +4,15 @@ Front half: ground -> transform -> monotonic fixpoint.  Component pass:
 dependency analysis of the residual, then per component in topological
 order and per branch, the branch's values are substituted and the
 monotonic fixpoint values what that leaves acyclic.  Only the cycles
-left are planned (iteration, trivial [0,1] fill, branch-and-bound, or,
-for a component with a certainty aggregation, side selection: each
-selection of one side of every aggregation is valued the same way,
-and kept where the chosen sides win, merged with what exact seeds and
-iterating the aggregations reach) and run, branching the downstream
-computation whenever a component admits several stable valuations.
-`solve` re-checks every emitted answer set with the declarative
-verifier; `unasp analyze` reports the plans instead.
+left are planned (iteration, which leaves a constant-free cycle at
+[0,1]; branch-and-bound; or, for a component with a certainty
+aggregation, side selection: each selection of one side of every
+aggregation is valued the same way, and kept where the chosen sides
+win, merged with what exact seeds and iterating the aggregations reach)
+and run, branching the downstream computation whenever a component
+admits several stable valuations.  `solve` re-checks every emitted
+answer set with the declarative verifier, which shares no valuation
+code with it; `unasp analyze` reports the plans instead.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .intervals import BOTTOM
 from .program import Program, ground
 from . import depgraph, nmi, semantics
 from .mi import MiState, mi_fixpoint
@@ -32,7 +32,6 @@ class SolverConfig:
     nmi: nmi.NmiConfig = field(default_factory=nmi.NmiConfig)
     seeds: list = None             # explicit branch-and-bound seed list
     max_answer_sets: int = 64
-    cycle_cap: int = depgraph.CYCLE_CAP
     trace: set = field(default_factory=set)   # subset of {mi, nmi, graph}
     trace_sink: object = None                 # callable(str)
 
@@ -134,16 +133,15 @@ def _solve_component(plan: ComponentPlan, cfg: SolverConfig, out):
     entries = plan.entries
     atoms = tuple(entries)
     names = ",".join(str(a) for a in plan.component)
-    plan.cycles = depgraph.enumerate_cycles(entries, atoms, cfg.cycle_cap)
+    plan.cycles = depgraph.enumerate_cycles(entries, atoms)
     plan.method = _method(node_kinds(entries.values()))
     bnb = plan.method == "branch_and_bound"
     aset = plan.assumption_set = depgraph.select_assumption_set(
         entries, atoms, plan.cycles, mode="branch_bound" if bnb else "nmi")
     if bnb:
         return nmi.branch_and_bound(entries, aset, cfg.nmi, cfg.seeds)
-    if plan.method == "ignorance":
-        return [{a: BOTTOM for a in atoms}]
-    if plan.method == "nmi":
+    if plan.method != "kagg_cycle":
+        # an ignorance component stays at [0,1]: one step, no change
         outcome = nmi.nmi_iterate(entries, aset, cfg.nmi)
         if outcome.status == "converged":
             return [outcome.interp]

@@ -5,9 +5,10 @@ All rules sharing a head literal are joined into a disjunction of
 same atom are then combined with the certainty aggregator.  Atoms that
 head no rule get the constraint body [0,1].  `atom_body` is that rule,
 the one place it is written, and `atom_bodies` the one place a
-program's rule groups become bodies; `transform_program` folds them into
-the Atom -> body dict `mi` works on, and the verifier in `semantics`
-evaluates them unfolded.  The resulting rules carry no weights.
+program's rule groups become bodies, as written; `transform_program`
+is the one place they are folded, into the Atom -> body dict `mi`
+works on, and the verifier in `semantics` evaluates them unfolded, so
+the two share no valuation code.  The resulting rules carry no weights.
 """
 
 from __future__ import annotations
@@ -139,10 +140,7 @@ def simplify(e, values: dict = None):
     raise TypeError(f"not a body expression: {e!r}")
 
 
-def substitute(e, values: dict):
-    """Replace literal references over the given atoms with constants
-    (see simplify); the result is simplified."""
-    return simplify(e, values)
+substitute = simplify
 
 
 def nodes(e):
@@ -191,8 +189,8 @@ def rules_by_head(p: Program) -> dict:
 
 
 def join_rules(rules):
-    """Disjunction of (body ∧ weight) over the given rules; the empty
-    join is the disjunction identity [0,0]."""
+    """Disjunction of (body ∧ weight) over the given rules, as written;
+    the empty join is the disjunction identity [0,0]."""
     disjuncts = []
     for r in rules:
         parts = tuple(_item_expr(b) for b in r.body) + (Const(r.weight),)
@@ -200,13 +198,13 @@ def join_rules(rules):
     if not disjuncts:
         return Const(FALSE)
     if len(disjuncts) == 1:
-        return simplify(disjuncts[0])
-    return simplify(Or(tuple(disjuncts)))
+        return disjuncts[0]
+    return Or(tuple(disjuncts))
 
 
 def r_join(lit: Literal, p: Program):
-    """The join of every rule with this head."""
-    return join_rules(p.rules_for(lit))
+    """The join of every rule with this head, folded."""
+    return simplify(join_rules(p.rules_for(lit)))
 
 
 def atom_body(pos_rules, neg_rules):
@@ -233,7 +231,5 @@ def atom_bodies(p: Program):
 
 def transform_program(p: Program) -> dict:
     """Atom -> its body, folded: the one table `mi` and the analyses
-    work on."""
-    # join_rules has folded the joins; only a wrapper around them is left
-    return {atom: simplify(body) if isinstance(body, (Kagg, Neg)) else body
-            for atom, body in atom_bodies(p)}
+    work on, and the one place bodies are folded."""
+    return {atom: simplify(body) for atom, body in atom_bodies(p)}

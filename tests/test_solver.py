@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -6,9 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from unasp import Atom, Literal, parse_program, solve
 from unasp.cli import run_cli
 from unasp.intervals import Interval
-from unasp import solver
+from unasp import semantics, solver, transform
 from unasp.nmi import KAGG_CAP, NmiConfig
-from unasp.program import Program
+from unasp.program import Program, ground
 from unasp.semantics import (enumerate_grid_supported, interp_kp_below,
                              is_answer_set, is_supported_model,
                              model_to_json, reduct, total_from_positive,
@@ -189,6 +190,35 @@ def test_solve_groups_rules_without_scanning(path, monkeypatch):
     assert solve(program).status in ("ok", "no_answer_set")
 
 
+def _raise(*args):
+    raise AssertionError("the other side's valuation code was called")
+
+
+@pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.unasp")),
+                         ids=lambda path: path.stem)
+class TestNoSharedValuation:
+    """The solver folds bodies with `transform.simplify`; the verifier
+    evaluates them as written with `semantics.evaluate`.  Neither calls
+    the other's."""
+
+    def test_verifier_folds_nothing(self, path, monkeypatch):
+        program = parse_program(path.read_text())
+        report = solve(program)
+        monkeypatch.setattr(transform, "simplify", _raise)
+        g = ground(program)
+        eps = SolverConfig().nmi.answer_tol
+        assert all(is_answer_set(t, g, candidates=report.answer_sets,
+                                 eps=eps) for t in report.answer_sets)
+
+    def test_solver_evaluates_nothing(self, path, monkeypatch):
+        for module in list(sys.modules.values()):
+            if getattr(module, "evaluate", None) is semantics.evaluate \
+                    and module.__name__.split(".")[0] == "unasp":
+                monkeypatch.setattr(module, "evaluate", _raise)
+        front = front_half(ground(parse_program(path.read_text())))
+        assert component_pass(front, SolverConfig()).branches
+
+
 @pytest.mark.parametrize("config, kw", [
     (NmiConfig, {"eps": float("nan")}), (NmiConfig, {"eps": float("inf")}),
     (NmiConfig, {"eps": -0.1}), (NmiConfig, {"max_outer_iters": 0}),
@@ -270,10 +300,18 @@ class TestUnsolvedComponents:
         assert "assumption_set_error" in rec
         assert any("x,y,z" in note for note in report.diagnostics["notes"])
 
-    def test_cycle_cap_reports_incomplete(self, ex7):
-        report = solve(ex7, SolverConfig(cycle_cap=2))
+    def test_cycle_cap_reports_incomplete(self):
+        """Transitive closure over a ring of 9 constants has more simple
+        cycles than the cap."""
+        ring = "".join(f"e(c{i},c{(i + 1) % 9}).\n" for i in range(9))
+        report = solve(parse_program(
+            "r(X,Y) <- [1,1] : e(X,Y).\n"
+            "r(X,Z) <- [0.9,1] : e(X,Y), r(Y,Z).\n" + ring))
         assert report.status == "incomplete"
-        assert any("a,b,c,d,e,f,g" in note and "more than 2" in note
+        (rec,) = report.diagnostics["components"]
+        names = ",".join(rec["component"])
+        assert names.startswith("r(c0,c0),")
+        assert any(names in note and "more than 10000 simple cycles" in note
                    for note in report.diagnostics["notes"])
 
     def test_every_cyclic_component_is_recorded(self, ex1, ex8):

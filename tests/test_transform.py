@@ -9,7 +9,7 @@ from unasp.program import ConstItem, LitItem, Program, Rule
 from unasp.semantics import (evaluate, evaluate_body, grid_intervals,
                              is_supported_model, reduct, total_from_positive,
                              with_constraints)
-from unasp.transform import (And, Const, Kagg, Naf, Neg, Or, Ref,
+from unasp.transform import (And, Const, Kagg, Naf, Neg, Or, Ref, atom_body,
                              referenced_atoms, rules_by_head, simplify,
                              substitute)
 
@@ -89,6 +89,17 @@ class TestTransformProgram:
         e = tp[Atom("a")]
         assert isinstance(e, Neg)
         assert e.child == Ref(Literal(Atom("b")))
+
+    def test_bodies_are_written_unfolded_and_folded_once(self, ex2):
+        """atom_body keeps r3's body and weight as two constants;
+        transform_program folds them into one."""
+        a = Atom("a")
+        r3 = And((Const(Interval(0.3, 0.5)), Const(Interval(1.0, 1.0))))
+        written = atom_body(*rules_by_head(ex2)[a])
+        assert r3 in written.left.children
+        folded = transform_program(ex2)[a]
+        assert Const(Interval(0.3, 0.5)) in folded.left.children
+        assert r3 not in folded.left.children
 
     def test_every_atom_has_exactly_one_entry(self, ex6):
         tp = transform_program(ex6)
