@@ -11,10 +11,9 @@ from .semantics import (ConsistencyClass, UnboundLiteral, classify_consistency,
                         evaluate, is_answer_set, is_supported_model, reduct,
                         satisfies, total_from_positive)
 from .mi import MiState, gamma_step, mi_fixpoint
-from .depgraph import (AnalysisOverflow, CyclicVpg, NoValidAssumptionSet,
-                       NonConstantOperand, build_vpg, enumerate_cycles,
-                       intersection_table, scc_condense,
-                       select_assumption_set)
+from .depgraph import (AnalysisOverflow, NoValidAssumptionSet,
+                       enumerate_cycles, intersection_table, owned_cycles,
+                       scc_condense, select_assumption_set)
 from .nmi import (ContractionReport, GainVector, NmiConfig, NmiOutcome,
                   branch_and_bound, check_contraction, cycle_gain,
                   nmi_iterate, solve_kagg_cycle)

@@ -8,15 +8,15 @@ edges) straight from the bodies.  The graph algorithms are the
 textbook ones: Tarjan's (1972) strongly connected components, Kahn's
 topological sort taking the smallest ready component first, and
 Johnson's (1975) elementary circuits.  On top of those sit the
-assumption-set selection (which atoms to guess per SCC) and the
-unfurling of cycles into acyclic value-propagation paths.
+assumption-set selection (which atoms to guess per SCC) and cycle
+ownership: the cycles through one chosen atom that avoid the others,
+which both the selection and the contraction check in `nmi` read.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .intervals import tconorm, tnorm
 from . import transform as tf
 
 NAF_EDGE = "-1"
@@ -30,10 +30,6 @@ class AnalysisOverflow(RuntimeError):
 
 
 class NoValidAssumptionSet(RuntimeError):
-    pass
-
-
-class CyclicVpg(RuntimeError):
     pass
 
 
@@ -193,17 +189,20 @@ def _disjunctive_head(expr) -> bool:
     return isinstance(expr, tf.Or)
 
 
-def _covers(chosen, cycles):
-    return all(any(a in cyc for a in chosen) for cyc in cycles)
+def owned_cycles(chosen, cycles) -> dict:
+    """Chosen atom -> the cycles it owns: those through it that avoid
+    every other chosen atom, each rotated to start at it."""
+    owned = {a: [] for a in chosen}
+    for a in chosen:
+        for cyc in cycles:
+            if a in cyc and not any(b in cyc for b in chosen if b != a):
+                k = cyc.index(a)
+                owned[a].append(cyc[k:] + cyc[:k])
+    return owned
 
 
 def _criterion2(chosen, cycles):
-    # each chosen atom owns a cycle through it that avoids the others
-    for a in chosen:
-        if not any(a in cyc and not any(b in cyc for b in chosen if b != a)
-                   for cyc in cycles):
-            return False
-    return True
+    return all(owned_cycles(chosen, cycles).values())
 
 
 def select_assumption_set(entries: dict, component, cycles,
@@ -227,11 +226,18 @@ def select_assumption_set(entries: dict, component, cycles,
         raise ValueError(f"unknown mode: {mode}")
 
     best = None
+    # a node's subtree depends on its chosen set alone, and the size
+    # bound only tightens, so a set met again can reach no better cover
+    seen = set()
 
     def search(chosen, uncovered):
         nonlocal best
         if best is not None and len(chosen) >= len(best):
             return
+        key = frozenset(chosen)
+        if key in seen:
+            return
+        seen.add(key)
         if not uncovered:
             if _criterion2(chosen, cycles):
                 best = list(chosen)
@@ -251,84 +257,6 @@ def select_assumption_set(entries: dict, component, cycles,
         raise NoValidAssumptionSet(
             f"no assumption set covers all cycles of {atoms}")
     return sorted(best, key=str)
-
-
-class NonConstantOperand(ValueError):
-    pass
-
-
-def occurrence_paths(expr, atom):
-    """Step lists from an atom reference out to the rule head.
-
-    Each step is ("naf",), ("neg",), or (op, folded-const-or-None,
-    number-of-non-constant-siblings) for op in {and, or, kagg}.
-    """
-    if isinstance(expr, tf.Const):
-        return []
-    if isinstance(expr, tf.Ref):
-        if expr.literal.atom != atom:
-            return []
-        return [[("neg",)]] if expr.literal.negated else [[]]
-    if isinstance(expr, tf.Naf):
-        return [p + [("naf",)] for p in occurrence_paths(expr.child, atom)]
-    if isinstance(expr, tf.Neg):
-        return [p + [("neg",)] for p in occurrence_paths(expr.child, atom)]
-    if isinstance(expr, tf.Kagg):
-        out = []
-        for side, other in ((expr.left, expr.right), (expr.right, expr.left)):
-            const = other.value if isinstance(other, tf.Const) else None
-            extra = 0 if const is not None else 1
-            for p in occurrence_paths(side, atom):
-                out.append(p + [("kagg", const, extra)])
-        return out
-    op = "and" if isinstance(expr, tf.And) else "or"
-    combine = tnorm if op == "and" else tconorm
-    out = []
-    for k, child in enumerate(expr.children):
-        inner = occurrence_paths(child, atom)
-        if not inner:
-            continue
-        const = None
-        extra = 0
-        for j, sibling in enumerate(expr.children):
-            if j == k:
-                continue
-            if isinstance(sibling, tf.Const):
-                const = sibling.value if const is None \
-                    else combine(const, sibling.value)
-            else:
-                extra += 1
-        for p in inner:
-            out.append(p + [(op, const, extra)])
-    return out
-
-
-def build_vpg(entries: dict, component, assumption_set, cycles):
-    """Unfurl every cycle through each chosen atom (avoiding the other
-    chosen atoms) into an acyclic path of steps."""
-    uncovered = [c for c in cycles if not any(a in c for a in assumption_set)]
-    if uncovered:
-        raise CyclicVpg(f"cycles not covered by {assumption_set}: {uncovered}")
-    vpg = {}
-    for a in assumption_set:
-        paths = []
-        for cyc in cycles:
-            if a not in cyc:
-                continue
-            if any(b in cyc for b in assumption_set if b != a):
-                continue
-            k = cyc.index(a)
-            order = list(cyc[k:] + cyc[:k])  # starts at the chosen atom
-            hops = []
-            for u, v in zip(order, order[1:] + order[:1]):
-                occ = occurrence_paths(entries[v], u)
-                if not occ:
-                    break
-                hops.append(occ[0])
-            else:
-                paths.append({"atoms": order + [a], "segments": hops})
-        vpg[a] = paths
-    return vpg
 
 
 def to_dot(entries: dict) -> str:

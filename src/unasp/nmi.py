@@ -3,10 +3,11 @@
 The chosen (assumption-set) atoms act as the iteration state: each
 outer step substitutes their current values into every body, runs the
 monotonic engine to a fixpoint on the now-acyclic subprogram, and reads
-the chosen atoms back.  Also here: the cycle-gain computation used for
-contraction checks, the resolver for components with certainty
-aggregations, which tries each side of every aggregation and keeps the
-valuations in which the chosen sides win, and grid-seeded
+the chosen atoms back.  Also here: the contraction check, whose one
+walk carries the linearized cycle gain hop by hop through the bodies
+around each cycle a chosen atom owns; the resolver for components with
+certainty aggregations, which tries each side of every aggregation and
+keeps the valuations in which the chosen sides win; and grid-seeded
 branch-and-bound for components with no constants to anchor the
 iteration.
 """
@@ -17,10 +18,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .intervals import BOTTOM, INCONSISTENT, Interval
+from .intervals import BOTTOM, INCONSISTENT, Interval, tconorm, tnorm
 from .mi import mi_fixpoint
-from .transform import Const, Kagg, Naf, node_kinds, substitute
-from .depgraph import AnalysisOverflow, NonConstantOperand, build_vpg
+from .transform import (And, Const, Kagg, Naf, Neg, Or, Ref, node_kinds,
+                        substitute)
+from .depgraph import AnalysisOverflow, owned_cycles
 # not called here; the benchmark's spans wrap them under this module too
 from .depgraph import enumerate_cycles, select_assumption_set  # noqa: F401
 
@@ -121,47 +123,74 @@ def nmi_iterate(entries: dict, assumption_set, cfg: NmiConfig,
                       history, deltas)
 
 
-def _walk_path(vpp: dict):
-    """Linearized update coefficients along one value-propagation path,
-    from the constant operands alone.
+def _carry(expr, atom, state):
+    """The linearized state (g1, g2, varying, disjunctive) carried from
+    the first reference to atom in expr, depth first and left to right,
+    out to expr's root; None when expr does not mention atom.
 
-    Walks the path keeping a coefficient per interval bound: classical
-    negation swaps the bounds, naf makes both depend on the lower one,
-    a conjunction with constant operand scales by its bounds, a
-    disjunction by one minus its bounds.  Also returns the number of
-    non-constant operands met along the way and the operators met.
-    """
-    g1 = g2 = 1.0
-    varying = 0
-    ops = set()
-    for step in itertools.chain.from_iterable(vpp["segments"]):
-        kind = step[0]
-        ops.add(kind)
-        if kind == "neg":
-            g1, g2 = g2, g1
-        elif kind == "naf":
-            g2 = g1
-        else:
-            const, extra = step[1], step[2]
-            varying += extra
-            if kind == "and" and const is not None:
+    g1 and g2 are the coefficients of the two interval bounds, taken
+    from the constant operands alone: classical negation swaps them,
+    naf makes both depend on the lower one, a conjunction scales them
+    by its folded constant operands and a disjunction by one minus
+    those.  varying counts the non-constant operands met, disjunctive
+    whether a disjunction was.  The walk has no aggregation case: a
+    component with one is classed before any walk."""
+    if isinstance(expr, Ref):
+        if expr.literal.atom != atom:
+            return None
+        g1, g2, varying, disjunctive = state
+        return (g2, g1, varying, disjunctive) if expr.literal.negated \
+            else state
+    if isinstance(expr, (Naf, Neg)):
+        inner = _carry(expr.child, atom, state)
+        if inner is None:
+            return None
+        g1, g2, varying, disjunctive = inner
+        if isinstance(expr, Naf):
+            return (g1, g1, varying, disjunctive)
+        return (g2, g1, varying, disjunctive)
+    if isinstance(expr, (And, Or)):
+        combine = tnorm if isinstance(expr, And) else tconorm
+        for k, child in enumerate(expr.children):
+            inner = _carry(child, atom, state)
+            if inner is None:
+                continue
+            g1, g2, varying, disjunctive = inner
+            const = None
+            for j, sibling in enumerate(expr.children):
+                if j == k:
+                    continue
+                if isinstance(sibling, Const):
+                    const = sibling.value if const is None \
+                        else combine(const, sibling.value)
+                else:
+                    varying += 1
+            if isinstance(expr, Or):
+                disjunctive = True
+                if const is not None:
+                    g1 *= 1.0 - const.lower
+                    g2 *= 1.0 - const.upper
+            elif const is not None:
                 g1 *= const.lower
                 g2 *= const.upper
-            elif kind == "or" and const is not None:
-                g1 *= 1.0 - const.lower
-                g2 *= 1.0 - const.upper
-    return GainVector(g1, g2), varying, ops
+            return (g1, g2, varying, disjunctive)
+    return None
 
 
-def cycle_gain(vpp: dict) -> GainVector:
-    """Linearized update coefficients along one value-propagation path
-    whose conjunctions and disjunctions all have constant operands."""
-    gain, varying, ops = _walk_path(vpp)
-    if "kagg" in ops:
-        raise NonConstantOperand("aggregation node in path")
-    if varying:
-        raise NonConstantOperand("path has non-constant operands")
-    return gain
+def _walk_cycle(entries: dict, cycle):
+    """(GainVector, varying, disjunctive) once around the cycle, hop by
+    hop from cycle[0], each hop u->v carried through v's body."""
+    state = (1.0, 1.0, 0, False)
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        state = _carry(entries[v], u, state)
+    g1, g2, varying, disjunctive = state
+    return GainVector(g1, g2), varying, disjunctive
+
+
+def cycle_gain(entries: dict, cycle) -> GainVector:
+    """Linearized update coefficients once around the cycle from
+    cycle[0], from the constant operands alone."""
+    return _walk_cycle(entries, cycle)[0]
 
 
 @dataclass
@@ -169,7 +198,7 @@ class ContractionReport:
     classification: str   # no_naf_no_kagg | simple_cycle_gain_lt1 |
                           # conj_path_bound | kagg_cycle |
                           # branch_bound_required | unclassified
-    gains: dict = field(default_factory=dict)   # Atom -> GainVector | None
+    gains: dict = field(default_factory=dict)   # Atom -> GainVector
 
 
 def check_contraction(entries: dict, component, assumption_set,
@@ -184,29 +213,26 @@ def check_contraction(entries: dict, component, assumption_set,
     if Const not in kinds:
         # nothing damps the cycle; only exact seeds can stabilize it
         return ContractionReport("branch_bound_required")
-    vpg = build_vpg(entries, component, assumption_set, cycles)
+    walks = {atom: [_walk_cycle(entries, cyc) for cyc in owned]
+             for atom, owned in owned_cycles(assumption_set, cycles).items()}
     if len(cycles) == 1 and len(assumption_set) == 1:
-        atom = assumption_set[0]
-        if vpg[atom]:
-            try:
-                gain = cycle_gain(vpg[atom][0])
-                if gain.norm < 1.0:
-                    return ContractionReport("simple_cycle_gain_lt1",
-                                             {atom: gain})
-                return ContractionReport("unclassified", {atom: gain})
-            except NonConstantOperand:
-                pass
+        (atom,) = assumption_set
+        ((gain, varying, _),) = walks[atom]
+        if not varying:
+            if gain.norm < 1.0:
+                return ContractionReport("simple_cycle_gain_lt1",
+                                         {atom: gain})
+            return ContractionReport("unclassified", {atom: gain})
     bounds, gains = [], {}
-    for atom in assumption_set:
-        for vpp in vpg.get(atom, []):
-            # a conjunction-only path: constant-only gain against the
-            # number of varying conjuncts
-            gain, k, ops = _walk_path(vpp)
-            if ops & {"or", "kagg"}:
+    for atom, walked in walks.items():
+        for gain, varying, disjunctive in walked:
+            if disjunctive:
                 bounds.append(False)
                 continue
+            # a conjunction-only cycle: constant-only gain against the
+            # number of varying conjuncts
             gains[atom] = GainVector(gain.norm, gain.norm)
-            bounds.append(gain.norm < 1.0 / (k + 2))
+            bounds.append(gain.norm < 1.0 / (varying + 2))
     if bounds and all(bounds):
         return ContractionReport("conj_path_bound", gains)
     return ContractionReport("unclassified", gains)

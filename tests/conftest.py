@@ -6,7 +6,8 @@ import pytest
 from unasp import Atom, Literal, parse_program
 from unasp.intervals import EPS_CMP, INCONSISTENT
 from unasp.semantics import GRID_POINTS, evaluate, grid_intervals
-from unasp.transform import atom_body, rules_by_head
+from unasp.transform import (Kagg, Naf, Or, atom_body, node_kinds,
+                             rules_by_head)
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
 
@@ -131,3 +132,46 @@ def brute_force_grid(p, points=GRID_POINTS, eps=EPS_CMP):
         if all(agrees(actual, body, i) for actual, body in zip(combo, bodies)):
             found.append(i)
     return found
+
+
+def unmemoized_assumption_set(entries, component, cycles, mode="nmi"):
+    """Reference assumption-set search: the greedy cover with
+    backtracking over every ordering of the chosen atoms, pruned on size
+    alone, with each chosen atom owning a cycle through it that avoids
+    the others; None when no cover qualifies."""
+    atoms = sorted(component, key=str)
+    candidates = [a for a in atoms
+                  if mode == "nmi" or Naf in node_kinds([entries[a]])]
+
+    def disjunctive(expr):
+        if isinstance(expr, Kagg):
+            return disjunctive(expr.left) or disjunctive(expr.right)
+        return isinstance(expr, Or)
+
+    def owns_one(chosen):
+        return all(any(a in cyc and not any(b in cyc for b in chosen
+                                            if b != a)
+                       for cyc in cycles)
+                   for a in chosen)
+
+    best = None
+
+    def search(chosen, uncovered):
+        nonlocal best
+        if best is not None and len(chosen) >= len(best):
+            return
+        if not uncovered:
+            if owns_one(chosen):
+                best = list(chosen)
+            return
+        ranked = sorted(
+            (a for a in candidates if a not in chosen),
+            key=lambda a: (-sum(1 for cyc in uncovered if a in cyc),
+                           not disjunctive(entries[a]), str(a)))
+        for a in ranked:
+            if not any(a in cyc for cyc in uncovered):
+                break
+            search(chosen + [a], [cyc for cyc in uncovered if a not in cyc])
+
+    search([], list(cycles))
+    return None if best is None else sorted(best, key=str)

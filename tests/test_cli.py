@@ -202,6 +202,24 @@ class TestAnalyze:
         assert run_cli(["analyze", path("ex6"), "--dot", str(dot)]) == EXIT_OK
         assert "KAGG" in dot.read_text()
 
+    @pytest.mark.parametrize("name, text, contraction, aset, gains", [
+        ("ex7", None, "unclassified", ["b", "d"], {"d": [0.63, 0.63, 0.63]}),
+        ("naf-self-loop", "a <- [0.5,0.6] : not a, [0.8,0.9].\n",
+         "simple_cycle_gain_lt1", ["a"], {"a": [0.4, 0.54, 0.54]}),
+    ])
+    def test_cycle_gains(self, name, text, contraction, aset, gains,
+                         tmp_path, capsys):
+        target = path(name)
+        if text is not None:
+            target = tmp_path / f"{name}.unasp"
+            target.write_text(text)
+        assert run_cli(["analyze", str(target), "--format", "json"]) \
+            == EXIT_OK
+        (record,) = json.loads(capsys.readouterr().out)["components"]
+        assert record["contraction"] == contraction
+        assert record["assumption_set"] == aset
+        assert record["gains"] == gains
+
     def test_inconsistent_program(self, capsys):
         assert run_cli(["analyze", path("ex5"), "--format", "json"]) \
             == EXIT_OK

@@ -2,14 +2,18 @@ import random
 
 import pytest
 
-from unasp import Atom, Literal, transform_program
+from unasp import Atom, Literal, parse_program, solve, transform_program
+from unasp import depgraph
 from unasp.depgraph import (NAF_EDGE, NEG_EDGE, NoValidAssumptionSet,
-                            atom_digraph, build_vpg, enumerate_cycles,
-                            intersection_table, occurrence_paths,
-                            scc_condense, select_assumption_set, to_dot)
+                            atom_digraph, enumerate_cycles,
+                            intersection_table, owned_cycles, scc_condense,
+                            select_assumption_set, to_dot)
 from unasp.intervals import Interval
 from unasp.mi import mi_fixpoint
+from unasp.nmi import cycle_gain
 from unasp.transform import And, Const, Naf, Neg, Or, Ref
+
+from conftest import unmemoized_assumption_set
 
 
 def ref(name, negated=False):
@@ -215,18 +219,18 @@ class TestAssumptionSets:
 
     def test_example7_published_choice_is_valid(self, ex7_entries,
                                                 ex7_cycles):
-        from unasp.depgraph import _covers, _criterion2
+        from unasp.depgraph import _criterion2
         chosen = [Atom("a"), Atom("g")]
-        assert _covers(chosen, ex7_cycles)
+        assert all(any(a in cyc for a in chosen) for cyc in ex7_cycles)
         assert _criterion2(chosen, ex7_cycles)
 
     def test_example7_greedy_selection_is_valid(self, ex7_entries,
                                                 ex7_cycles):
-        from unasp.depgraph import _covers, _criterion2
+        from unasp.depgraph import _criterion2
         comp = tuple(sorted(ex7_entries, key=str))
         chosen = select_assumption_set(ex7_entries, comp, ex7_cycles)
         assert len(chosen) == 2
-        assert _covers(chosen, ex7_cycles)
+        assert all(any(a in cyc for a in chosen) for cyc in ex7_cycles)
         assert _criterion2(chosen, ex7_cycles)
 
     def test_disjunction_fed_atom_preferred(self):
@@ -253,37 +257,95 @@ class TestAssumptionSets:
                                   mode="branch_bound")
 
 
+def self_loop_ring(n):
+    """Each atom loops on itself and feeds the previous one: n
+    self-loops and one ring, so every atom must be chosen."""
+    return "\n".join(f"a{i} <- [0.5,0.6] : a{i}, a{(i + 1) % n}."
+                     for i in range(n))
+
+
+def _random_entries(rng):
+    names = "abcdefg"[:rng.randint(3, 7)]
+    entries = {}
+    for a in names:
+        parts = [Naf(ref(b)) if rng.random() < 0.4 else ref(b)
+                 for b in rng.sample(names, rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            parts.append(Const(Interval(0.2, 0.7)))
+        op = And if rng.random() < 0.6 else Or
+        entries[Atom(a)] = parts[0] if len(parts) == 1 else op(tuple(parts))
+    return entries
+
+
+class TestSearchMemo:
+    def test_each_chosen_set_is_searched_once(self, monkeypatch):
+        entries = transform_program(parse_program(self_loop_ring(8)))
+        comp = tuple(sorted(entries, key=str))
+        cycles = enumerate_cycles(entries, comp)
+        calls = 0
+        rank = depgraph._disjunctive_head
+
+        def counted(expr):
+            nonlocal calls
+            calls += 1
+            return rank(expr)
+
+        monkeypatch.setattr(depgraph, "_disjunctive_head", counted)
+        assert select_assumption_set(entries, comp, cycles) == list(comp)
+        # one call per candidate at each of the 2**8 chosen sets, at most
+        assert calls <= 2048
+
+    def test_ten_atom_ring_solves(self):
+        report = solve(parse_program(self_loop_ring(10)))
+        assert report.status == "ok"
+        (record,) = report.diagnostics["components"]
+        assert record["assumption_set"] == [f"a{i}" for i in range(10)]
+
+    @pytest.mark.parametrize("mode", ["nmi", "branch_bound"])
+    def test_matches_unmemoized_search(self, mode):
+        rng = random.Random(31)
+        compared = 0
+        while compared < 150:
+            entries = _random_entries(rng)
+            components, _ = scc_condense(entries)
+            for comp in components:
+                cycles = enumerate_cycles(entries, comp)
+                if not cycles:
+                    continue
+                want = unmemoized_assumption_set(entries, comp, cycles, mode)
+                try:
+                    got = select_assumption_set(entries, comp, cycles, mode)
+                except NoValidAssumptionSet:
+                    got = None
+                assert got == want
+                compared += 1
+
+
 class TestValuePropagation:
-    def test_occurrence_paths_orders_steps_inside_out(self):
-        expr = And((Const(Interval(0.3, 0.4)), Naf(Neg(ref("a")))))
-        (path,) = occurrence_paths(expr, Atom("a"))
-        assert path[0] == ("neg",)
-        assert path[1] == ("naf",)
-        assert path[2][0] == "and"
-        assert path[2][1].same_as(Interval(0.3, 0.4))
+    def test_walk_orders_steps_inside_out(self):
+        # naf then classical negation, or the other way round, on the way
+        # out of the same reference
+        inner = And((Const(Interval(0.5, 0.8)), ref("a")))
+        const = Const(Interval(0.3, 0.4))
+        for body, g1, g2 in ((And((const, Neg(Naf(inner)))), 0.15, 0.2),
+                             (And((const, Naf(Neg(inner)))), 0.24, 0.32)):
+            gain = cycle_gain({Atom("a"): body}, (Atom("a"),))
+            assert (gain.g1, gain.g2) == (pytest.approx(g1, abs=1e-12),
+                                          pytest.approx(g2, abs=1e-12))
 
     def test_self_loop(self):
-        entries = {Atom("p"): Naf(ref("p"))}
-        vpg = build_vpg(entries, (Atom("p"),), [Atom("p")],
-                        enumerate_cycles(entries, (Atom("p"),)))
-        (path,) = vpg[Atom("p")]
-        assert path["segments"] == [[("naf",)]]
+        gain = cycle_gain({Atom("p"): Naf(ref("p"))}, (Atom("p"),))
+        assert (gain.g1, gain.g2) == (1.0, 1.0)
 
     def test_hijk_path(self, ex6_residual):
         comp = tuple(Atom(n) for n in "hijk")
         cycles = enumerate_cycles(ex6_residual, comp)
-        vpg = build_vpg(ex6_residual, comp, [Atom("h")], cycles)
-        (path,) = vpg[Atom("h")]
-        assert names(path["atoms"]) == ("h", "i", "j", "k", "h")
+        owned = owned_cycles([Atom("h")], cycles)
+        assert [names(c) for c in owned[Atom("h")]] == [("h", "i", "j", "k")]
 
-    def test_example7_published_set_gives_two_paths(self, ex7_entries,
-                                                    ex7_cycles):
-        comp = tuple(sorted(ex7_entries, key=str))
-        vpg = build_vpg(ex7_entries, comp, [Atom("a"), Atom("g")],
-                        ex7_cycles)
+    def test_example7_published_set_gives_two_paths(self, ex7_cycles):
+        owned = owned_cycles([Atom("a"), Atom("g")], ex7_cycles)
         # a owns the short cycle, g owns gdefg; the long cycle passes
-        # through both chosen atoms and is excluded from both unfurlings
-        assert len(vpg[Atom("a")]) == 1
-        assert names(vpg[Atom("a")][0]["atoms"]) == ("a", "b", "c", "a")
-        assert len(vpg[Atom("g")]) == 1
-        assert names(vpg[Atom("g")][0]["atoms"]) == ("g", "d", "e", "f", "g")
+        # through both chosen atoms and is owned by neither
+        assert [names(c) for c in owned[Atom("a")]] == [("a", "b", "c")]
+        assert [names(c) for c in owned[Atom("g")]] == [("g", "d", "e", "f")]

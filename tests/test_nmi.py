@@ -4,7 +4,7 @@ import pytest
 
 from unasp import (Atom, Literal, is_answer_set, nmi, parse_program, solve,
                    transform_program)
-from unasp.depgraph import enumerate_cycles, occurrence_paths, build_vpg
+from unasp.depgraph import enumerate_cycles, owned_cycles
 from unasp.intervals import Interval
 from unasp.mi import mi_fixpoint
 from unasp.nmi import (NmiConfig, branch_and_bound, check_contraction,
@@ -116,8 +116,7 @@ def _fig8_expr(x1y1, x2y2, x3y3, x4y4):
 class TestCycleGain:
     def test_published_numeric_instance(self):
         expr = _fig8_expr((0.5, 0.8), (0.6, 0.9), (0.2, 0.4), (0.7, 1.0))
-        (path,) = occurrence_paths(expr, Atom("a"))
-        gain = cycle_gain({"segments": [path]})
+        gain = cycle_gain({Atom("a"): expr}, (Atom("a"),))
         assert gain.g1 == pytest.approx(0.2688, abs=1e-12)
         assert gain.g2 == pytest.approx(0.384, abs=1e-12)
         assert gain.norm == pytest.approx(0.384, abs=1e-12)
@@ -129,10 +128,7 @@ class TestCycleGain:
                       for _ in range(4)]
             (x1, y1), (x2, y2), (x3, y3), (x4, y4) = consts
             expr = _fig8_expr(*consts)
-            entries = {Atom("a"): expr}
-            vpg = build_vpg(entries, (Atom("a"),), [Atom("a")],
-                            enumerate_cycles(entries, (Atom("a"),)))
-            gain = cycle_gain(vpg[Atom("a")][0])
+            gain = cycle_gain({Atom("a"): expr}, (Atom("a"),))
             assert gain.g1 == pytest.approx(y1 * x2 * x4 * (1 - x3),
                                             abs=1e-12)
             assert gain.g2 == pytest.approx(y1 * x2 * y4 * (1 - x3),
@@ -144,9 +140,9 @@ class TestCycleGain:
         branch = node.right if isinstance(node.left, Const) else node.left
         entries[Atom("j")] = branch
         comp = tuple(sorted(entries, key=str))
-        vpg = build_vpg(entries, comp, [Atom("h")],
-                        enumerate_cycles(entries, comp))
-        gain = cycle_gain(vpg[Atom("h")][0])
+        owned = owned_cycles([Atom("h")], enumerate_cycles(entries, comp))
+        (cycle,) = owned[Atom("h")]
+        gain = cycle_gain(entries, cycle)
         assert gain.norm == pytest.approx(0.464, abs=1e-9)
 
 
