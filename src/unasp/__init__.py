@@ -5,8 +5,7 @@ from .intervals import (INCONSISTENT, EPS_CMP, Interval, OrderFamily,
                         tnorm)
 from .program import (Atom, ConstItem, LitItem, Literal, ParseError, Program,
                       Rule, ground, parse_program)
-from .transform import (body_expr, r_join, simplify, substitute,
-                        transform_program)
+from .transform import r_join, simplify, substitute, transform_program
 from .semantics import (ConsistencyClass, UnboundLiteral, classify_consistency,
                         evaluate, is_answer_set, is_supported_model, reduct,
                         satisfies, total_from_positive)

@@ -124,10 +124,6 @@ class Program:
     def rules_for(self, lit: Literal) -> list:
         return [r for r in self.rules if r.head == lit]
 
-    def headless_atoms(self) -> set:
-        headed = {r.head.atom for r in self.rules}
-        return self.atom_base - headed
-
     def __str__(self):
         return "\n".join(str(r) for r in self.rules)
 

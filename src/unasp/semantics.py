@@ -3,7 +3,10 @@
 Valuation of body expressions, interpretation consistency (three-way
 classification), rule satisfaction, supportedness, reducts, and the
 answer-set check (supported model of the reduct, minimally certain
-among known candidates).
+among known candidates).  The reduct carries the closed world, so it
+keeps the program's atom base; a candidate is checked against the
+program itself, and the reduct is built only for the candidates below
+it in certainty and for the grid.
 
 An interpretation is a supported model when every atom equals the value
 its rules force: its body from `transform.atom_bodies`, the same
@@ -29,7 +32,7 @@ import json
 from .intervals import (BOTTOM, INCONSISTENT, EPS_CMP, TRUE, Interval,
                         Ordering, OrderFamily, compare, kagg, naf, negate,
                         tconorm, tnorm)
-from .program import Atom, ConstItem, LitItem, Literal, Program, Rule
+from .program import ConstItem, LitItem, Literal, Program, Rule
 from . import transform as tf
 from .depgraph import scc_condense
 
@@ -83,11 +86,6 @@ def evaluate(e, i: dict):
     raise TypeError(f"not a body expression: {e!r}")
 
 
-def evaluate_body(r: Rule, i: dict):
-    """Value of a rule body (conjunction of its items), without weight."""
-    return evaluate(tf.body_expr(r), i)
-
-
 def classify_consistency(i: dict) -> ConsistencyClass:
     if any(v is INCONSISTENT for v in i.values()):
         return ConsistencyClass.INCONSISTENT
@@ -115,7 +113,7 @@ def satisfies(i: dict, r: Rule, eps: float = EPS_CMP) -> bool:
     """Head value equals body∧weight, or strictly beats it in certainty
     or in truth degree."""
     head = lookup(i, r.head)
-    body = tnorm(evaluate_body(r, i), r.weight)
+    body = evaluate(tf.join_rules([r]), i)
     if head is INCONSISTENT or body is INCONSISTENT:
         return False
     if head.same_as(body, eps):
@@ -123,14 +121,6 @@ def satisfies(i: dict, r: Rule, eps: float = EPS_CMP) -> bool:
     if compare(head, body, OrderFamily.KNOWLEDGE_PREORDER, eps) is Ordering.GREATER:
         return True
     return compare(head, body, OrderFamily.TRUTH_PREORDER, eps) is Ordering.GREATER
-
-
-def with_constraints(p: Program) -> Program:
-    """Program extended with a <- [1,1] : [0,1] for every atom that
-    heads no rule (the closed-world constraint)."""
-    extra = [Rule(Literal(a, False), TRUE, (ConstItem(BOTTOM),), f"c#{a}")
-             for a in sorted(p.headless_atoms(), key=str)]
-    return Program(p.rules + extra) if extra else p
 
 
 def _agrees(actual, req, eps: float) -> bool:
@@ -141,7 +131,7 @@ def _agrees(actual, req, eps: float) -> bool:
 
 def is_supported_model(i: dict, p: Program, eps: float = EPS_CMP) -> bool:
     """Every atom carries exactly the value its rules produce and the
-    complementary literal mirrors it."""
+    complementary literal mirrors it; False if a literal is unbound."""
     try:
         for atom, body in tf.atom_bodies(p):
             actual = lookup(i, Literal(atom, False))
@@ -160,14 +150,19 @@ def is_supported_model(i: dict, p: Program, eps: float = EPS_CMP) -> bool:
 
 
 def reduct(p: Program, i: dict) -> Program:
-    """Replace every naf body item with the constant it evaluates to."""
-    rules = []
-    for r in p.rules:
-        body = tuple(
-            ConstItem(naf(lookup(i, b.literal)))
-            if isinstance(b, LitItem) and b.naf else b
-            for b in r.body)
-        rules.append(Rule(r.head, r.weight, body, r.label))
+    """P^i: every naf body item replaced with the constant it evaluates
+    to under i, plus the closed world, a <- [1,1] : [0,1] (label c#a)
+    for every atom that heads no rule.  The closed-world rules keep the
+    atom base of p, so an atom read only through naf stays an atom of
+    the reduct and of every rival drawn from it."""
+    rules = [Rule(r.head, r.weight,
+                  tuple(ConstItem(naf(lookup(i, b.literal)))
+                        if isinstance(b, LitItem) and b.naf else b
+                        for b in r.body), r.label)
+             for r in p.rules]
+    headed = {r.head.atom for r in p.rules}
+    rules += [Rule(Literal(a, False), TRUE, (ConstItem(BOTTOM),), f"c#{a}")
+              for a in sorted(p.atom_base - headed, key=str)]
     return Program(rules)
 
 
@@ -262,22 +257,26 @@ def is_answer_set(i: dict, p: Program, candidates=(),
     """Supported model of the reduct, with no known supported model of
     the same reduct strictly more uncertain-dominated below it.
 
-    Minimality over the continuum is undecidable; it is checked against
-    the supplied candidates plus, for small programs, a brute-force
-    grid enumeration.  Grid models are supported models of the reduct by
-    construction (the same bodies, `evaluate` and `_agrees` as
-    `is_supported_model`), so only the candidates are re-checked.
+    i is checked against p itself: naf reads i in p and in P^i alike,
+    so the two verdicts are the same, bit for bit.  Minimality over the
+    continuum is undecidable; it is checked against the supplied
+    candidates plus, for small programs, a brute-force grid
+    enumeration, and the reduct is built only for those.  Grid models
+    are supported models of the reduct by construction (the same
+    bodies, `evaluate` and `_agrees` as `is_supported_model`), so only
+    the candidates are re-checked.
     """
-    try:
-        red = reduct(with_constraints(p), i)
-    except UnboundLiteral:
+    if not is_supported_model(i, p, eps):
         return False
-    if not is_supported_model(i, red, eps):
+    rivals = [c for c in candidates
+              if c is not i and interp_kp_below(c, i, eps)]
+    small = len(p.atom_base) <= GRID_MAX_ATOMS
+    if not (rivals or small):
+        return True
+    red = reduct(p, i)
+    if any(is_supported_model(c, red, eps) for c in rivals):
         return False
-    if any(c is not i and interp_kp_below(c, i, eps)
-           and is_supported_model(c, red, eps) for c in candidates):
-        return False
-    if len(p.atom_base) > GRID_MAX_ATOMS:
+    if not small:
         return True
     return not any(interp_kp_below(c, i, eps)
                    for c in enumerate_grid_supported(red, eps=eps))
@@ -287,7 +286,7 @@ def model_to_json(i: dict) -> dict:
     pos, neg = {}, {}
     for lit, v in sorted(i.items(), key=lambda kv: str(kv[0])):
         bucket = neg if lit.negated else pos
-        bucket[str(lit.atom)] = [round(v.lower, 9), round(v.upper, 9)]
+        bucket[str(lit.atom)] = [v.lower, v.upper]
     out = {"positive": pos}
     if neg:
         out["negative"] = neg
@@ -307,6 +306,9 @@ def model_from_json(data: dict, p: Program) -> dict:
         if not isinstance(bounds, dict):
             raise ValueError(f"model {section!r} must be a JSON object")
         for name, value in bounds.items():
+            if name not in atoms:
+                raise ValueError(f"model {section} {name!r}: not an atom "
+                                 f"of the program")
             if not (isinstance(value, list) and len(value) == 2
                     and all(type(x) in (int, float) for x in value)):
                 raise ValueError(f"model {section} {name!r}: expected two "
@@ -315,7 +317,7 @@ def model_from_json(data: dict, p: Program) -> dict:
                 value = Interval(*value)
             except ValueError as exc:
                 raise ValueError(f"model {section} {name!r}: {exc}") from None
-            i[Literal(atoms.get(name, Atom(name)), negated)] = value
+            i[Literal(atoms[name], negated)] = value
     # strictly consistent closure for missing negative literals
     for lit in list(i):
         comp = lit.complement()

@@ -173,12 +173,6 @@ def _item_expr(item):
     return Naf(ref) if item.naf else ref
 
 
-def body_expr(rule) -> object:
-    """The rule body as an expression tree, weight not included."""
-    parts = tuple(_item_expr(b) for b in rule.body)
-    return parts[0] if len(parts) == 1 else And(parts)
-
-
 def rules_by_head(p: Program) -> dict:
     """Atom -> (rules with head a, rules with head -a) for every atom of
     the program, headless ones included, in program order."""

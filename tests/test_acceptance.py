@@ -5,7 +5,6 @@ use seeded generators so every run exercises the same family.
 """
 
 import itertools
-import math
 import random
 
 import pytest
@@ -20,7 +19,7 @@ from unasp.program import ConstItem, LitItem, Program, Rule
 from unasp.semantics import (GRID_POINTS, enumerate_grid_supported,
                              grid_intervals, interp_kp_below, is_answer_set,
                              is_supported_model, lookup, reduct,
-                             total_from_positive, with_constraints)
+                             total_from_positive)
 from unasp.solver import ComponentPass, SolverConfig, _value_component
 from unasp.transform import And, Const, Naf, Neg, Or, Ref
 
@@ -368,9 +367,8 @@ def _grid_answer_sets(p, extra_rivals=()):
     against `extra_rivals` (here: the solver's outputs), each verified
     as a supported model of the candidate's reduct before it counts.
     """
-    p_c = with_constraints(p)
-    atoms = sorted(p_c.atom_base, key=str)
-    naf_lits = sorted({b.literal for r in p_c.rules for b in r.body
+    atoms = sorted(p.atom_base, key=str)
+    naf_lits = sorted({b.literal for r in p.rules for b in r.body
                        if isinstance(b, LitItem) and b.naf}, key=str)
     cells = grid_intervals()
     supported_by_reduct = {}
@@ -380,7 +378,7 @@ def _grid_answer_sets(p, extra_rivals=()):
         key = tuple(round(lookup(i, lit).lower, 9) for lit in naf_lits)
         if key not in supported_by_reduct:
             supported_by_reduct[key] = enumerate_grid_supported(
-                reduct(p_c, i), eps=1e-9)
+                reduct(p, i), eps=1e-9)
         supported = supported_by_reduct[key]
         if not any(all(j[Literal(a)].same_as(i[Literal(a)], 1e-9)
                        for a in atoms) for j in supported):
@@ -395,7 +393,7 @@ def _grid_answer_sets(p, extra_rivals=()):
             if not interp_kp_below(r, i, 1e-6):
                 continue
             if red is None:
-                red = reduct(p_c, i)
+                red = reduct(p, i)
             if is_supported_model(r, red, eps=1e-5):
                 dominated = True
                 break

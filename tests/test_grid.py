@@ -9,8 +9,7 @@ from unasp.program import ConstItem, LitItem, Program, Rule
 from unasp import semantics
 from unasp.semantics import (GRID_POINTS, enumerate_grid_supported,
                              grid_intervals, is_supported_model,
-                             load_model_file, reduct, total_from_positive,
-                             with_constraints)
+                             load_model_file, reduct, total_from_positive)
 from unasp.transform import atom_body, referenced_atoms, rules_by_head
 
 from conftest import PROGRAMS, brute_force_grid
@@ -68,7 +67,7 @@ def test_matches_brute_force_in_order():
         cells = grid_intervals()
         guess = total_from_positive({a: rng.choice(cells)
                                      for a in p.atom_base})
-        for prog in (p, reduct(with_constraints(p), guess)):
+        for prog in (p, reduct(p, guess)):
             shapes |= _cycle_shapes(prog)
             for eps in (1e-9, 0.027, 0.3):
                 for points in (GRID_POINTS, COARSE):
@@ -104,7 +103,7 @@ def test_example8_matches_brute_force(ex8):
 def test_acyclic_reduct_takes_one_pass(monkeypatch, ex2):
     # ex2 is acyclic over 3 atoms: the brute-force grid tries 15^3 cells
     i = load_model_file(PROGRAMS / "ex2.model.json", ex2)
-    red = reduct(with_constraints(ex2), i)
+    red = reduct(ex2, i)
     calls = 0
     evaluate = semantics.evaluate
 

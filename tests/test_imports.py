@@ -1,14 +1,19 @@
-"""Unused-import check over the package's modules, with the standard
-library alone: a module-level import whose name the module never reads
-fails, unless its line carries `# noqa: F401`.  `__init__.py` is left
-out, since its imports are the package's exports."""
+"""Unused-import check over the package's modules, the tests and the
+tools, with the standard library alone: a module-level import whose
+name the module never reads fails, unless its line carries
+`# noqa: F401`.  The package's `__init__.py` is left out, since its
+imports are the package's exports."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "unasp"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "unasp"
+CHECKED = ([p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+           + sorted((ROOT / "tests").glob("*.py"))
+           + sorted((ROOT / "tools").glob("*.py")))
 
 
 def unused_imports(source: str):
@@ -32,10 +37,10 @@ def unused_imports(source: str):
     return unused
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")
-                                          if p.name != "__init__.py"))
+@pytest.mark.parametrize("module", CHECKED, ids=lambda p: (
+    p.name if p.parent == SRC else f"{p.parent.name}/{p.name}"))
 def test_no_unused_import(module):
-    assert unused_imports((SRC / module).read_text()) == []
+    assert unused_imports(module.read_text()) == []
 
 
 def test_check_finds_an_unused_import():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from unasp import (Atom, ConstItem, LitItem, Literal, ParseError, Program,
-                   Rule, ground, parse_program)
+                   ground, parse_program)
 from unasp.intervals import Interval
 
 
@@ -223,10 +223,6 @@ class TestProgramAccessors:
     def test_rules_for(self, ex2):
         assert len(ex2.rules_for(Literal(Atom("a")))) == 2
         assert len(ex2.rules_for(Literal(Atom("a"), negated=True))) == 1
-
-    def test_headless_atoms(self):
-        p = parse_program("a <- [1,1] : b.")
-        assert {str(a) for a in p.headless_atoms()} == {"b"}
 
 
 class TestGrounding:

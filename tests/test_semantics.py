@@ -1,6 +1,6 @@
 import pytest
 
-from unasp import Atom, Literal, parse_program, r_join, semantics
+from unasp import Atom, Literal, parse_program, r_join, semantics, solve
 from unasp.intervals import INCONSISTENT, Interval
 from unasp.program import ConstItem
 from unasp.semantics import (ConsistencyClass, UnboundLiteral,
@@ -8,7 +8,7 @@ from unasp.semantics import (ConsistencyClass, UnboundLiteral,
                              evaluate, interp_kp_below, is_answer_set,
                              is_supported_model, lookup, model_from_json,
                              model_to_json, reduct, satisfies,
-                             total_from_positive, with_constraints)
+                             total_from_positive)
 from unasp.transform import Neg, Ref
 
 
@@ -142,7 +142,7 @@ class TestAnswerSet:
 
     def test_example5_has_none_on_grid(self, ex5):
         for i in enumerate_grid_supported(
-                reduct(with_constraints(ex5), interp(a=(0.5, 0.5)))):
+                reduct(ex5, interp(a=(0.5, 0.5)))):
             assert not is_answer_set(i, ex5)
         assert not is_answer_set(interp(a=(0.9, 0.9)), ex5)
 
@@ -166,7 +166,7 @@ class TestAnswerSet:
         i = interp(a=(0.3, 0.3), b=(0.3, 0.3))
         below = interp(a=(0, 1), b=(0.2, 0.4))    # wider, not supported
         level = interp(a=(0.5, 0.5), b=(0.5, 0.5))  # equally certain
-        red = reduct(with_constraints(ex1), i)
+        red = reduct(ex1, i)
         assert any(interp_kp_below(c, i) for c in enumerate_grid_supported(red))
         checked = []
         supported = semantics.is_supported_model
@@ -177,6 +177,30 @@ class TestAnswerSet:
         monkeypatch.setattr(semantics, "is_supported_model", recording)
         assert not is_answer_set(i, ex1, candidates=[below, level, i])
         assert [id(c) for c in checked] == [id(i), id(below)]
+
+    def test_no_reduct_without_a_rival_or_the_grid(self, ex7, monkeypatch):
+        """ex7 has 7 atoms, so the grid is off, and one candidate, so
+        it has no rival: its check never builds a reduct."""
+        def refuse(p, i):
+            raise AssertionError("reduct built")
+        monkeypatch.setattr(semantics, "reduct", refuse)
+        report = solve(ex7)
+        assert report.status == "ok" and len(report.answer_sets) == 1
+
+    @pytest.mark.parametrize("name, builds", [("ex6", 4), ("ex4", 5)])
+    def test_reduct_built_per_rival_or_grid(self, name, builds, request,
+                                            monkeypatch):
+        """ex6: one reduct for each of the four candidates with a rival
+        below it; ex4 (2 atoms): one for each candidate, for the grid."""
+        calls = []
+        built = semantics.reduct
+
+        def counting(p, i):
+            calls.append(i)
+            return built(p, i)
+        monkeypatch.setattr(semantics, "reduct", counting)
+        assert solve(request.getfixturevalue(name)).status == "ok"
+        assert len(calls) == builds
 
 
 class TestGridEnumeration:
@@ -220,6 +244,12 @@ class TestModelJson:
     def test_mirror_closure_on_load(self, ex3):
         back = model_from_json({"positive": {"p": [0.5, 0.5]}}, ex3)
         assert back[Literal(Atom("p"), True)].same_as(Interval(0.5, 0.5))
+
+    def test_bounds_are_written_exactly(self, ex1):
+        i = interp(a=(0, 2.45098e-09), b=(0.1 + 0.2, 0.5))
+        data = model_to_json(i)
+        assert data["positive"]["a"] == [0, 2.45098e-09]
+        assert model_from_json(data, ex1) == i
 
 
 def test_grid_models_are_keyed_by_positive_literal(ex1):

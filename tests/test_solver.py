@@ -12,8 +12,7 @@ from unasp.nmi import KAGG_CAP, NmiConfig
 from unasp.program import Program, ground
 from unasp.semantics import (enumerate_grid_supported, interp_kp_below,
                              is_answer_set, is_supported_model,
-                             model_to_json, reduct, total_from_positive,
-                             with_constraints)
+                             model_to_json, reduct, total_from_positive)
 from unasp.solver import SolverConfig, component_pass, front_half
 
 from conftest import FOLDED_CYCLES, PROGRAMS, UNCOVERABLE, atom_values
@@ -272,7 +271,7 @@ class TestGridTieTolerance:
         candidate = total_from_positive(branch)
         a = Literal(Atom("a"))
         assert candidate[a].same_as(Interval(0, 0.120455646), 1e-8)
-        red = reduct(with_constraints(p), candidate)
+        red = reduct(p, candidate)
         eps = cfg.nmi.answer_tol
         rival = {a: Interval(0, 0.25)}
         assert rival in enumerate_grid_supported(red, eps=eps)
@@ -481,6 +480,9 @@ def random_programs(draw):
 @given(random_programs())
 @example(FOLDED_CYCLES["a-c"])
 @example(FOLDED_CYCLES["b-c"])
+# one answer set has a = [0, 2.45098e-09]: rounded, it fails `check`
+@example("-a <- [0.0,0.89] : not a, [0.0,0.46], a.\n"
+         "a <- [0.0,0.73] : a, a.\n")
 def test_random_programs_solve_to_a_status(tmp_path_factory, text):
     """Any program gives a status and verified answer sets, the CLI a
     documented exit code, and `check` accepts every emitted set."""

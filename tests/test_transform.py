@@ -4,11 +4,10 @@ import random
 
 from unasp import Atom, Literal, parse_program, r_join, transform_program
 from unasp.intervals import (BOTTOM, FALSE, INCONSISTENT, Interval, kagg,
-                             negate, tconorm, tnorm)
+                             naf, negate, tconorm, tnorm)
 from unasp.program import ConstItem, LitItem, Program, Rule
-from unasp.semantics import (evaluate, evaluate_body, grid_intervals,
-                             is_supported_model, reduct, total_from_positive,
-                             with_constraints)
+from unasp.semantics import (evaluate, grid_intervals, is_supported_model,
+                             reduct, total_from_positive)
 from unasp.transform import (And, Const, Kagg, Naf, Neg, Or, Ref, atom_body,
                              referenced_atoms, rules_by_head, simplify,
                              substitute)
@@ -223,7 +222,7 @@ class TestSupportedModelEquivalence:
         return True
 
     def _check(self, p, points):
-        tp = transform_program(with_constraints(p))
+        tp = transform_program(p)
         atoms = sorted(p.atom_base, key=str)
         agree = 0
         for combo in itertools.product(grid_intervals(points),
@@ -249,10 +248,17 @@ class TestSupportedModelEquivalence:
 
 def _required(p, atom, i):
     """The value the rules of p force on atom, read straight from
-    p.rules: the t-conorm over the rules for atom of body ∧ weight,
-    aggregated against the mirror of the same for -atom."""
+    p.rules: the t-conorm over the rules for atom of body ∧ weight (the
+    left fold of the items, then the weight), aggregated against the
+    mirror of the same for -atom."""
+    def item(b):
+        if isinstance(b, ConstItem):
+            return b.value
+        return naf(i[b.literal]) if b.naf else i[b.literal]
+
     def join(lit):
-        values = [tnorm(evaluate_body(r, i), r.weight)
+        values = [functools.reduce(tnorm, [item(b) for b in r.body]
+                                   + [r.weight])
                   for r in p.rules if r.head == lit]
         return functools.reduce(tconorm, values) if values else None
 
@@ -264,6 +270,37 @@ def _required(p, atom, i):
     if neg is not None:
         return negate(neg)
     return BOTTOM
+
+
+class TestReductKeepsTheVerdict:
+    """Naf reads i in p and in P^i alike, so i is a supported model of p
+    exactly when it is one of P^i; and P^i keeps the atom base of p,
+    since the closed world holds an atom that heads no rule in place."""
+
+    def test_random_programs_on_grid_cells(self):
+        rng = random.Random(37)
+        verdicts = set()
+        naf_only = 0
+        for n in (1, 2, 3) * 12:
+            p = _random_program(rng, [Atom(name) for name in "abc"[:n]])
+            points = GRID if n < 3 else (0.0, 0.5, 1.0)
+            atoms = sorted(p.atom_base, key=str)
+            kept = {r.head.atom for r in p.rules} | {
+                b.literal.atom for r in p.rules for b in r.body
+                if isinstance(b, LitItem) and not b.naf}
+            naf_only += bool(p.atom_base - kept)
+            for combo in itertools.product(grid_intervals(points),
+                                           repeat=len(atoms)):
+                i = total_from_positive(dict(zip(atoms, combo)))
+                red = reduct(p, i)
+                assert red.atom_base == p.atom_base
+                for eps in (1e-9, 0.027):
+                    verdict = is_supported_model(i, p, eps)
+                    assert verdict == is_supported_model(i, red, eps)
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
+        # some program reads an atom only through naf and heads no rule
+        assert naf_only
 
 
 class TestSupportedModelReference:
@@ -288,7 +325,7 @@ class TestSupportedModelReference:
             for combo in itertools.product(grid_intervals(points),
                                            repeat=len(atoms)):
                 i = total_from_positive(dict(zip(atoms, combo)))
-                for q in (p, reduct(with_constraints(p), i)):
+                for q in (p, reduct(p, i)):
                     verdict = is_supported_model(i, q)
                     assert verdict == self._reference_supported(i, q)
                     verdicts.add(verdict)
