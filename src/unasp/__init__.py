@@ -3,8 +3,8 @@
 from .intervals import (INCONSISTENT, EPS_CMP, Interval, OrderFamily,
                         Ordering, compare, kagg, kmax, naf, negate, tconorm,
                         tnorm)
-from .program import (Atom, ConstItem, LitItem, Literal, ParseError, Program,
-                      Rule, ground, parse_program)
+from .program import (Atom, ConstItem, GroundingCapExceeded, LitItem, Literal,
+                      ParseError, Program, Rule, ground, parse_program)
 from .transform import r_join, simplify, substitute, transform_program
 from .semantics import (ConsistencyClass, UnboundLiteral, classify_consistency,
                         evaluate, is_answer_set, is_supported_model, reduct,

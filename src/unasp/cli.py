@@ -3,7 +3,8 @@
 Subcommands: solve (compute answer sets), analyze (dependency-graph and
 convergence structure), check (validate a model file against a
 program).  Exit codes: 0 success, 1 no answer set / failed check,
-2 usage or parse error, 3 incomplete result.
+2 usage or parse error, 3 incomplete result (a program past the
+ground-rule cap included).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import sys
 
 from .intervals import INCONSISTENT
-from .program import ground, parse_program
+from .program import GroundingCapExceeded, ground, parse_program
 from . import depgraph, nmi, semantics, solver
 
 EXIT_OK = 0
@@ -121,6 +122,10 @@ def _cmd_solve(args, program, cfg):
     report = solver.solve_front(front, cfg)
     if args.dot:
         _write_dot(args.dot, front.bodies)
+    return _print_report(args, report)
+
+
+def _print_report(args, report):
     if args.format == "json":
         print(json.dumps(_report_json(report), sort_keys=True, indent=2))
     else:
@@ -210,6 +215,16 @@ def _cmd_check(args, program, settings):
     return EXIT_OK if ok else EXIT_NO_ANSWER
 
 
+def _incomplete(args, exc):
+    """A program past the ground-rule cap: `solve` prints an incomplete
+    report, and every command names the rule on stderr."""
+    print(f"incomplete: {exc}", file=sys.stderr)
+    if args.command == "solve":
+        return _print_report(args, solver.SolveReport(
+            [], "incomplete", {"notes": [str(exc)]}))
+    return EXIT_INCOMPLETE
+
+
 def _usage_error(exc):
     print(f"error: {exc}", file=sys.stderr)
     return EXIT_USAGE
@@ -229,6 +244,8 @@ def run_cli(argv=None) -> int:
                     else _solver_config(args))
     except (ValueError, OSError) as exc:
         return _usage_error(exc)
+    except GroundingCapExceeded as exc:
+        return _incomplete(args, exc)
     command = {"solve": _cmd_solve, "analyze": _cmd_analyze,
                "check": _cmd_check}[args.command]
     try:

@@ -4,6 +4,10 @@ A value [x1,x2] carries both a truth estimate (its midpoint) and a
 certainty estimate (its width: narrower means more certain).  Besides
 the two bilattice orderings there are two total preorders, one
 comparing midpoints and one comparing widths.
+
+`Interval` is a frozen, slotted dataclass.  Its constructor validates
+the bounds; two floats already ordered within [0,1], the common case,
+are kept as given without further checks.
 """
 
 from __future__ import annotations
@@ -40,13 +44,18 @@ class _InconsistentType:
 INCONSISTENT = _InconsistentType()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     lower: float
     upper: float
 
     def __post_init__(self):
-        lo, hi = float(self.lower), float(self.upper)
+        lo, hi = self.lower, self.upper
+        # already floats in order within [0,1]: the checks below would
+        # keep both bounds, bit for bit
+        if type(lo) is float and type(hi) is float and 0.0 <= lo <= hi <= 1.0:
+            return
+        lo, hi = float(lo), float(hi)
         if lo > hi + _BOUNDARY_SLACK:
             raise ValueError(f"interval bounds out of order: [{lo}, {hi}]")
         # written so that a NaN bound fails it too

@@ -16,6 +16,14 @@ The parser scans the text with one regex pass into a list of token
 strings; a ParseError's line and column are recomputed by scanning
 again, only when one is raised.  Each distinct atom is built once per
 parse, so equal atoms of one program are one object.
+
+`Atom` and `Literal`, the keys of every interpretation, are named
+tuples, so hashing and equality run in C; they keep dataclass-style
+field names, `str` and `repr`, and an `Atom` never equals a `Literal`
+(their first fields differ in type).  The other AST types are frozen,
+slotted dataclasses, whose equality compares the type too.  `ground`
+refuses, before expanding anything, a program that would ground to
+more than `MAX_GROUND_RULES` rules.
 """
 
 from __future__ import annotations
@@ -23,18 +31,22 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .intervals import TRUE, Interval
 
 Term = str | Interval  # a constant or variable name, or an interval
+
+# the most rules `ground` instantiates; tc-10, the largest generated
+# workload, grounds 1,000 instances of its recursive rule
+MAX_GROUND_RULES = 100_000
 
 
 def is_variable(term) -> bool:
     return isinstance(term, str) and term[:1].isupper()
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     predicate: str
     args: tuple = ()
 
@@ -49,8 +61,7 @@ class Atom:
             for a in self.args))
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     atom: Atom
     negated: bool = False
 
@@ -61,7 +72,7 @@ class Literal:
         return ("-" if self.negated else "") + str(self.atom)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LitItem:
     literal: Literal
     naf: bool = False
@@ -70,7 +81,7 @@ class LitItem:
         return ("not " if self.naf else "") + str(self.literal)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstItem:
     value: Interval
 
@@ -81,7 +92,7 @@ class ConstItem:
 BodyItem = LitItem | ConstItem
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     head: Literal
     weight: Interval
@@ -135,6 +146,10 @@ def _fmt_number(x: float) -> str:
 
 def _fmt_interval(iv: Interval) -> str:
     return "[%s,%s]" % (_fmt_number(iv.lower), _fmt_number(iv.upper))
+
+
+class GroundingCapExceeded(Exception):
+    """The program would ground to more than MAX_GROUND_RULES rules."""
 
 
 class ParseError(ValueError):
@@ -318,11 +333,21 @@ def _substitute_atom(atom: Atom, binding: dict) -> Atom:
 
 
 def ground(program: Program) -> Program:
-    """Naive full instantiation over the program's constants."""
+    """Naive full instantiation over the program's constants.  Raises
+    GroundingCapExceeded, naming the rule that passes MAX_GROUND_RULES,
+    before any rule is expanded."""
     constants = _program_constants(program)
+    rule_variables = [_rule_variables(r) for r in program.rules]
+    total = 0
+    for r, variables in zip(program.rules, rule_variables):
+        total += len(constants) ** len(variables)
+        if total > MAX_GROUND_RULES:
+            raise GroundingCapExceeded(
+                f"rule {r.label or r}: {len(constants)} constants over "
+                f"{len(variables)} variables take the program past "
+                f"{MAX_GROUND_RULES} ground rules")
     rules = []
-    for r in program.rules:
-        variables = _rule_variables(r)
+    for r, variables in zip(program.rules, rule_variables):
         if not variables:
             rules.append(r)
             continue

@@ -6,7 +6,9 @@ answer-set check (supported model of the reduct, minimally certain
 among known candidates).  The reduct carries the closed world, so it
 keeps the program's atom base; a candidate is checked against the
 program itself, and the reduct is built only for the candidates below
-it in certainty and for the grid.
+it in certainty and for the grid.  Those candidates are found by
+comparing width vectors over one literal order (`_kp_rivals`), each
+candidate's computed once per check.
 
 An interpretation is a supported model when every atom equals the value
 its rules force: its body from `transform.atom_bodies`, the same
@@ -28,6 +30,7 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+from operator import ge, gt
 
 from .intervals import (BOTTOM, INCONSISTENT, EPS_CMP, TRUE, Interval,
                         Ordering, OrderFamily, compare, kagg, naf, negate,
@@ -252,6 +255,37 @@ def interp_kp_below(a: dict, b: dict, eps: float = EPS_CMP) -> bool:
     return strict
 
 
+def _kp_rivals(i: dict, candidates, eps: float) -> list:
+    """The candidates other than i strictly below it in certainty, in
+    order: those for which `interp_kp_below(c, i, eps)` holds.  A
+    candidate that assigns exactly i's literals, as every candidate of
+    `solve` does, is tested by comparing its width vector, over i's
+    literal order, with i's bounds, computed once; any other goes
+    through `interp_kp_below`."""
+    keys = i.keys()
+    values = list(i.values())
+    if not all(values):  # INCONSISTENT is falsy, every Interval truthy
+        return []
+    widths = [v.upper - v.lower for v in values]
+    floor = [w - eps for w in widths]      # narrower than this: not below
+    ceiling = [w + eps for w in widths]    # wider than this: strictly
+    rivals = []
+    for c in candidates:
+        if c is i:
+            continue
+        if c.keys() != keys:
+            if interp_kp_below(c, i, eps):
+                rivals.append(c)
+            continue
+        xs = list(map(c.__getitem__, keys))
+        if not all(xs):
+            continue
+        cw = [x.upper - x.lower for x in xs]
+        if all(map(ge, cw, floor)) and any(map(gt, cw, ceiling)):
+            rivals.append(c)
+    return rivals
+
+
 def is_answer_set(i: dict, p: Program, candidates=(),
                   eps: float = EPS_CMP) -> bool:
     """Supported model of the reduct, with no known supported model of
@@ -268,8 +302,7 @@ def is_answer_set(i: dict, p: Program, candidates=(),
     """
     if not is_supported_model(i, p, eps):
         return False
-    rivals = [c for c in candidates
-              if c is not i and interp_kp_below(c, i, eps)]
+    rivals = _kp_rivals(i, candidates, eps)
     small = len(p.atom_base) <= GRID_MAX_ATOMS
     if not (rivals or small):
         return True

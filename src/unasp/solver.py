@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .program import Program, ground
+from .program import GroundingCapExceeded, Program, ground
 from . import depgraph, nmi, semantics
 from .mi import MiState, mi_fixpoint
 from .transform import (Const, Kagg, Naf, node_kinds, substitute,
@@ -245,8 +245,14 @@ def component_pass(front: FrontHalf, cfg: SolverConfig) -> ComponentPass:
 
 
 def solve(p: Program, cfg: SolverConfig = None) -> SolveReport:
+    """Ground, solve and verify; a program past the ground-rule cap is
+    `incomplete`, with a note naming the rule."""
     cfg = cfg or SolverConfig()
-    return solve_front(front_half(ground(p)), cfg)
+    try:
+        g = ground(p)
+    except GroundingCapExceeded as exc:
+        return SolveReport([], "incomplete", {"notes": [str(exc)]})
+    return solve_front(front_half(g), cfg)
 
 
 def solve_front(front: FrontHalf, cfg: SolverConfig) -> SolveReport:

@@ -9,6 +9,10 @@ program's rule groups become bodies, as written; `transform_program`
 is the one place they are folded, into the Atom -> body dict `mi`
 works on, and the verifier in `semantics` evaluates them unfolded, so
 the two share no valuation code.  The resulting rules carry no weights.
+
+The body nodes are frozen, slotted dataclasses, not named tuples: their
+equality compares the node type, so `Naf(x) != Neg(x)` and
+`And(c) != Or(c)`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .intervals import (BOTTOM, FALSE, INCONSISTENT, TRUE, kagg, naf,
 from .program import ConstItem, Literal, Program
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     value: object  # Interval or INCONSISTENT
 
@@ -28,7 +32,7 @@ class Const:
         return str(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ref:
     literal: Literal
 
@@ -36,7 +40,7 @@ class Ref:
         return str(self.literal)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Naf:
     child: object
 
@@ -44,7 +48,7 @@ class Naf:
         return f"not {self.child}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg:
     child: object
 
@@ -52,7 +56,7 @@ class Neg:
         return f"-({self.child})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     children: tuple
 
@@ -60,7 +64,7 @@ class And:
         return "(%s)" % " & ".join(str(c) for c in self.children)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     children: tuple
 
@@ -68,7 +72,7 @@ class Or:
         return "(%s)" % " | ".join(str(c) for c in self.children)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Kagg:
     left: object
     right: object

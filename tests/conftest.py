@@ -41,6 +41,12 @@ d <- [0.4,0.88] : a.
 }
 
 
+# one rule, ten variables over a hundred constants: 100**10 ground
+# instances, far past the ground-rule cap
+TEN_VARIABLES = ("p(A,B,C,D,E,F,G,H,I,J) <- [1,1] : q(A,B,C,D,E,F,G,H,I,J), "
+                 "k(%s).\n" % ",".join(f"c{n}" for n in range(100)))
+
+
 # two edges join the same pair of nodes: a and not a both feed b's AND,
 # b and -b both feed c's AND
 PARALLEL_EDGES = """

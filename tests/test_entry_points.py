@@ -9,7 +9,8 @@ import sys
 
 import pytest
 
-from conftest import FOLDED_CYCLES, PARALLEL_EDGES, UNCOVERABLE
+from conftest import (FOLDED_CYCLES, PARALLEL_EDGES, TEN_VARIABLES,
+                      UNCOVERABLE)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 EX6 = str(ROOT / "programs" / "ex6.unasp")
@@ -102,6 +103,15 @@ CLI_CASES = {
     # no aggregation, and a period-2 orbit
     "period-two": ({"p.unasp": "a <- [0.74,0.81] : not a, -a.\n"},
                    ["solve", "p.unasp"], 3, None),
+    # past the ground-rule cap before any rule is expanded
+    "ground-cap-solve": ({"p.unasp": TEN_VARIABLES}, ["solve", "p.unasp"], 3,
+                         ("stdout", "status: incomplete")),
+    "ground-cap-analyze": (
+        {"p.unasp": TEN_VARIABLES}, ["analyze", "p.unasp"], 3,
+        ("stderr", "incomplete: rule r#1: 100 constants over 10 variables "
+                   "take the program past 100000 ground rules")),
+    "ground-cap-check": ({"p.unasp": TEN_VARIABLES, "m.json": "{}\n"},
+                         ["check", "p.unasp", "--model", "m.json"], 3, None),
     # a bound printed in exponent notation parses back
     "small-bound": ({"p.unasp": "a <- [0.0000636,0.5] : [1,1].\n"},
                     ["solve", "p.unasp"], 0,

@@ -1,4 +1,5 @@
 import itertools
+import struct
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -52,6 +53,69 @@ class TestConstruction:
 
     def test_grid_has_fifteen_cells(self):
         assert len(GRID_INTERVALS) == 15
+
+
+def _checked_bounds(lower, upper):
+    """Interval's validation as it was before its fast path, every
+    input through every check: the stored bounds, or ValueError."""
+    lo, hi = float(lower), float(upper)
+    if lo > hi + 1e-12:
+        raise ValueError(f"interval bounds out of order: [{lo}, {hi}]")
+    if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):
+        raise ValueError(f"interval outside [0,1]: [{lo}, {hi}]")
+    lo = min(max(lo, 0.0), 1.0)
+    hi = min(max(hi, 0.0), 1.0)
+    if lo > hi:
+        lo = hi = (lo + hi) / 2.0
+    return lo, hi
+
+
+def _outcome(make, lower, upper):
+    """The bits and types of the two bounds make stores, or the message
+    of the ValueError it raises."""
+    try:
+        lo, hi = make(lower, upper)
+    except ValueError as exc:
+        return str(exc)
+    return [(type(x), struct.pack("<d", x)) for x in (lo, hi)]
+
+
+def _interval_bounds(lower, upper):
+    iv = Interval(lower, upper)
+    return iv.lower, iv.upper
+
+
+# bounds near 0 and 1, inside and outside the boundary slack, signed zeros,
+# non-finite values, and ints, which are stored as floats
+BOUNDS = st.one_of(
+    st.floats(),
+    st.floats(0, 1),
+    st.floats(-2e-12, 2e-12),
+    st.floats(1 - 2e-12, 1 + 2e-12),
+    st.sampled_from([0.0, -0.0, 1.0, 1e-12, -1e-12, 1 + 1e-12,
+                     float("inf"), float("-inf"), float("nan")]),
+    st.integers(-1, 2),
+)
+
+
+class TestFastPath:
+    """The constructor keeps two ordered floats within [0,1] without
+    checking further; every input must store the same bits, or raise
+    the same error, as going through every check."""
+
+    @given(BOUNDS, BOUNDS)
+    @example(-0.0, 0.0)
+    @example(0.0, -0.0)
+    @example(-0.0, -0.0)
+    @example(0.5, 0.5 - 1e-13)
+    @example(1.0, 1.0 + 1e-13)
+    @example(-1e-13, -1e-13)
+    @example(float("nan"), 0.5)
+    @example(0, 1)
+    @example(True, True)
+    def test_same_bounds_or_error_as_every_check(self, lower, upper):
+        assert (_outcome(_interval_bounds, lower, upper)
+                == _outcome(_checked_bounds, lower, upper))
 
 
 class TestOrderings:

@@ -1,9 +1,12 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from unasp import (Atom, ConstItem, LitItem, Literal, ParseError, Program,
-                   ground, parse_program)
+from unasp import (Atom, ConstItem, GroundingCapExceeded, LitItem, Literal,
+                   ParseError, Program, Rule, ground, parse_program, program)
 from unasp.intervals import Interval
+from unasp.transform import And, Const, Kagg, Naf, Neg, Or, Ref
+
+from conftest import TEN_VARIABLES
 
 
 class TestParsing:
@@ -214,6 +217,71 @@ class TestAtomSharing:
             assert a == b and hash(a) == hash(b)
 
 
+class TestValueTypes:
+    """Atom and Literal are named tuples; Interval, the rule parts and
+    the body nodes are frozen, slotted dataclasses."""
+
+    ATOM = Atom("p", ("a", Interval(0.25, 0.5)))
+    LIT = Literal(ATOM, True)
+    VALUES = [ATOM, LIT, Interval(0.1, 0.2), LitItem(LIT, True),
+              ConstItem(Interval(1.0, 1.0)),
+              Rule(LIT, Interval(0.0, 1.0), (ConstItem(Interval(1.0, 1.0)),),
+                   "r1"),
+              Const(Interval(0.0, 1.0)), Ref(LIT), Naf(Ref(LIT)),
+              Neg(Ref(LIT)), And((Ref(LIT),)), Or((Ref(LIT),)),
+              Kagg(Ref(LIT), Ref(LIT))]
+
+    def test_literals_of_two_parses_are_equal(self):
+        text = "p(a) <- [1,1] : q, not p(a), -q."
+        first, second = ([r.head] + [b.literal for b in r.body]
+                         for r in (parse_program(text).rules[0]
+                                   for _ in range(2)))
+        for a, b in zip(first, second):
+            assert a == b and hash(a) == hash(b)
+            assert a.atom is not b.atom
+
+    def test_sign_and_kind_keep_values_apart(self):
+        a = Atom("a")
+        assert Literal(a, False) != Literal(a, True)
+        assert hash(Literal(a, False)) != hash(Literal(a, True))
+        for atom in (a, self.ATOM):
+            for negated in (False, True):
+                assert atom != Literal(atom, negated)
+                assert Literal(atom, negated) not in {atom: 0}
+        assert Naf(Ref(self.LIT)) != Neg(Ref(self.LIT))
+        assert And((Ref(self.LIT),)) != Or((Ref(self.LIT),))
+
+    def test_str_and_repr(self):
+        assert str(self.ATOM) == "p(a,[0.25,0.5])"
+        assert str(self.LIT) == "-p(a,[0.25,0.5])"
+        assert repr(self.ATOM) == "Atom(predicate='p', args=('a', [0.25,0.5]))"
+        assert repr(self.LIT) == ("Literal(atom=Atom(predicate='p', "
+                                  "args=('a', [0.25,0.5])), negated=True)")
+        assert repr(LitItem(self.LIT, True)) == (
+            "LitItem(literal=Literal(atom=Atom(predicate='p', "
+            "args=('a', [0.25,0.5])), negated=True), naf=True)")
+        assert repr(Naf(Ref(self.LIT))) == (
+            "Naf(child=Ref(literal=Literal(atom=Atom(predicate='p', "
+            "args=('a', [0.25,0.5])), negated=True)))")
+        assert str(Rule(Literal(Atom("b")), Interval(0.0, 1.0),
+                        (LitItem(self.LIT, True),), "r1")) == (
+            "r1: b <- [0,1] : not -p(a,[0.25,0.5]).")
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_frozen_and_without_dict(self, value):
+        field = next(iter(getattr(value, "__dataclass_fields__", None)
+                          or value._fields))
+        before = repr(value)
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        # a slotted frozen dataclass's generated __setattr__ raises
+        # TypeError for a name that is no field on Python 3.11
+        with pytest.raises((AttributeError, TypeError)):
+            value.extra = None
+        assert repr(value) == before
+        assert not hasattr(value, "__dict__")
+
+
 class TestProgramAccessors:
     def test_atom_base_and_lit_set(self, ex2):
         names = {str(a) for a in ex2.atom_base}
@@ -251,6 +319,25 @@ class TestGrounding:
         p = parse_program(
             "r(X,Y) <- [1,1] : q(X), q(Y).\nq(a) <- [1,1].\nq(b) <- [1,1].")
         assert len(ground(p).rules) == 6
+
+    def test_cap_refused_before_any_product(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("product built")
+        monkeypatch.setattr(program.itertools, "product", refuse)
+        with pytest.raises(GroundingCapExceeded, match="rule r#1: 100 "
+                           "constants over 10 variables"):
+            ground(parse_program(TEN_VARIABLES))
+
+    def test_cap_counts_every_instance(self, monkeypatch):
+        """2 ** 2 instances of the first rule and 2 facts: 6 rules."""
+        p = parse_program(
+            "r(X,Y) <- [1,1] : q(X), q(Y).\nq(a) <- [1,1].\nq(b) <- [1,1].")
+        monkeypatch.setattr(program, "MAX_GROUND_RULES", 6)
+        assert len(ground(p).rules) == 6
+        monkeypatch.setattr(program, "MAX_GROUND_RULES", 5)
+        with pytest.raises(GroundingCapExceeded, match="rule r#3: 2 "
+                           "constants over 0 variables"):
+            ground(p)
 
     def test_variables_without_constants(self):
         p = parse_program("p(X) <- [1,1] : q(X).")

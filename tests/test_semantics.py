@@ -1,11 +1,12 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from unasp import Atom, Literal, parse_program, r_join, semantics, solve
 from unasp.intervals import INCONSISTENT, Interval
 from unasp.program import ConstItem
-from unasp.semantics import (ConsistencyClass, UnboundLiteral,
+from unasp.semantics import (ConsistencyClass, UnboundLiteral, _kp_rivals,
                              classify_consistency, enumerate_grid_supported,
-                             evaluate, interp_kp_below, is_answer_set,
+                             evaluate, grid_intervals, interp_kp_below, is_answer_set,
                              is_supported_model, lookup, model_from_json,
                              model_to_json, reduct, satisfies,
                              total_from_positive)
@@ -230,6 +231,57 @@ class TestInterpOrdering:
         assert interp_kp_below(wide, narrow)
         assert not interp_kp_below(narrow, wide)
         assert not interp_kp_below(wide, wide)
+
+
+LITERALS = [Literal(Atom(name), negated)
+            for name in "abc" for negated in (False, True)]
+# grid cells, widths just either side of a grid width, and INCONSISTENT
+VALUES = st.sampled_from(grid_intervals() + [
+    Interval(0.25, 0.5 + 1e-10), Interval(0.25, 0.5 - 1e-10),
+    Interval(0.0, 0.25 + 0.05), INCONSISTENT])
+
+
+@st.composite
+def rival_cases(draw):
+    """An interpretation, candidates over the same literals (in any
+    order), over others (some missing, some positive only), i itself and
+    a copy of it, and an eps.  A
+    negative literal's value is drawn on its own, so its width may
+    differ from the positive one's."""
+    keys = draw(st.lists(st.sampled_from(LITERALS), min_size=1,
+                         unique=True))
+    i = {lit: draw(VALUES) for lit in keys}
+    candidates = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["same", "other", "i", "copy"]))
+        if kind == "i":
+            candidates.append(i)
+        elif kind == "copy":
+            candidates.append(dict(i))
+        else:
+            lits = draw(st.permutations(keys) if kind == "same" else
+                        st.lists(st.sampled_from(LITERALS), unique=True))
+            candidates.append({lit: draw(VALUES) for lit in lits})
+    eps = draw(st.sampled_from([0.0, 1e-9, 0.05]))
+    return i, candidates, eps
+
+
+class TestRivalSelection:
+    @given(rival_cases())
+    def test_same_rivals_as_pairwise_test(self, case):
+        i, candidates, eps = case
+        expected = [c for c in candidates
+                    if c is not i and interp_kp_below(c, i, eps)]
+        got = _kp_rivals(i, candidates, eps)
+        assert [id(c) for c in got] == [id(c) for c in expected]
+
+    def test_rivals_of_a_solve(self):
+        wide = interp(a=(0, 1), b=(0.2, 0.4))
+        narrow = interp(a=(0.5, 0.5), b=(0.2, 0.4))
+        level = interp(a=(0.25, 0.75), b=(0.2, 0.4))
+        assert _kp_rivals(narrow, [wide, narrow, level], 1e-9) == [wide, level]
+        assert _kp_rivals(level, [wide, narrow, level], 1e-9) == [wide]
+        assert _kp_rivals(wide, [wide, narrow, level], 1e-9) == []
 
 
 class TestModelJson:

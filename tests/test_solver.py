@@ -15,7 +15,8 @@ from unasp.semantics import (enumerate_grid_supported, interp_kp_below,
                              model_to_json, reduct, total_from_positive)
 from unasp.solver import SolverConfig, component_pass, front_half
 
-from conftest import FOLDED_CYCLES, PROGRAMS, UNCOVERABLE, atom_values
+from conftest import (FOLDED_CYCLES, PROGRAMS, TEN_VARIABLES, UNCOVERABLE,
+                      atom_values)
 
 
 def tight(eps=1e-9, **kw):
@@ -157,6 +158,13 @@ class TestReportShape:
         assert report.status == "incomplete"
         assert any("iteration cap" in note
                    for note in report.diagnostics["notes"])
+
+    def test_ground_rule_cap_reports_incomplete(self):
+        report = solve(parse_program(TEN_VARIABLES))
+        assert report.status == "incomplete" and not report.answer_sets
+        assert report.diagnostics["notes"] == [
+            "rule r#1: 100 constants over 10 variables take the program "
+            "past 100000 ground rules"]
 
     def test_status_matches_emptiness(self, ex1, ex3, ex5):
         for p in (ex1, ex3):
