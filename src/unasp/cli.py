@@ -220,8 +220,7 @@ def _incomplete(args, exc):
     report, and every command names the rule on stderr."""
     print(f"incomplete: {exc}", file=sys.stderr)
     if args.command == "solve":
-        return _print_report(args, solver.SolveReport(
-            [], "incomplete", {"notes": [str(exc)]}))
+        return _print_report(args, solver.capped_report(exc))
     return EXIT_INCOMPLETE
 
 

@@ -6,9 +6,7 @@ answer-set check (supported model of the reduct, minimally certain
 among known candidates).  The reduct carries the closed world, so it
 keeps the program's atom base; a candidate is checked against the
 program itself, and the reduct is built only for the candidates below
-it in certainty and for the grid.  Those candidates are found by
-comparing width vectors over one literal order (`_kp_rivals`), each
-candidate's computed once per check.
+it in certainty and for the grid.
 
 An interpretation is a supported model when every atom equals the value
 its rules force: its body from `transform.atom_bodies`, the same
@@ -30,7 +28,6 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-from operator import ge, gt
 
 from .intervals import (BOTTOM, INCONSISTENT, EPS_CMP, TRUE, Interval,
                         Ordering, OrderFamily, compare, kagg, naf, negate,
@@ -238,52 +235,25 @@ def enumerate_grid_supported(p: Program, points=GRID_POINTS,
 
 def interp_kp_below(a: dict, b: dict, eps: float = EPS_CMP) -> bool:
     """a strictly below b in certainty: everywhere at least as wide,
-    somewhere strictly wider."""
+    somewhere strictly wider.  When a and b assign the same literals, as
+    every pair of `solve`'s candidates does, their values are read
+    directly, with no set union and no `lookup`."""
+    if a.keys() == b.keys():
+        pairs = zip(map(a.__getitem__, b), b.values())
+    else:
+        pairs = ((lookup(a, lit), lookup(b, lit)) for lit in set(a) | set(b))
     strict = False
-    keys = set(a) | set(b)
-    for lit in keys:
-        try:
-            x, y = lookup(a, lit), lookup(b, lit)
-        except UnboundLiteral:
-            return False
-        if x is INCONSISTENT or y is INCONSISTENT:
-            return False
-        if x.width < y.width - eps:
-            return False
-        if x.width > y.width + eps:
-            strict = True
+    try:
+        for x, y in pairs:
+            if x is INCONSISTENT or y is INCONSISTENT:
+                return False
+            if x.width < y.width - eps:
+                return False
+            if x.width > y.width + eps:
+                strict = True
+    except UnboundLiteral:
+        return False
     return strict
-
-
-def _kp_rivals(i: dict, candidates, eps: float) -> list:
-    """The candidates other than i strictly below it in certainty, in
-    order: those for which `interp_kp_below(c, i, eps)` holds.  A
-    candidate that assigns exactly i's literals, as every candidate of
-    `solve` does, is tested by comparing its width vector, over i's
-    literal order, with i's bounds, computed once; any other goes
-    through `interp_kp_below`."""
-    keys = i.keys()
-    values = list(i.values())
-    if not all(values):  # INCONSISTENT is falsy, every Interval truthy
-        return []
-    widths = [v.upper - v.lower for v in values]
-    floor = [w - eps for w in widths]      # narrower than this: not below
-    ceiling = [w + eps for w in widths]    # wider than this: strictly
-    rivals = []
-    for c in candidates:
-        if c is i:
-            continue
-        if c.keys() != keys:
-            if interp_kp_below(c, i, eps):
-                rivals.append(c)
-            continue
-        xs = list(map(c.__getitem__, keys))
-        if not all(xs):
-            continue
-        cw = [x.upper - x.lower for x in xs]
-        if all(map(ge, cw, floor)) and any(map(gt, cw, ceiling)):
-            rivals.append(c)
-    return rivals
 
 
 def is_answer_set(i: dict, p: Program, candidates=(),
@@ -302,7 +272,8 @@ def is_answer_set(i: dict, p: Program, candidates=(),
     """
     if not is_supported_model(i, p, eps):
         return False
-    rivals = _kp_rivals(i, candidates, eps)
+    rivals = [c for c in candidates
+              if c is not i and interp_kp_below(c, i, eps)]
     small = len(p.atom_base) <= GRID_MAX_ATOMS
     if not (rivals or small):
         return True

@@ -251,8 +251,13 @@ def solve(p: Program, cfg: SolverConfig = None) -> SolveReport:
     try:
         g = ground(p)
     except GroundingCapExceeded as exc:
-        return SolveReport([], "incomplete", {"notes": [str(exc)]})
+        return capped_report(exc)
     return solve_front(front_half(g), cfg)
+
+
+def capped_report(exc: GroundingCapExceeded) -> SolveReport:
+    """The report of a program past the ground-rule cap."""
+    return SolveReport([], "incomplete", {"notes": [str(exc)]})
 
 
 def solve_front(front: FrontHalf, cfg: SolverConfig) -> SolveReport:

@@ -4,9 +4,10 @@ from hypothesis import given, strategies as st
 from unasp import Atom, Literal, parse_program, r_join, semantics, solve
 from unasp.intervals import INCONSISTENT, Interval
 from unasp.program import ConstItem
-from unasp.semantics import (ConsistencyClass, UnboundLiteral, _kp_rivals,
+from unasp.semantics import (ConsistencyClass, UnboundLiteral,
                              classify_consistency, enumerate_grid_supported,
-                             evaluate, grid_intervals, interp_kp_below, is_answer_set,
+                             evaluate, grid_intervals, interp_kp_below,
+                             is_answer_set,
                              is_supported_model, lookup, model_from_json,
                              model_to_json, reduct, satisfies,
                              total_from_positive)
@@ -241,13 +242,30 @@ VALUES = st.sampled_from(grid_intervals() + [
     Interval(0.0, 0.25 + 0.05), INCONSISTENT])
 
 
+def kp_below_pairwise(a, b, eps):
+    """interp_kp_below as it read before its same-literals fast path:
+    every literal of either side, through `lookup`."""
+    strict = False
+    for lit in set(a) | set(b):
+        try:
+            x, y = lookup(a, lit), lookup(b, lit)
+        except UnboundLiteral:
+            return False
+        if x is INCONSISTENT or y is INCONSISTENT:
+            return False
+        if x.width < y.width - eps:
+            return False
+        if x.width > y.width + eps:
+            strict = True
+    return strict
+
+
 @st.composite
 def rival_cases(draw):
     """An interpretation, candidates over the same literals (in any
     order), over others (some missing, some positive only), i itself and
-    a copy of it, and an eps.  A
-    negative literal's value is drawn on its own, so its width may
-    differ from the positive one's."""
+    a copy of it, and an eps.  A negative literal's value is drawn on
+    its own, so its width may differ from the positive one's."""
     keys = draw(st.lists(st.sampled_from(LITERALS), min_size=1,
                          unique=True))
     i = {lit: draw(VALUES) for lit in keys}
@@ -268,20 +286,24 @@ def rival_cases(draw):
 
 class TestRivalSelection:
     @given(rival_cases())
-    def test_same_rivals_as_pairwise_test(self, case):
+    def test_same_verdicts_as_pairwise_test(self, case):
         i, candidates, eps = case
-        expected = [c for c in candidates
-                    if c is not i and interp_kp_below(c, i, eps)]
-        got = _kp_rivals(i, candidates, eps)
-        assert [id(c) for c in got] == [id(c) for c in expected]
+        for c in candidates:
+            assert interp_kp_below(c, i, eps) == kp_below_pairwise(c, i, eps)
+            assert interp_kp_below(i, c, eps) == kp_below_pairwise(i, c, eps)
 
     def test_rivals_of_a_solve(self):
         wide = interp(a=(0, 1), b=(0.2, 0.4))
         narrow = interp(a=(0.5, 0.5), b=(0.2, 0.4))
         level = interp(a=(0.25, 0.75), b=(0.2, 0.4))
-        assert _kp_rivals(narrow, [wide, narrow, level], 1e-9) == [wide, level]
-        assert _kp_rivals(level, [wide, narrow, level], 1e-9) == [wide]
-        assert _kp_rivals(wide, [wide, narrow, level], 1e-9) == []
+        candidates = [wide, narrow, level]
+
+        def rivals(i):
+            return [c for c in candidates
+                    if c is not i and interp_kp_below(c, i, 1e-9)]
+        assert rivals(narrow) == [wide, level]
+        assert rivals(level) == [wide]
+        assert rivals(wide) == []
 
 
 class TestModelJson:
