@@ -9,17 +9,26 @@ inconsistent aggregation halts the iteration.
 
 `gamma_step` is the one-step reference: it substitutes into every
 remaining body.  `mi_fixpoint` reaches the same states event-driven, in
-the manner of Dowling-Gallier unit propagation: a watch list maps each
-atom to the bodies that refer to it, and a step substitutes into the
-watchers of the atoms it just assigned and into no other body, so an
-acyclic program costs one substitution per reference.  Bodies are
-taken as simplified, as `transform_program` and `substitute` leave
-them; a body no assigned atom reaches is then left as it is.
+the manner of Dowling-Gallier unit propagation: its index
+(`watch_index`) maps each atom to the bodies that refer to it, and a
+step substitutes into the watchers of the atoms it just assigned and
+into no other body, so an acyclic program costs one substitution per
+reference.  Bodies are taken as simplified, as `transform_program` and
+`substitute` leave them; a body no assigned atom reaches is then left
+as it is.
+
+Seed values stand for atoms before the first step, as though
+substituted into every body; only the watchers of a seeded atom are
+rewritten, and a seeded atom that fires is not propagated, since no
+body reads it any more.  The index depends on the bodies alone, so a
+caller that runs many seeded passes over one set of bodies (`nmi`)
+builds it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .intervals import INCONSISTENT
 from .transform import Const, referenced_atoms, substitute
@@ -76,21 +85,37 @@ def gamma_step(s: MiState) -> MiState:
     return nxt
 
 
-def mi_fixpoint(bodies: dict) -> MiState:
-    """Iterate the bodies to the state where gamma_step changes nothing
-    or inconsistency halts, substituting only through the watch list."""
-    s = initial_state(bodies)
-    order = {a: k for k, a in enumerate(s.residual)}
-    watchers = {}   # Atom -> the atoms whose body refers to it
-    for atom, e in s.residual.items():
+class WatchIndex(NamedTuple):
+    order: dict      # Atom -> its place among the bodies
+    watchers: dict   # Atom -> the atoms whose body refers to it
+
+
+def watch_index(bodies: dict) -> WatchIndex:
+    watchers = {}
+    for atom, e in bodies.items():
         for ref in referenced_atoms(e):
             watchers.setdefault(ref, []).append(atom)
+    return WatchIndex({a: k for k, a in enumerate(bodies)}, watchers)
+
+
+def mi_fixpoint(bodies: dict, seeds: dict = None,
+                index: WatchIndex = None) -> MiState:
+    """Iterate the bodies, with the seeds (Atom -> value) substituted,
+    to the state where gamma_step changes nothing or inconsistency
+    halts, substituting only through the watch index, which must be
+    `watch_index(bodies)`.  The state is that of
+    `mi_fixpoint({a: substitute(e, seeds) for a, e in bodies.items()})`."""
+    order, watchers = index or watch_index(bodies)
+    s = initial_state(bodies)
+    seeds = seeds or {}
+    for w in dict.fromkeys(w for a in seeds for w in watchers.get(a, ())):
+        s.residual[w] = substitute(s.residual[w], seeds)
     ready = _ready(s.residual, s.residual)
     while ready:
         assigned = _fire(s, ready)
         if s.halted_inconsistent:
             break
-        touched = dict.fromkeys(w for a in assigned
+        touched = dict.fromkeys(w for a in assigned if a not in seeds
                                 for w in watchers.get(a, ())
                                 if w in s.residual)
         for w in touched:

@@ -1,9 +1,12 @@
 """Nonmonotonic iteration over one strongly connected component.
 
 The chosen (assumption-set) atoms act as the iteration state: each
-outer step substitutes their current values into every body, runs the
-monotonic engine to a fixpoint on the now-acyclic subprogram, and reads
-the chosen atoms back.  Also here: the contraction check, whose one
+outer step seeds the monotonic engine with their current values, runs
+it to a fixpoint on the now-acyclic subprogram, and reads the chosen
+atoms back.  One watch index serves every step and every seed
+combination of a plan: `nmi_iterate` and `branch_and_bound` build it
+once per call, and each pass rewrites only the bodies that read a
+chosen atom.  Also here: the contraction check, whose one
 walk carries the linearized cycle gain hop by hop through the bodies
 around each cycle a chosen atom owns; the resolver for components with
 certainty aggregations, which tries each side of every aggregation and
@@ -19,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 from .intervals import BOTTOM, INCONSISTENT, Interval, tconorm, tnorm
-from .mi import mi_fixpoint
+from .mi import mi_fixpoint, watch_index
 from .transform import (And, Const, Kagg, Naf, Neg, Or, Ref, node_kinds,
                         substitute)
 from .depgraph import AnalysisOverflow, owned_cycles
@@ -75,8 +78,10 @@ class UnresolvedComponent(RuntimeError):
     does not break all cycles."""
 
 
-def _inner_pass(entries: dict, values: dict):
-    return mi_fixpoint({a: substitute(e, values) for a, e in entries.items()})
+def _inner_pass(entries: dict, values: dict, index=None):
+    """The monotonic fixpoint of the entries with the chosen atoms' values
+    substituted; index is `watch_index(entries)`, built once per plan."""
+    return mi_fixpoint(entries, values, index)
 
 
 def nmi_iterate(entries: dict, assumption_set, cfg: NmiConfig,
@@ -93,8 +98,9 @@ def nmi_iterate(entries: dict, assumption_set, cfg: NmiConfig,
         current.update(init)
     history, deltas = [], []
     seen = {}   # chosen (lower, upper) values -> the iteration giving them
+    index = watch_index(entries)
     for it in range(1, cfg.max_outer_iters + 1):
-        state = _inner_pass(entries, current)
+        state = _inner_pass(entries, current, index)
         if state.halted_inconsistent:
             return NmiOutcome("inconsistent", dict(state.interp), it,
                               history, deltas)
@@ -110,7 +116,7 @@ def nmi_iterate(entries: dict, assumption_set, cfg: NmiConfig,
         deltas.append(delta)
         current = new
         if delta < cfg.eps:
-            final = _inner_pass(entries, current)
+            final = _inner_pass(entries, current, index)
             status = ("inconsistent" if final.halted_inconsistent
                       else "converged")
             return NmiOutcome(status, dict(final.interp), it, history, deltas)
@@ -276,9 +282,10 @@ def branch_and_bound(entries: dict, assumption_set, cfg: NmiConfig,
     those that reproduce themselves under one inner pass."""
     points = list(seeds) if seeds is not None else cfg.grid_seeds()
     results = {}
+    index = watch_index(entries)
     for combo in itertools.product(points, repeat=len(assumption_set)):
         values = {a: Interval(x, x) for a, x in zip(assumption_set, combo)}
-        state = _inner_pass(entries, values)
+        state = _inner_pass(entries, values, index)
         if not (state.halted_inconsistent or state.residual) and all(
                 state.interp[a].same_as(values[a], cfg.eps)
                 for a in assumption_set):

@@ -28,8 +28,10 @@ more than `MAX_GROUND_RULES` rules.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
+from collections.abc import KeysView
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -117,12 +119,17 @@ class Rule:
 
 @dataclass
 class Program:
+    """A list of rules.  `rules` is not changed after construction: the
+    atom base is computed from it once, when first read."""
     rules: list = field(default_factory=list)
 
-    @property
-    def atom_base(self) -> set:
-        """All grounded atoms mentioned anywhere in the (ground) program."""
-        return {a for r in self.rules for a in r.atoms}
+    @functools.cached_property
+    def atom_base(self) -> KeysView:
+        """All grounded atoms mentioned anywhere in the (ground) program,
+        computed once per program: a set-like view, in order of first
+        mention, so that what iterates it does not depend on the hash
+        seed."""
+        return dict.fromkeys(a for r in self.rules for a in r.atoms).keys()
 
     @property
     def lit_set(self) -> set:

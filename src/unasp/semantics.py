@@ -5,8 +5,16 @@ classification), rule satisfaction, supportedness, reducts, and the
 answer-set check (supported model of the reduct, minimally certain
 among known candidates).  The reduct carries the closed world, so it
 keeps the program's atom base; a candidate is checked against the
-program itself, and the reduct is built only for the candidates below
-it in certainty and for the grid.
+program itself.
+
+A rival below the candidate i that assigns i's literals, as all of
+`solve`'s do, is checked against P^i only where it differs from i and
+at the atoms that read one of those without `not`.  An atom the rival
+agrees on, and whose body reads no atom it changed, passes as it did
+for i: P^i's naf constants are i's own values, folded where p's naf
+items are evaluated, so the atom's body gives the value it gave when i
+passed, at the same eps.  The whole reduct is built only for rivals
+over other literals and for the grid.
 
 An interpretation is a supported model when every atom equals the value
 its rules force: its body from `transform.atom_bodies`, the same
@@ -129,24 +137,41 @@ def _agrees(actual, req, eps: float) -> bool:
     return req is not INCONSISTENT and actual.same_as(req, eps)
 
 
+def _atom_supported(i: dict, atom, body, eps: float) -> bool:
+    """The atom carries exactly the value its body gives under i and
+    its complementary literal mirrors it; raises UnboundLiteral."""
+    actual = lookup(i, Literal(atom, False))
+    if actual is INCONSISTENT:
+        return False
+    if not _agrees(actual, evaluate(body, i), eps):
+        return False
+    actual_neg = lookup(i, Literal(atom, True))
+    if actual_neg is INCONSISTENT:
+        return False
+    return actual_neg.same_as(negate(actual), eps)
+
+
 def is_supported_model(i: dict, p: Program, eps: float = EPS_CMP) -> bool:
     """Every atom carries exactly the value its rules produce and the
     complementary literal mirrors it; False if a literal is unbound."""
     try:
-        for atom, body in tf.atom_bodies(p):
-            actual = lookup(i, Literal(atom, False))
-            if actual is INCONSISTENT:
-                return False
-            if not _agrees(actual, evaluate(body, i), eps):
-                return False
-            actual_neg = lookup(i, Literal(atom, True))
-            if actual_neg is INCONSISTENT:
-                return False
-            if not actual_neg.same_as(negate(actual), eps):
-                return False
+        return all(_atom_supported(i, atom, body, eps)
+                   for atom, body in tf.atom_bodies(p))
     except UnboundLiteral:
         return False
-    return True
+
+
+def _reduct_rule(r: Rule, i: dict) -> Rule:
+    """r in P^i: every naf body item replaced with the constant it
+    evaluates to under i."""
+    return Rule(r.head, r.weight,
+                tuple(ConstItem(naf(lookup(i, b.literal)))
+                      if isinstance(b, LitItem) and b.naf else b
+                      for b in r.body), r.label)
+
+
+def _closed_world(atom) -> Rule:
+    return Rule(Literal(atom, False), TRUE, (ConstItem(BOTTOM),), f"c#{atom}")
 
 
 def reduct(p: Program, i: dict) -> Program:
@@ -155,15 +180,60 @@ def reduct(p: Program, i: dict) -> Program:
     for every atom that heads no rule.  The closed-world rules keep the
     atom base of p, so an atom read only through naf stays an atom of
     the reduct and of every rival drawn from it."""
-    rules = [Rule(r.head, r.weight,
-                  tuple(ConstItem(naf(lookup(i, b.literal)))
-                        if isinstance(b, LitItem) and b.naf else b
-                        for b in r.body), r.label)
-             for r in p.rules]
+    rules = [_reduct_rule(r, i) for r in p.rules]
     headed = {r.head.atom for r in p.rules}
-    rules += [Rule(Literal(a, False), TRUE, (ConstItem(BOTTOM),), f"c#{a}")
-              for a in sorted(p.atom_base - headed, key=str)]
+    rules += [_closed_world(a) for a in sorted(p.atom_base - headed, key=str)]
     return Program(rules)
+
+
+class _ReductAt:
+    """P^i for rivals that assign the literals of i, built one atom at a
+    time; i must be a supported model of p at the eps it is read at.
+
+    A rival c is a supported model of P^i exactly when it passes at the
+    atoms where it differs from i, under either sign, and at the atoms
+    whose rules read one of those through a body item without `not`;
+    every other atom gives the value it gave i, bit for bit (see the
+    module docstring)."""
+
+    def __init__(self, p: Program, i: dict):
+        self.i = i
+        self.groups = tf.rules_by_head(p)
+        self.readers = {}   # Atom -> the heads of rules reading it without naf
+        for r in p.rules:
+            for b in r.body:
+                if isinstance(b, LitItem) and not b.naf:
+                    self.readers.setdefault(b.literal.atom, []).append(
+                        r.head.atom)
+        self.bodies = {}
+
+    def body(self, atom):
+        """The atom's body in P^i, as `transform.atom_bodies` writes it."""
+        body = self.bodies.get(atom)
+        if body is None:
+            pos, neg = self.groups[atom]
+            if not (pos or neg):
+                pos = [_closed_world(atom)]
+            body = self.bodies[atom] = tf.atom_body(
+                [_reduct_rule(r, self.i) for r in pos],
+                [_reduct_rule(r, self.i) for r in neg])
+        return body
+
+    def supports(self, c: dict, eps: float = EPS_CMP) -> bool:
+        """is_supported_model(c, reduct(p, i), eps), checked where c
+        differs from i; c holds no INCONSISTENT value, as no rival
+        below i in certainty does."""
+        differs = {lit.atom for lit, v in self.i.items()
+                   if (w := c[lit]) is not v
+                   and (w.lower != v.lower or w.upper != v.upper)}
+        check = set(differs)
+        for a in differs:
+            check.update(self.readers.get(a, ()))
+        try:
+            return all(_atom_supported(c, a, self.body(a), eps)
+                       for a in self.groups if a in check)
+        except UnboundLiteral:
+            return False
 
 
 def total_from_positive(positive: dict) -> dict:
@@ -247,9 +317,10 @@ def interp_kp_below(a: dict, b: dict, eps: float = EPS_CMP) -> bool:
         for x, y in pairs:
             if x is INCONSISTENT or y is INCONSISTENT:
                 return False
-            if x.width < y.width - eps:
+            wx, wy = x.upper - x.lower, y.upper - y.lower
+            if wx < wy - eps:
                 return False
-            if x.width > y.width + eps:
+            if wx > wy + eps:
                 strict = True
     except UnboundLiteral:
         return False
@@ -265,20 +336,29 @@ def is_answer_set(i: dict, p: Program, candidates=(),
     so the two verdicts are the same, bit for bit.  Minimality over the
     continuum is undecidable; it is checked against the supplied
     candidates plus, for small programs, a brute-force grid
-    enumeration, and the reduct is built only for those.  Grid models
-    are supported models of the reduct by construction (the same
-    bodies, `evaluate` and `_agrees` as `is_supported_model`), so only
-    the candidates are re-checked.
+    enumeration.  A candidate over i's literals, as every one of
+    `solve`'s is, is checked only where it differs from i (`_ReductAt`);
+    the whole reduct is built only for other candidates and the grid.
+    Grid models are supported models of the reduct by construction (the
+    same bodies, `evaluate` and `_agrees` as `is_supported_model`), so
+    only the candidates are re-checked.
     """
     if not is_supported_model(i, p, eps):
         return False
+    keys = i.keys()
     rivals = [c for c in candidates
               if c is not i and interp_kp_below(c, i, eps)]
+    same = [c for c in rivals if c.keys() == keys]
+    if same:
+        at_i = _ReductAt(p, i)
+        if any(at_i.supports(c, eps) for c in same):
+            return False
+    others = [c for c in rivals if c.keys() != keys]
     small = len(p.atom_base) <= GRID_MAX_ATOMS
-    if not (rivals or small):
+    if not (others or small):
         return True
     red = reduct(p, i)
-    if any(is_supported_model(c, red, eps) for c in rivals):
+    if any(is_supported_model(c, red, eps) for c in others):
         return False
     if not small:
         return True

@@ -88,53 +88,67 @@ def simplify(e, values: dict = None):
 
     values maps Atom -> Interval (or INCONSISTENT); a reference to one
     of those atoms becomes its value, a reference to -a the mirror of
-    a's value, before the folding above it."""
-    if isinstance(e, Const):
+    a's value, before the folding above it.  A node is returned as it
+    is when nothing beneath it changed and nothing in it folds, so a
+    simplified body no value reaches comes back unchanged."""
+    kind = type(e)
+    if kind is Const:
         return e
-    if isinstance(e, Ref):
+    if kind is Ref:
         atom = e.literal.atom
         if not values or atom not in values:
             return e
         v = values[atom]
         return Const(negate(v) if e.literal.negated else v)
-    if isinstance(e, Naf):
+    if kind is Naf or kind is Neg:
         child = simplify(e.child, values)
-        if isinstance(child, Const):
-            return Const(naf(child.value))
-        return Naf(child)
-    if isinstance(e, Neg):
-        child = simplify(e.child, values)
-        if isinstance(child, Const):
-            return Const(negate(child.value))
-        return Neg(child)
-    if isinstance(e, Kagg):
+        if type(child) is Const:
+            return Const(naf(child.value) if kind is Naf
+                         else negate(child.value))
+        return e if child is e.child else kind(child)
+    if kind is Kagg:
         left, right = simplify(e.left, values), simplify(e.right, values)
-        if isinstance(left, Const) and left.value is INCONSISTENT:
+        left_const, right_const = type(left) is Const, type(right) is Const
+        if left_const and left.value is INCONSISTENT:
             return left
-        if isinstance(right, Const) and right.value is INCONSISTENT:
+        if right_const and right.value is INCONSISTENT:
             return right
-        if isinstance(left, Const) and isinstance(right, Const):
+        if left_const and right_const:
             return Const(kagg(left.value, right.value))
+        if left is e.left and right is e.right:
+            return e
         return Kagg(left, right)
-    if isinstance(e, (And, Or)):
-        is_and = isinstance(e, And)
+    if kind is And or kind is Or:
+        is_and = kind is And
         combine = tnorm if is_and else tconorm
         unit = TRUE if is_and else FALSE
         annihilator = FALSE if is_and else TRUE
         folded = None
         rest = []
-        for c in e.children:
+        # the node stands as it is while every child comes back
+        # unchanged and at most one constant leads the children
+        same = True
+        for k, c in enumerate(e.children):
             child = simplify(c, values)
-            if isinstance(child, Const):
+            if child is not c:
+                same = False
+            if type(child) is Const:
                 if child.value is INCONSISTENT:
                     return child
-                folded = child.value if folded is None \
-                    else combine(folded, child.value)
+                if folded is None:
+                    folded = child.value
+                    same = same and k == 0
+                else:
+                    folded = combine(folded, child.value)
+                    same = False
             else:
                 rest.append(child)
         if folded is not None and folded.same_as(annihilator):
             return Const(annihilator)
-        if folded is not None and not folded.same_as(unit):
+        kept = folded is not None and not folded.same_as(unit)
+        if same and len(e.children) > 1 and (kept or folded is None):
+            return e
+        if kept:
             rest.insert(0, Const(folded))
         if not rest:
             return Const(folded if folded is not None else unit)
@@ -167,7 +181,21 @@ def node_kinds(exprs) -> set:
 
 
 def referenced_atoms(e) -> set:
-    return {n.literal.atom for n in nodes(e) if isinstance(n, Ref)}
+    """The atoms a body expression refers to, under either sign."""
+    atoms = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is Ref:
+            atoms.add(node.literal.atom)
+        elif kind is And or kind is Or:
+            stack += node.children
+        elif kind is Kagg:
+            stack += (node.left, node.right)
+        elif kind is Naf or kind is Neg:
+            stack.append(node.child)
+    return atoms
 
 
 def _item_expr(item):
@@ -179,7 +207,8 @@ def _item_expr(item):
 
 def rules_by_head(p: Program) -> dict:
     """Atom -> (rules with head a, rules with head -a) for every atom of
-    the program, headless ones included, in program order."""
+    the program, headless ones included, in the order of `atom_base`,
+    that of first mention."""
     groups = {atom: ([], []) for atom in p.atom_base}
     for r in p.rules:
         groups[r.head.atom][r.head.negated].append(r)
@@ -221,8 +250,8 @@ def atom_body(pos_rules, neg_rules):
 
 
 def atom_bodies(p: Program):
-    """(atom, atom_body) for every atom of the program, in program
-    order, built one at a time as the caller asks for them."""
+    """(atom, atom_body) for every atom of the program, in order of
+    first mention, built one at a time as the caller asks for them."""
     return ((atom, atom_body(*group))
             for atom, group in rules_by_head(p).items())
 

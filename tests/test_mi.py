@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from unasp import Atom, mi, parse_program, transform_program
 from unasp.intervals import Interval
-from unasp.mi import gamma_step, initial_state, mi_fixpoint
+from unasp.mi import gamma_step, initial_state, mi_fixpoint, watch_index
 from unasp.transform import referenced_atoms, substitute
 
 from conftest import PROGRAMS
@@ -154,6 +154,39 @@ class TestWatchListMatchesStepping:
     @given(text=_program_text())
     def test_random_programs(self, text):
         _assert_same_paths(text)
+
+
+SEED_VALUES = st.sampled_from([Interval(0.0, 0.0), Interval(1.0, 1.0),
+                               Interval(0.0, 1.0), Interval(0.5, 0.5),
+                               Interval(0.3, 0.7), Interval(0.25, 1.0)])
+
+
+class TestSeededPass:
+    """mi_fixpoint with seeds reaches the state of the old inner pass,
+    which substituted the seeds into every body before the fixpoint."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_program_text(), residual=st.booleans(), data=st.data())
+    def test_same_state_as_substituting_every_body(self, text, residual,
+                                                   data):
+        bodies = transform_program(parse_program(text))
+        if residual:
+            # the cyclic part the monotonic pass leaves, as nmi sees it
+            bodies = mi_fixpoint(bodies).residual or bodies
+        atoms = sorted({a for e in bodies.values()
+                        for a in referenced_atoms(e)} | set(bodies), key=str)
+        chosen = data.draw(st.lists(st.sampled_from(atoms), unique=True))
+        seeds = {a: data.draw(SEED_VALUES) for a in chosen}
+        old = mi_fixpoint({a: substitute(e, seeds)
+                           for a, e in bodies.items()})
+        for state in (mi_fixpoint(bodies, seeds),
+                      mi_fixpoint(bodies, seeds, watch_index(bodies))):
+            assert [(str(a), repr(v)) for a, v in state.interp.items()] \
+                == [(str(a), repr(v)) for a, v in old.interp.items()]
+            assert list(state.residual.items()) == list(old.residual.items())
+            assert state.halted_inconsistent == old.halted_inconsistent
+            assert state.inconsistent_atoms == old.inconsistent_atoms
+            assert _snapshot(state) == _snapshot(old)
 
 
 def test_acyclic_chain_substitutes_once_per_reference(monkeypatch):

@@ -288,6 +288,10 @@ class TestProgramAccessors:
         assert names == {"a", "b", "c"}
         assert len(ex2.lit_set) == 6
 
+    def test_atom_base_computed_once(self):
+        p = parse_program("a <- [1,1] : not b.\nc <- [0.5,1] : a.")
+        assert p.atom_base is p.atom_base
+
     def test_rules_for(self, ex2):
         assert len(ex2.rules_for(Literal(Atom("a")))) == 2
         assert len(ex2.rules_for(Literal(Atom("a"), negated=True))) == 1
