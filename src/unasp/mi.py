@@ -28,7 +28,6 @@ builds it once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .intervals import INCONSISTENT
 from .transform import Const, referenced_atoms, substitute
@@ -85,21 +84,18 @@ def gamma_step(s: MiState) -> MiState:
     return nxt
 
 
-class WatchIndex(NamedTuple):
-    order: dict      # Atom -> its place among the bodies
-    watchers: dict   # Atom -> the atoms whose body refers to it
-
-
-def watch_index(bodies: dict) -> WatchIndex:
+def watch_index(bodies: dict) -> tuple:
+    """(order, watchers): Atom -> its place among the bodies, and Atom ->
+    the atoms whose body refers to it."""
     watchers = {}
     for atom, e in bodies.items():
         for ref in referenced_atoms(e):
             watchers.setdefault(ref, []).append(atom)
-    return WatchIndex({a: k for k, a in enumerate(bodies)}, watchers)
+    return {a: k for k, a in enumerate(bodies)}, watchers
 
 
 def mi_fixpoint(bodies: dict, seeds: dict = None,
-                index: WatchIndex = None) -> MiState:
+                index: tuple = None) -> MiState:
     """Iterate the bodies, with the seeds (Atom -> value) substituted,
     to the state where gamma_step changes nothing or inconsistency
     halts, substituting only through the watch index, which must be
