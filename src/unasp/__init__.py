@@ -1,15 +1,13 @@
 """Answer set solving for weighted rules over sub-intervals of [0,1]."""
 
 from .intervals import (INCONSISTENT, EPS_CMP, Interval, OrderFamily,
-                        Ordering, compare, kagg, kmax, naf, negate, tconorm,
-                        tnorm)
+                        Ordering, compare, kagg, naf, negate, tconorm, tnorm)
 from .program import (Atom, ConstItem, GroundingCapExceeded, LitItem, Literal,
                       ParseError, Program, Rule, ground, parse_program)
-from .transform import r_join, simplify, substitute, transform_program
-from .semantics import (ConsistencyClass, UnboundLiteral, classify_consistency,
-                        evaluate, is_answer_set, is_supported_model, reduct,
-                        satisfies, total_from_positive)
-from .mi import MiState, gamma_step, mi_fixpoint
+from .transform import simplify, substitute, transform_program
+from .semantics import (UnboundLiteral, evaluate, is_answer_set,
+                        is_supported_model, reduct, total_from_positive)
+from .mi import MiState, mi_fixpoint
 from .depgraph import (AnalysisOverflow, NoValidAssumptionSet,
                        enumerate_cycles, intersection_table, owned_cycles,
                        scc_condense, select_assumption_set)

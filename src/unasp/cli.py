@@ -26,11 +26,12 @@ EXIT_INCOMPLETE = 3
 
 
 def _default_eps():
+    """UNASP_EPS when it is a value --eps accepts, else the default."""
     try:
         eps = float(os.environ.get("UNASP_EPS", ""))
     except ValueError:
         return nmi.NmiConfig.eps
-    return eps if math.isfinite(eps) else nmi.NmiConfig.eps
+    return eps if 0 < eps < math.inf else nmi.NmiConfig.eps
 
 
 def _build_parser():

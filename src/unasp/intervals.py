@@ -77,9 +77,6 @@ class Interval:
     def width(self) -> float:
         return self.upper - self.lower
 
-    def is_exact(self, eps: float = EPS_CMP) -> bool:
-        return self.width <= eps
-
     def same_as(self, other: "Interval", eps: float = EPS_CMP) -> bool:
         return (abs(self.lower - other.lower) <= eps
                 and abs(self.upper - other.upper) <= eps)
@@ -140,21 +137,6 @@ def compare(x: Interval, y: Interval, family: OrderFamily,
     return Ordering.INCOMPARABLE
 
 
-def kp_lt(x: Interval, y: Interval, eps: float = EPS_CMP) -> bool:
-    """x strictly below y in the certainty preorder (x strictly wider)."""
-    return compare(x, y, OrderFamily.KNOWLEDGE_PREORDER, eps) is Ordering.LESS
-
-
-def kp_le(x: Interval, y: Interval, eps: float = EPS_CMP) -> bool:
-    o = compare(x, y, OrderFamily.KNOWLEDGE_PREORDER, eps)
-    return o in (Ordering.LESS, Ordering.EQUAL)
-
-
-def tp_gt(x: Interval, y: Interval, eps: float = EPS_CMP) -> bool:
-    """x strictly above y in the midpoint preorder."""
-    return compare(x, y, OrderFamily.TRUTH_PREORDER, eps) is Ordering.GREATER
-
-
 def negate(x: EpistemicValue) -> EpistemicValue:
     """Strong negation: mirror the interval around 1/2 (width-preserving,
     involutive)."""
@@ -184,18 +166,6 @@ def tconorm(x: EpistemicValue, y: EpistemicValue) -> EpistemicValue:
         return INCONSISTENT
     return Interval(x.lower + y.lower - x.lower * y.lower,
                     x.upper + y.upper - x.upper * y.upper)
-
-
-def kmax(x: Interval, y: Interval) -> Interval:
-    """The more certain (narrower) of two values.
-
-    Undefined when the widths tie (within EPS_CMP) but the values
-    differ; callers that can face that case must go through kagg.
-    """
-    value = kagg(x, y)
-    if value is INCONSISTENT:
-        raise ValueError(f"kmax undefined for equal-width values {x}, {y}")
-    return value
 
 
 def kagg(x: EpistemicValue, y: EpistemicValue) -> EpistemicValue:

@@ -7,15 +7,15 @@ values into the bodies that refer to them (simplification drops [1,1]
 conjuncts and [0,0] disjuncts and collapses on annihilators).  An
 inconsistent aggregation halts the iteration.
 
-`gamma_step` is the one-step reference: it substitutes into every
-remaining body.  `mi_fixpoint` reaches the same states event-driven, in
-the manner of Dowling-Gallier unit propagation: its index
-(`watch_index`) maps each atom to the bodies that refer to it, and a
-step substitutes into the watchers of the atoms it just assigned and
-into no other body, so an acyclic program costs one substitution per
-reference.  Bodies are taken as simplified, as `transform_program` and
-`substitute` leave them; a body no assigned atom reaches is then left
-as it is.
+`mi_fixpoint` reaches the states of the one-step reference in
+`tests/test_mi.py`, which substitutes into every remaining body, but
+event-driven, in the manner of Dowling-Gallier unit propagation: its
+index (`watch_index`) maps each atom to the bodies that refer to it,
+and a step substitutes into the watchers of the atoms it just assigned
+and into no other body, so an acyclic program costs one substitution
+per reference.  Bodies are taken as simplified, as `transform_program`
+and `substitute` leave them; a body no assigned atom reaches is then
+left as it is.
 
 Seed values stand for atoms before the first step, as though
 substituted into every body; only the watchers of a seeded atom are
@@ -43,10 +43,6 @@ class MiState:
     trace: list = field(default_factory=list)       # (step, assigned, residual count)
 
 
-def initial_state(bodies: dict) -> MiState:
-    return MiState(residual=dict(bodies))
-
-
 def _ready(residual: dict, atoms) -> list:
     """The given atoms whose residual body is a constant."""
     return [a for a in atoms if isinstance(residual[a], Const)]
@@ -67,23 +63,6 @@ def _fire(s: MiState, ready: list) -> dict:
     return assigned
 
 
-def gamma_step(s: MiState) -> MiState:
-    """One simultaneous firing of all fully-evaluable rules; s is left
-    as it was."""
-    if s.halted_inconsistent:
-        return s
-    ready = _ready(s.residual, s.residual)
-    if not ready:
-        return s
-    nxt = MiState(dict(s.interp), dict(s.residual), step=s.step,
-                  trace=list(s.trace))
-    assigned = _fire(nxt, ready)
-    if not nxt.halted_inconsistent:
-        nxt.residual = {a: substitute(e, assigned)
-                        for a, e in nxt.residual.items()}
-    return nxt
-
-
 def watch_index(bodies: dict) -> tuple:
     """(order, watchers): Atom -> its place among the bodies, and Atom ->
     the atoms whose body refers to it."""
@@ -97,12 +76,12 @@ def watch_index(bodies: dict) -> tuple:
 def mi_fixpoint(bodies: dict, seeds: dict = None,
                 index: tuple = None) -> MiState:
     """Iterate the bodies, with the seeds (Atom -> value) substituted,
-    to the state where gamma_step changes nothing or inconsistency
+    to the state where no residual body is constant or inconsistency
     halts, substituting only through the watch index, which must be
     `watch_index(bodies)`.  The state is that of
     `mi_fixpoint({a: substitute(e, seeds) for a, e in bodies.items()})`."""
     order, watchers = index or watch_index(bodies)
-    s = initial_state(bodies)
+    s = MiState(residual=dict(bodies))
     seeds = seeds or {}
     for w in dict.fromkeys(w for a in seeds for w in watchers.get(a, ())):
         s.residual[w] = substitute(s.residual[w], seeds)

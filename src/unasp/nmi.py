@@ -78,12 +78,6 @@ class UnresolvedComponent(RuntimeError):
     does not break all cycles."""
 
 
-def _inner_pass(entries: dict, values: dict, index=None):
-    """The monotonic fixpoint of the entries with the chosen atoms' values
-    substituted; index is `watch_index(entries)`, built once per plan."""
-    return mi_fixpoint(entries, values, index)
-
-
 def nmi_iterate(entries: dict, assumption_set, cfg: NmiConfig,
                 init: dict = None) -> NmiOutcome:
     """Outer fixpoint iteration over the chosen atoms, started from
@@ -100,7 +94,7 @@ def nmi_iterate(entries: dict, assumption_set, cfg: NmiConfig,
     seen = {}   # chosen (lower, upper) values -> the iteration giving them
     index = watch_index(entries)
     for it in range(1, cfg.max_outer_iters + 1):
-        state = _inner_pass(entries, current, index)
+        state = mi_fixpoint(entries, current, index)
         if state.halted_inconsistent:
             return NmiOutcome("inconsistent", dict(state.interp), it,
                               history, deltas)
@@ -116,7 +110,7 @@ def nmi_iterate(entries: dict, assumption_set, cfg: NmiConfig,
         deltas.append(delta)
         current = new
         if delta < cfg.eps:
-            final = _inner_pass(entries, current, index)
+            final = mi_fixpoint(entries, current, index)
             status = ("inconsistent" if final.halted_inconsistent
                       else "converged")
             return NmiOutcome(status, dict(final.interp), it, history, deltas)
@@ -285,7 +279,7 @@ def branch_and_bound(entries: dict, assumption_set, cfg: NmiConfig,
     index = watch_index(entries)
     for combo in itertools.product(points, repeat=len(assumption_set)):
         values = {a: Interval(x, x) for a, x in zip(assumption_set, combo)}
-        state = _inner_pass(entries, values, index)
+        state = mi_fixpoint(entries, values, index)
         if not (state.halted_inconsistent or state.residual) and all(
                 state.interp[a].same_as(values[a], cfg.eps)
                 for a in assumption_set):

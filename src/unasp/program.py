@@ -52,9 +52,6 @@ class Atom(NamedTuple):
     predicate: str
     args: tuple = ()
 
-    def is_ground(self) -> bool:
-        return not any(is_variable(t) for t in self.args)
-
     def __str__(self):
         if not self.args:
             return self.predicate
@@ -130,14 +127,6 @@ class Program:
         mention, so that what iterates it does not depend on the hash
         seed."""
         return dict.fromkeys(a for r in self.rules for a in r.atoms).keys()
-
-    @property
-    def lit_set(self) -> set:
-        lits = set()
-        for a in self.atom_base:
-            lits.add(Literal(a, False))
-            lits.add(Literal(a, True))
-        return lits
 
     def rules_for(self, lit: Literal) -> list:
         return [r for r in self.rules if r.head == lit]

@@ -1,7 +1,6 @@
 """Declarative semantics and the independent verifier.
 
-Valuation of body expressions, interpretation consistency (three-way
-classification), rule satisfaction, supportedness, reducts, and the
+Valuation of body expressions, supportedness, reducts, and the
 answer-set check (supported model of the reduct, minimally certain
 among known candidates).  The reduct carries the closed world, so it
 keeps the program's atom base; a candidate is checked against the
@@ -33,13 +32,11 @@ whole product of cells.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import json
 
-from .intervals import (BOTTOM, INCONSISTENT, EPS_CMP, TRUE, Interval,
-                        Ordering, OrderFamily, compare, kagg, naf, negate,
-                        tconorm, tnorm)
+from .intervals import (BOTTOM, INCONSISTENT, EPS_CMP, TRUE, Interval, kagg,
+                        naf, negate, tconorm, tnorm)
 from .program import ConstItem, LitItem, Literal, Program, Rule
 from . import transform as tf
 from .depgraph import scc_condense
@@ -53,12 +50,6 @@ class UnboundLiteral(LookupError):
     def __init__(self, literal):
         super().__init__(f"literal {literal} is not assigned")
         self.literal = literal
-
-
-class ConsistencyClass(enum.Enum):
-    STRICTLY_CONSISTENT = "strictly_consistent"
-    CONSISTENT = "consistent"
-    INCONSISTENT = "inconsistent"
 
 
 def lookup(i: dict, lit: Literal):
@@ -92,43 +83,6 @@ def evaluate(e, i: dict):
     if kind is tf.Kagg:
         return kagg(evaluate(e.left, i), evaluate(e.right, i))
     raise TypeError(f"not a body expression: {e!r}")
-
-
-def classify_consistency(i: dict) -> ConsistencyClass:
-    if any(v is INCONSISTENT for v in i.values()):
-        return ConsistencyClass.INCONSISTENT
-    strict = True
-    for lit, x in i.items():
-        if lit.negated:
-            continue
-        comp = lit.complement()
-        if comp not in i:
-            continue
-        y = i[comp]
-        widths_equal = abs(x.width - y.width) <= EPS_CMP
-        mirror = abs(x.lower + y.upper - 1.0) <= EPS_CMP
-        if widths_equal and mirror:
-            continue
-        if not widths_equal:
-            strict = False
-            continue
-        return ConsistencyClass.INCONSISTENT
-    return (ConsistencyClass.STRICTLY_CONSISTENT if strict
-            else ConsistencyClass.CONSISTENT)
-
-
-def satisfies(i: dict, r: Rule, eps: float = EPS_CMP) -> bool:
-    """Head value equals body∧weight, or strictly beats it in certainty
-    or in truth degree."""
-    head = lookup(i, r.head)
-    body = evaluate(tf.join_rules([r]), i)
-    if head is INCONSISTENT or body is INCONSISTENT:
-        return False
-    if head.same_as(body, eps):
-        return True
-    if compare(head, body, OrderFamily.KNOWLEDGE_PREORDER, eps) is Ordering.GREATER:
-        return True
-    return compare(head, body, OrderFamily.TRUTH_PREORDER, eps) is Ordering.GREATER
 
 
 def _agrees(actual, req, eps: float) -> bool:

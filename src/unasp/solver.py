@@ -41,6 +41,10 @@ class SolverConfig:
         if self.seeds is not None and not (
                 self.seeds and all(0 <= x <= 1 for x in self.seeds)):
             raise ValueError("seeds must lie in [0,1]")
+        unknown = sorted(set(self.trace) - {"mi", "nmi", "graph"})
+        if unknown:
+            raise ValueError(f"trace kind {', '.join(unknown)} must be "
+                             "mi, nmi or graph")
 
     def _sink(self, kind):
         """Where trace lines of this kind go; None when it is not

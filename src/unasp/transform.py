@@ -229,11 +229,6 @@ def join_rules(rules):
     return Or(tuple(disjuncts))
 
 
-def r_join(lit: Literal, p: Program):
-    """The join of every rule with this head, folded."""
-    return simplify(join_rules(p.rules_for(lit)))
-
-
 def atom_body(pos_rules, neg_rules):
     """The value an atom's rules force on it, unfolded: the join of its
     positive rules aggregated with the mirror of the join of its negative

@@ -147,6 +147,10 @@ class TestUsageErrors:
         assert cli._default_eps() == 0.123
         monkeypatch.setenv("UNASP_EPS", "nonsense")
         assert cli._default_eps() == 0.009
+        # values --eps would reject: zero and below
+        for value in ("0", "-1", "-0.0"):
+            monkeypatch.setenv("UNASP_EPS", value)
+            assert cli._default_eps() == 0.009
 
 
 class TestCheck:
@@ -357,7 +361,9 @@ def test_malformed_model_file_is_a_usage_error(text, names, tmp_path, capsys):
     ("solve", "--seeds nan", "seeds must lie in [0,1]"),
     ("solve", "--seeds ,", "seeds must lie in [0,1]"),
     ("solve", "--max-answer-sets -1", "max_answer_sets must be at least 1"),
-    ("solve", "--max-iter -1", "max_outer_iters must be at least 1")])
+    ("solve", "--max-iter -1", "max_outer_iters must be at least 1"),
+    ("solve", "--trace mi,nmi,grpah", "trace kind grpah must be"),
+    ("analyze", "--trace graph,x", "trace kind x must be")])
 def test_out_of_range_setting_is_a_usage_error(command, flags, message,
                                                capsys):
     model = (["--model", str(PROGRAMS / "ex2.model.json")]

@@ -89,6 +89,11 @@ CLI_CASES = {
                     2, None),
     "seeds-empty": ({}, ["solve", program("ex4.unasp"), "--seeds", ""],
                     2, None),
+    # a misspelt trace kind is named, not ignored
+    "bad-trace-kind": ({}, ["solve", program("ex1.unasp"), "--trace",
+                            "mi,nmi,grpah"], 2,
+                       ("stderr", "error: trace kind grpah must be mi, "
+                                  "nmi or graph")),
     # the grid breaks kagg ties at the solver's one tolerance and finds
     # a = [0,0.25], less certain than the candidate a = [0,0.120455646];
     # side selection finds a second candidate, kept

@@ -6,8 +6,7 @@ from hypothesis import example, given, strategies as st
 
 from unasp.intervals import (BOTTOM, EPS_CMP, FALSE, INCONSISTENT, TRUE,
                              Interval, OrderFamily, Ordering, compare, kagg,
-                             kmax, kp_le, kp_lt, naf, negate, tconorm, tnorm,
-                             tp_gt)
+                             naf, negate, tconorm, tnorm)
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 GRID_INTERVALS = [Interval(lo, hi)
@@ -27,8 +26,8 @@ class TestConstruction:
         assert iv.width == pytest.approx(0.5)
 
     def test_degenerate(self):
-        assert Interval(0.3, 0.3).is_exact()
-        assert not Interval(0.3, 0.4).is_exact()
+        assert Interval(0.3, 0.3).width == 0.0
+        assert Interval(0.3, 0.4).width > EPS_CMP
 
     def test_out_of_order_rejected(self):
         with pytest.raises(ValueError):
@@ -148,10 +147,13 @@ class TestOrderings:
         assert compare(Interval(0.0, 0.2), Interval(0.7, 0.9),
                        OrderFamily.KNOWLEDGE_PREORDER) is Ordering.EQUAL
 
-    def test_helpers(self):
-        assert kp_lt(BOTTOM, TRUE)
-        assert kp_le(Interval(0.1, 0.2), Interval(0.6, 0.7))
-        assert tp_gt(Interval(0.8, 0.9), Interval(0.1, 0.2))
+    def test_strict_and_weak_preorder_steps(self):
+        assert compare(BOTTOM, TRUE,
+                       OrderFamily.KNOWLEDGE_PREORDER) is Ordering.LESS
+        assert compare(Interval(0.1, 0.2), Interval(0.6, 0.7),
+                       OrderFamily.KNOWLEDGE_PREORDER) is Ordering.EQUAL
+        assert compare(Interval(0.8, 0.9), Interval(0.1, 0.2),
+                       OrderFamily.TRUTH_PREORDER) is Ordering.GREATER
 
     @pytest.mark.parametrize("family", (OrderFamily.TRUTH_PREORDER,
                                         OrderFamily.KNOWLEDGE_PREORDER))
@@ -251,25 +253,16 @@ class TestConjunctionDisjunction:
 
 
 class TestCertaintySelection:
-    def test_kmax_goldens(self):
-        assert kmax(Interval(0.3916, 0.495),
-                    Interval(0.0, 0.58)).same_as(Interval(0.3916, 0.495))
-        assert kmax(TRUE, Interval(0.3, 1.0)).same_as(TRUE)
-
-    def test_kmax_equal_width_conflict_undefined(self):
-        with pytest.raises(ValueError):
-            kmax(Interval(0.9, 0.9), TRUE)
-
-    def test_kmax_equal_values_ok(self):
-        assert kmax(Interval(0.4, 0.4), Interval(0.4, 0.4)).same_as(
-            Interval(0.4, 0.4))
-
     def test_kagg_goldens(self):
         assert kagg(Interval(0.5, 1.0), Interval(0.4, 0.9)) is INCONSISTENT
+        assert kagg(Interval(0.9, 0.9), TRUE) is INCONSISTENT
         assert kagg(Interval(0.29, 0.29),
                     Interval(0.44, 0.58)).same_as(Interval(0.29, 0.29))
-        x = Interval(0.37, 0.62)
-        assert kagg(x, x).same_as(x)
+        assert kagg(Interval(0.3916, 0.495),
+                    Interval(0.0, 0.58)).same_as(Interval(0.3916, 0.495))
+        assert kagg(TRUE, Interval(0.3, 1.0)).same_as(TRUE)
+        for x in (Interval(0.37, 0.62), Interval(0.4, 0.4)):
+            assert kagg(x, x).same_as(x)
 
     def test_kagg_inconsistent_absorbs(self):
         assert kagg(INCONSISTENT, TRUE) is INCONSISTENT

@@ -2,11 +2,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unasp import Atom, mi, parse_program, transform_program
-from unasp.intervals import Interval
-from unasp.mi import gamma_step, initial_state, mi_fixpoint, watch_index
-from unasp.transform import referenced_atoms, substitute
+from unasp.intervals import INCONSISTENT, Interval
+from unasp.mi import MiState, mi_fixpoint, watch_index
+from unasp.transform import Const, referenced_atoms, substitute
 
 from conftest import PROGRAMS
+
+
+def initial_state(bodies):
+    return MiState(residual=dict(bodies))
+
+
+def gamma_step(s):
+    """The one-step reference that mi_fixpoint is checked against: one
+    simultaneous firing of every atom whose body is constant, then a
+    substitution into every remaining body; s is left as it was."""
+    ready = [a for a, e in s.residual.items() if isinstance(e, Const)]
+    if s.halted_inconsistent or not ready:
+        return s
+    assigned = {a: s.residual[a].value for a in ready}
+    residual = {a: e for a, e in s.residual.items() if a not in assigned}
+    nxt = MiState(s.interp | assigned, residual, step=s.step + 1,
+                  trace=s.trace + [(s.step + 1, assigned, len(residual))])
+    bad = [a for a, v in assigned.items() if v is INCONSISTENT]
+    if bad:
+        nxt.halted_inconsistent = True
+        nxt.inconsistent_atoms = sorted(bad, key=str)
+    else:
+        nxt.residual = {a: substitute(e, assigned)
+                        for a, e in residual.items()}
+    return nxt
 
 
 def values(assigned):

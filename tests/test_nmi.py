@@ -8,7 +8,7 @@ from unasp.depgraph import enumerate_cycles, owned_cycles
 from unasp.intervals import Interval
 from unasp.mi import mi_fixpoint
 from unasp.nmi import (NmiConfig, branch_and_bound, check_contraction,
-                       cycle_gain, nmi_iterate, solve_kagg_cycle, _inner_pass)
+                       cycle_gain, nmi_iterate, solve_kagg_cycle)
 from unasp.solver import ComponentPass, SolverConfig, _value_component
 from unasp.transform import And, Const, Kagg, Naf, Neg, Or, Ref
 
@@ -75,7 +75,7 @@ class TestIterationTrajectory:
         for _ in range(25):
             a1, a2 = sorted((rng.random(), rng.random()))
             g1, g2 = sorted((rng.random(), rng.random()))
-            state = _inner_pass(ex7_entries, {Atom("a"): iv(a1, a2),
+            state = mi_fixpoint(ex7_entries, {Atom("a"): iv(a1, a2),
                                               Atom("g"): iv(g1, g2)})
             assert not state.residual
             w1, w2, w3, w4 = closed_form(a1, a2, g1, g2)
@@ -295,9 +295,9 @@ class TestExactOrbit:
         def counting(*args):
             nonlocal passes
             passes += 1
-            return _inner_pass(*args)
+            return mi_fixpoint(*args)
 
-        monkeypatch.setattr(nmi, "_inner_pass", counting)
+        monkeypatch.setattr(nmi, "mi_fixpoint", counting)
         out = nmi_iterate(entries, [Atom("a"), Atom("b")], NmiConfig())
         assert out.status == "max_iters" and out.period == 3
         assert passes == 87

@@ -283,10 +283,9 @@ class TestValueTypes:
 
 
 class TestProgramAccessors:
-    def test_atom_base_and_lit_set(self, ex2):
+    def test_atom_base(self, ex2):
         names = {str(a) for a in ex2.atom_base}
         assert names == {"a", "b", "c"}
-        assert len(ex2.lit_set) == 6
 
     def test_atom_base_computed_once(self):
         p = parse_program("a <- [1,1] : not b.\nc <- [0.5,1] : a.")
@@ -303,7 +302,8 @@ class TestGrounding:
         assert len(g.rules) == 2
         heads = {str(r.head) for r in g.rules}
         assert heads == {"fly(tweety)", "bird(tweety)"}
-        assert all(r.head.atom.is_ground() for r in g.rules)
+        assert not any(program.is_variable(t) for r in g.rules
+                       for t in r.head.atom.args)
 
     def test_propositional_identity(self, ex6):
         assert ground(ex6).rules == ex6.rules

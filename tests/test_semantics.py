@@ -6,17 +6,15 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from unasp import Atom, Literal, parse_program, r_join, semantics, solve
+from unasp import Atom, Literal, parse_program, semantics, solve
 from unasp.intervals import INCONSISTENT, TRUE, Interval, negate
 from unasp.program import ConstItem, Program, Rule
-from unasp.semantics import (ConsistencyClass, UnboundLiteral,
-                             classify_consistency, enumerate_grid_supported,
+from unasp.semantics import (UnboundLiteral, enumerate_grid_supported,
                              evaluate, grid_intervals, interp_kp_below,
                              is_answer_set,
                              is_supported_model, lookup, model_from_json,
-                             model_to_json, reduct, satisfies,
-                             total_from_positive)
-from unasp.transform import Neg, Ref
+                             model_to_json, reduct, total_from_positive)
+from unasp.transform import Neg, Ref, join_rules, rules_by_head, simplify
 
 
 def interp(**values):
@@ -36,7 +34,7 @@ class TestLookup:
 
 class TestEvaluate:
     def test_joined_body_at_the_monotonic_fixpoint(self, ex6):
-        e = r_join(Literal(Atom("p")), ex6)
+        e = simplify(join_rules(rules_by_head(ex6)[Atom("p")][0]))
         i = interp(q=(0.7, 0.7), r=(0.5, 0.5), s=(0.42, 0.72), t=(0.0, 1.0))
         assert evaluate(e, i).same_as(Interval(0.39157, 0.4951), eps=1e-6)
 
@@ -48,45 +46,6 @@ class TestEvaluate:
     def test_inconsistent_propagates(self):
         i = {Literal(Atom("a")): INCONSISTENT}
         assert evaluate(Neg(Ref(Literal(Atom("a")))), i) is INCONSISTENT
-
-
-class TestConsistency:
-    def test_strictly_consistent(self):
-        i = interp(a=(0.3, 0.5))
-        assert classify_consistency(i) is ConsistencyClass.STRICTLY_CONSISTENT
-
-    def test_consistent_with_different_certainty(self):
-        i = {Literal(Atom("a")): Interval(0.3916, 0.495),
-             Literal(Atom("a"), True): Interval(0.0, 0.58)}
-        assert classify_consistency(i) is ConsistencyClass.CONSISTENT
-
-    def test_inconsistent_equal_width_clash(self):
-        i = {Literal(Atom("a")): Interval(0.9, 0.9),
-             Literal(Atom("a"), True): Interval(1.0, 1.0)}
-        assert classify_consistency(i) is ConsistencyClass.INCONSISTENT
-
-
-class TestSatisfies:
-    def test_equality_satisfies(self, ex1):
-        for x in (Interval(0.0, 1.0), Interval(0.3, 0.3), Interval(0.2, 0.9)):
-            i = total_from_positive({Atom("a"): x, Atom("b"): x})
-            assert all(satisfies(i, r) for r in ex1.rules)
-
-    def test_head_more_certain_satisfies(self):
-        (r,) = parse_program("a <- [1,1] : b.").rules
-        i = interp(a=(0.4, 0.5), b=(0.1, 0.9))
-        assert satisfies(i, r)
-
-    def test_head_truer_satisfies(self):
-        (r,) = parse_program("a <- [1,1] : b.").rules
-        i = interp(a=(0.6, 0.8), b=(0.1, 0.3))
-        assert satisfies(i, r)
-
-    def test_violation(self):
-        (r,) = parse_program("a <- [1,1] : b.").rules
-        # head is both wider (less certain) and lower in truth degree
-        i = interp(a=(0.1, 0.5), b=(0.4, 0.5))
-        assert not satisfies(i, r)
 
 
 class TestSupportedModel:

@@ -231,11 +231,13 @@ class TestNoSharedValuation:
     (NmiConfig, {"eps": -0.1}), (NmiConfig, {"max_outer_iters": 0}),
     (NmiConfig, {"max_outer_iters": -1}),
     (SolverConfig, {"max_answer_sets": 0}),
-    (SolverConfig, {"max_answer_sets": -1})],
+    (SolverConfig, {"max_answer_sets": -1}),
+    (SolverConfig, {"trace": {"mi", "grpah"}})],
     ids=lambda v: getattr(v, "__name__", None) or str(v))
 def test_config_rejects_out_of_range_settings(config, kw):
-    """A NaN or infinite eps judged nothing, and a cap of -1 sliced the
-    answer sets [:-1] or ran no iteration."""
+    """A NaN or infinite eps judged nothing, a cap of -1 sliced the
+    answer sets [:-1] or ran no iteration, and a misspelt trace kind
+    traced nothing."""
     with pytest.raises(ValueError, match="must be"):
         config(**kw)
 

@@ -2,15 +2,15 @@ import functools
 import itertools
 import random
 
-from unasp import Atom, Literal, parse_program, r_join, transform_program
+from unasp import Atom, Literal, parse_program, transform_program
 from unasp.intervals import (BOTTOM, FALSE, INCONSISTENT, Interval, kagg,
                              naf, negate, tconorm, tnorm)
 from unasp.program import ConstItem, LitItem, Program, Rule
 from unasp.semantics import (evaluate, grid_intervals, is_supported_model,
                              reduct, total_from_positive)
 from unasp.transform import (And, Const, Kagg, Naf, Neg, Or, Ref, atom_body,
-                             referenced_atoms, rules_by_head, simplify,
-                             substitute)
+                             join_rules, referenced_atoms, rules_by_head,
+                             simplify, substitute)
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -20,10 +20,15 @@ def _flat(expr):
     return list(expr.children)
 
 
+def r_join(name, p):
+    """The join of the rules with head `name`, folded."""
+    return simplify(join_rules(rules_by_head(p)[Atom(name)][0]))
+
+
 class TestRJoin:
     def test_two_rule_join(self):
         p = parse_program("a <- [0.9,1] : b, d.\na <- [0.8,0.8] : c, e.")
-        e = r_join(Literal(Atom("a")), p)
+        e = r_join("a", p)
         assert isinstance(e, Or)
         for disjunct in e.children:
             assert isinstance(disjunct, And)
@@ -33,10 +38,10 @@ class TestRJoin:
 
     def test_empty_join_is_false(self):
         p = parse_program("a <- [1,1] : b.")
-        assert r_join(Literal(Atom("b")), p) == Const(FALSE)
+        assert r_join("b", p) == Const(FALSE)
 
     def test_example2_join_of_a(self, ex2):
-        e = r_join(Literal(Atom("a")), ex2)
+        e = r_join("a", ex2)
         assert isinstance(e, Or)
         consts = [c for c in e.children if isinstance(c, Const)]
         ands = [c for c in e.children if isinstance(c, And)]
