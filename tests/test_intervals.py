@@ -253,16 +253,24 @@ class TestConjunctionDisjunction:
 
 
 class TestCertaintySelection:
-    def test_kagg_goldens(self):
-        assert kagg(Interval(0.5, 1.0), Interval(0.4, 0.9)) is INCONSISTENT
-        assert kagg(Interval(0.9, 0.9), TRUE) is INCONSISTENT
-        assert kagg(Interval(0.29, 0.29),
-                    Interval(0.44, 0.58)).same_as(Interval(0.29, 0.29))
+    def test_kagg_narrower_wins_goldens(self):
         assert kagg(Interval(0.3916, 0.495),
                     Interval(0.0, 0.58)).same_as(Interval(0.3916, 0.495))
         assert kagg(TRUE, Interval(0.3, 1.0)).same_as(TRUE)
-        for x in (Interval(0.37, 0.62), Interval(0.4, 0.4)):
-            assert kagg(x, x).same_as(x)
+
+    def test_kagg_equal_width_conflict_inconsistent(self):
+        assert kagg(Interval(0.9, 0.9), TRUE) is INCONSISTENT
+
+    def test_kagg_equal_values_ok(self):
+        assert kagg(Interval(0.4, 0.4), Interval(0.4, 0.4)).same_as(
+            Interval(0.4, 0.4))
+
+    def test_kagg_goldens(self):
+        assert kagg(Interval(0.5, 1.0), Interval(0.4, 0.9)) is INCONSISTENT
+        assert kagg(Interval(0.29, 0.29),
+                    Interval(0.44, 0.58)).same_as(Interval(0.29, 0.29))
+        x = Interval(0.37, 0.62)
+        assert kagg(x, x).same_as(x)
 
     def test_kagg_inconsistent_absorbs(self):
         assert kagg(INCONSISTENT, TRUE) is INCONSISTENT
