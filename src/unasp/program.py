@@ -259,6 +259,9 @@ class _Parser:
             self.pos += 1
         name_at = self.pos
         name = self._ident()
+        if name == "not":
+            raise ParseError("'not' cannot name a predicate",
+                             *self._where(name_at))
         args = ()
         if tokens[self.pos] == "(":
             self.pos += 1

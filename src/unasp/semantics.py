@@ -6,14 +6,14 @@ among known candidates).  The reduct carries the closed world, so it
 keeps the program's atom base; a candidate is checked against the
 program itself.
 
-A rival below the candidate i that assigns i's literals, as all of
-`solve`'s do, is checked against P^i only where it differs from i and
-at the atoms that read one of those without `not`.  An atom the rival
-agrees on, and whose body reads no atom it changed, passes as it did
-for i: P^i's naf constants are i's own values, folded where p's naf
-items are evaluated, so the atom's body gives the value it gave when i
-passed, at the same eps.  The whole reduct is built only for rivals
-over other literals and for the grid.
+A rival below the candidate i is checked against P^i only where it
+differs from i and at the atoms that read one of those without `not`;
+a rival over other literals than i's differs from it everywhere.  An
+atom the rival agrees on, and whose body reads no atom it changed,
+passes as it did for i: P^i's naf constants are i's own values, folded
+where p's naf items are evaluated, so the atom's body gives the value
+it gave when i passed, at the same eps.  The whole reduct is built only
+for the grid.
 
 An interpretation is a supported model when every atom equals the value
 its rules force: its body from `transform.atom_bodies`, the same
@@ -124,10 +124,6 @@ def _reduct_rule(r: Rule, i: dict) -> Rule:
                       for b in r.body), r.label)
 
 
-def _closed_world(atom) -> Rule:
-    return Rule(Literal(atom, False), TRUE, (ConstItem(BOTTOM),), f"c#{atom}")
-
-
 def reduct(p: Program, i: dict) -> Program:
     """P^i: every naf body item replaced with the constant it evaluates
     to under i, plus the closed world, a <- [1,1] : [0,1] (label c#a)
@@ -136,19 +132,21 @@ def reduct(p: Program, i: dict) -> Program:
     the reduct and of every rival drawn from it."""
     rules = [_reduct_rule(r, i) for r in p.rules]
     headed = {r.head.atom for r in p.rules}
-    rules += [_closed_world(a) for a in sorted(p.atom_base - headed, key=str)]
+    rules += [Rule(Literal(a, False), TRUE, (ConstItem(BOTTOM),), f"c#{a}")
+              for a in sorted(p.atom_base - headed, key=str)]
     return Program(rules)
 
 
 class _ReductAt:
-    """P^i for rivals that assign the literals of i, built one atom at a
-    time; i must be a supported model of p at the eps it is read at.
+    """P^i, built one atom at a time; i must be a supported model of p
+    at the eps it is read at.
 
     A rival c is a supported model of P^i exactly when it passes at the
     atoms where it differs from i, under either sign, and at the atoms
     whose rules read one of those through a body item without `not`;
     every other atom gives the value it gave i, bit for bit (see the
-    module docstring)."""
+    module docstring).  A rival over other literals is checked at every
+    atom."""
 
     def __init__(self, p: Program, i: dict):
         self.i = i
@@ -162,12 +160,11 @@ class _ReductAt:
         self.bodies = {}
 
     def body(self, atom):
-        """The atom's body in P^i, as `transform.atom_bodies` writes it."""
+        """The atom's body in P^i, as `transform.atom_bodies` writes it:
+        [0,1], the value of its closed-world rule, if it heads no rule."""
         body = self.bodies.get(atom)
         if body is None:
             pos, neg = self.groups[atom]
-            if not (pos or neg):
-                pos = [_closed_world(atom)]
             body = self.bodies[atom] = tf.atom_body(
                 [_reduct_rule(r, self.i) for r in pos],
                 [_reduct_rule(r, self.i) for r in neg])
@@ -177,12 +174,14 @@ class _ReductAt:
         """is_supported_model(c, reduct(p, i), eps), checked where c
         differs from i; c holds no INCONSISTENT value, as no rival
         below i in certainty does."""
-        differs = {lit.atom for lit, v in self.i.items()
-                   if (w := c[lit]) is not v
-                   and (w.lower != v.lower or w.upper != v.upper)}
-        check = set(differs)
-        for a in differs:
-            check.update(self.readers.get(a, ()))
+        check = self.groups
+        if c.keys() == self.i.keys():
+            differs = {lit.atom for lit, v in self.i.items()
+                       if (w := c[lit]) is not v
+                       and (w.lower != v.lower or w.upper != v.upper)}
+            check = set(differs)
+            for a in differs:
+                check.update(self.readers.get(a, ()))
         try:
             return all(_atom_supported(c, a, self.body(a), eps)
                        for a in self.groups if a in check)
@@ -290,34 +289,24 @@ def is_answer_set(i: dict, p: Program, candidates=(),
     so the two verdicts are the same, bit for bit.  Minimality over the
     continuum is undecidable; it is checked against the supplied
     candidates plus, for small programs, a brute-force grid
-    enumeration.  A candidate over i's literals, as every one of
-    `solve`'s is, is checked only where it differs from i (`_ReductAt`);
-    the whole reduct is built only for other candidates and the grid.
-    Grid models are supported models of the reduct by construction (the
-    same bodies, `evaluate` and `_agrees` as `is_supported_model`), so
-    only the candidates are re-checked.
+    enumeration.  A candidate is checked against P^i only where it
+    differs from i (`_ReductAt`); the whole reduct is built only for the
+    grid.  Grid models are supported models of the reduct by
+    construction (the same bodies, `evaluate` and `_agrees` as
+    `is_supported_model`), so only the candidates are re-checked.
     """
     if not is_supported_model(i, p, eps):
         return False
-    keys = i.keys()
     rivals = [c for c in candidates
               if c is not i and interp_kp_below(c, i, eps)]
-    same = [c for c in rivals if c.keys() == keys]
-    if same:
+    if rivals:
         at_i = _ReductAt(p, i)
-        if any(at_i.supports(c, eps) for c in same):
+        if any(at_i.supports(c, eps) for c in rivals):
             return False
-    others = [c for c in rivals if c.keys() != keys]
-    small = len(p.atom_base) <= GRID_MAX_ATOMS
-    if not (others or small):
-        return True
-    red = reduct(p, i)
-    if any(is_supported_model(c, red, eps) for c in others):
-        return False
-    if not small:
+    if len(p.atom_base) > GRID_MAX_ATOMS:
         return True
     return not any(interp_kp_below(c, i, eps)
-                   for c in enumerate_grid_supported(red, eps=eps))
+                   for c in enumerate_grid_supported(reduct(p, i), eps=eps))
 
 
 def model_to_json(i: dict) -> dict:

@@ -218,8 +218,13 @@ def front_half(g: Program) -> FrontHalf:
 
 def component_pass(front: FrontHalf, cfg: SolverConfig) -> ComponentPass:
     """Value every component of the residual, upstream first, on every
-    branch.  A component that cannot be solved drops its branch and
-    makes the pass incomplete."""
+    branch, after writing the mi trace.  A component that cannot be
+    solved drops its branch and makes the pass incomplete."""
+    trace_mi = cfg._sink("mi")
+    if trace_mi:
+        for step, assigned, left in front.mi.trace:
+            trace_mi(f"mi step {step}: {_fmt_vals(assigned)} "
+                     f"({left} rules residual)")
     residual = front.mi.residual
     out = ComponentPass([dict(front.mi.interp)])
     if front.mi.halted_inconsistent or not residual:
@@ -267,11 +272,7 @@ def capped_report(exc: GroundingCapExceeded) -> SolveReport:
 def solve_front(front: FrontHalf, cfg: SolverConfig) -> SolveReport:
     """The component pass and the verifier over a computed front half."""
     mi_state = front.mi
-    trace_mi = cfg._sink("mi")
-    if trace_mi:
-        for step, assigned, left in mi_state.trace:
-            trace_mi(f"mi step {step}: {_fmt_vals(assigned)} "
-                     f"({left} rules residual)")
+    passed = component_pass(front, cfg)
     diagnostics = {
         "mi_steps": mi_state.step,
         "mi_assigned": len(mi_state.interp),
@@ -284,8 +285,6 @@ def solve_front(front: FrontHalf, cfg: SolverConfig) -> SolveReport:
             "monotonic stage halted: inconsistent aggregation at "
             + ", ".join(str(a) for a in mi_state.inconsistent_atoms))
         return SolveReport([], "no_answer_set", diagnostics)
-
-    passed = component_pass(front, cfg)
     diagnostics["components"] = [plan.summary() for plan in passed.plans]
     diagnostics["notes"] += passed.notes
     verify_eps = cfg.nmi.answer_tol

@@ -57,9 +57,13 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "mi step 1" in err
 
-    @pytest.mark.parametrize("name, text", [
-        ("ex2", "mi step 1: b:[1,1], c:[1,1] (1 rules residual)\n"
-                "mi step 2: a:[0,0] (0 rules residual)\n"),
+    EX2_MI = ("mi step 1: b:[1,1], c:[1,1] (1 rules residual)\n"
+              "mi step 2: a:[0,0] (0 rules residual)\n")
+
+    # analyze writes the mi trace as solve does
+    @pytest.mark.parametrize("name, text, command", [
+        ("ex2", EX2_MI, "solve"),
+        ("ex2", EX2_MI, "analyze"),
         ("ex4", "components (topo order): a,b\n"
                 + "".join(f"component a,b [branch_and_bound] result {k}: "
                           f"a:[{a}], b:[{b}]\n"
@@ -67,9 +71,10 @@ class TestSolve:
                               ("0,0", "1,1"), ("0.25,0.25", "0.75,0.75"),
                               ("0.5,0.5", "0.5,0.5"),
                               ("0.75,0.75", "0.25,0.25"),
-                              ("1,1", "0,0")])))])
-    def test_trace_text(self, name, text, capsys):
-        assert run_cli(["solve", path(name), "--trace", "mi,nmi,graph"]) \
+                              ("1,1", "0,0")])),
+         "solve")])
+    def test_trace_text(self, name, text, command, capsys):
+        assert run_cli([command, path(name), "--trace", "mi,nmi,graph"]) \
             == EXIT_OK
         assert capsys.readouterr().err == text
 

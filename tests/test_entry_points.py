@@ -14,6 +14,8 @@ from conftest import (FOLDED_CYCLES, PARALLEL_EDGES, TEN_VARIABLES,
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 EX6 = str(ROOT / "programs" / "ex6.unasp")
+# an ex2 model that leaves c out
+PARTIAL_MODEL = '{"positive": {"a": [0, 0], "b": [1, 1]}}\n'
 
 
 def program(name):
@@ -75,6 +77,10 @@ CLI_CASES = {
                       ["solve", "p.unasp"], 2,
                       ("stderr", "error: 2:14: unexpected character 'é'")),
     "uncoverable": ({"p.unasp": UNCOVERABLE}, ["solve", "p.unasp"], 3, None),
+    # `not` names no predicate, in a body as in a head
+    "not-predicate": ({"p.unasp": "a <- [1,1] : -not.\n"},
+                      ["solve", "p.unasp"], 2,
+                      ("stderr", "error: 1:15: 'not' cannot name a predicate")),
     # b's [0,0] folds the cycle a-c away, so nothing is left to plan
     "folded-cycle-solve": ({"p.unasp": FOLDED_CYCLES["a-c"]},
                            ["solve", "p.unasp"], 0, None),
@@ -84,6 +90,14 @@ CLI_CASES = {
     "bad-model": ({"m.json": '{"positive": {"a": 5}}\n'},
                   ["check", program("ex2.unasp"), "--model", "m.json"],
                   2, None),
+    # c is unbound, so the model is not a supported model
+    "partial-model": ({"m.json": PARTIAL_MODEL},
+                      ["check", program("ex2.unasp"), "--model", "m.json"],
+                      1, ("stdout", "INVALID")),
+    "partial-model-json": ({"m.json": PARTIAL_MODEL},
+                           ["check", program("ex2.unasp"), "--model", "m.json",
+                            "--format", "json"],
+                           1, ("stdout", '{"valid": false}')),
     "nan-eps": ({}, ["solve", EX6, "--eps", "nan"], 2, None),
     "seeds-comma": ({}, ["solve", program("ex4.unasp"), "--seeds", ","],
                     2, None),

@@ -316,32 +316,72 @@ def _grid_totals(p, eps):
             for m in enumerate_grid_supported(p, COARSE, eps)]
 
 
+def _positive(i):
+    return {lit: v for lit, v in i.items() if not lit.negated}
+
+
+def _reshaped(c, shape, n):
+    """c as it is ("same"), or over other literals: its positive ones
+    only, all but its n-th, its positive ones and one negative one off
+    the mirror, or with a literal of an atom no program here has."""
+    lits = sorted(c, key=str)
+    if shape == "positive":
+        return _positive(c)
+    if shape == "missing":
+        return {lit: v for lit, v in c.items() if lit != lits[n % len(lits)]}
+    if shape == "off-mirror":
+        atom = lits[n % len(lits)].atom
+        mirror = negate(c[Literal(atom)])
+        cells = COARSE_CELLS[n % len(COARSE_CELLS):] + COARSE_CELLS
+        off = next(v for v in cells if not v.same_as(mirror))
+        return {**_positive(c), Literal(atom, True): off}
+    if shape == "foreign":
+        return {**c, Literal(Atom("z")): COARSE_CELLS[n % len(COARSE_CELLS)]}
+    return c
+
+
 class TestRivalCheckedWhereItDiffers:
-    """A rival over i's literals, checked only where it differs from i
-    and where that is read without naf, gets the verdict of the whole
-    reduct, is_supported_model(c, reduct(p, i), eps), as long as i is a
-    supported model of p."""
+    """A rival, checked only where it differs from i and where that is
+    read without naf, gets the verdict of the whole reduct,
+    is_supported_model(c, reduct(p, i), eps), as long as i is a
+    supported model of p; a rival over other literals than i's differs
+    from it everywhere."""
+
+    SAME = (False, "same", 0)
 
     @settings(max_examples=300, deadline=None)
     @example(text=SELF_LOOP_READER, pick=0, local=None,
-             changes=[(0, "both", 5)])
+             changes=[(0, "both", 5)], shape=SAME)
     @example(text=NAF_ONLY_HEADLESS, pick=0, local=None,
-             changes=[(3, "pos", 5)])
+             changes=[(3, "pos", 5)], shape=SAME)
     @example(text=NAF_ONLY_HEADLESS, pick=1, local=None,
-             changes=[(0, "neg", 0)])
+             changes=[(0, "neg", 0)], shape=SAME)
+    # the rival's positive literals are i's, its -a is off the mirror
+    @example(text=SELF_LOOP_READER, pick=0, local=None,
+             changes=[(1, "neg", 5)], shape=(True, "off-mirror", 1))
+    # the rival leaves -a out
+    @example(text=SELF_LOOP_READER, pick=0, local=None,
+             changes=[(0, "both", 5)], shape=(False, "missing", 0))
     @given(text=small_program_text(), pick=st.integers(0, 10**6),
            local=st.none() | st.integers(0, 10**6),
            changes=st.lists(st.tuples(st.integers(0, 3),
                                       st.sampled_from(["pos", "neg", "both"]),
                                       st.integers(0, 5)),
-                            min_size=1, max_size=4))
+                            min_size=1, max_size=4),
+           shape=st.tuples(st.booleans(),
+                           st.sampled_from(["same", "positive", "missing",
+                                            "off-mirror", "foreign"]),
+                           st.integers(0, 7)))
     def test_same_verdict_as_the_whole_reduct(self, text, pick, local,
-                                              changes):
-        """i is a grid model of p.  Without local, c is i with the
-        changes made, each to a grid cell under either sign or both;
-        with it, c is a grid model of the reduct's rules for the changed
-        atoms with every other atom pinned to its value in i, so the
-        changed atoms pass and only their readers can fail."""
+                                              changes, shape):
+        """i is a grid model of p, over its positive literals only when
+        shape says so.  Without local, c is i with the changes made,
+        each to a grid cell under either sign or both; with it, c is a
+        grid model of the reduct's rules for the changed atoms with
+        every other atom pinned to its value in i, so the changed atoms
+        pass and only their readers can fail.  c is then reshaped
+        (`_reshaped`)."""
+        positive_i, rival_shape, n = shape
         p = parse_program(text)
         atoms = sorted(p.atom_base, key=str)
         for eps in (1e-9, 0.027):
@@ -349,6 +389,8 @@ class TestRivalCheckedWhereItDiffers:
             if not models:
                 continue
             i = models[pick % len(models)]
+            if positive_i:
+                i = _positive(i)
             assert is_supported_model(i, p, eps)
             red = reduct(p, i)
             moved = [(atoms[k % len(atoms)], sign, COARSE_CELLS[cell])
@@ -370,6 +412,7 @@ class TestRivalCheckedWhereItDiffers:
                 if not local_models:
                     continue
                 c = local_models[local % len(local_models)]
+            c = _reshaped(c, rival_shape, n)
             assert semantics._ReductAt(p, i).supports(c, eps) == \
                 is_supported_model(c, red, eps)
 
