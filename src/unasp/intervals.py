@@ -5,21 +5,22 @@ certainty estimate (its width: narrower means more certain).  Besides
 the two bilattice orderings there are two total preorders, one
 comparing midpoints and one comparing widths.
 
-`Interval` is a frozen, slotted dataclass.  Its constructor validates
-the bounds; two floats already ordered within [0,1], the common case,
-are kept as given without further checks.
+`Interval` is `Frozen`, slotted and immutable.  Its constructor
+validates the bounds; two floats already ordered within [0,1], the
+common case, are kept as given without further checks.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 EPS_CMP = 1e-9
 
 # slack for float round-off at the [0,1] boundary; anything further out
 # is a caller error and is rejected, never clamped
 _BOUNDARY_SLACK = 1e-12
+
+_set = object.__setattr__  # sets a Frozen field; a global is found fastest
 
 
 class _InconsistentType:
@@ -44,10 +45,44 @@ class _InconsistentType:
 INCONSISTENT = _InconsistentType()
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
-    lower: float
-    upper: float
+class Record:
+    """Base of the value types: equality and repr as a dataclass has them."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__ or vars(self)])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self.__slots__ or vars(self)))
+
+
+class Frozen(Record):
+    """Base of the immutable value types, hashed as a frozen dataclass is."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class Interval(Frozen):
+    __slots__ = ("lower", "upper")
+
+    def __init__(self, lower: float, upper: float):
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+        self.__post_init__()
 
     def __post_init__(self):
         lo, hi = self.lower, self.upper
@@ -66,8 +101,8 @@ class Interval:
         hi = min(max(hi, 0.0), 1.0)
         if lo > hi:
             lo = hi = (lo + hi) / 2.0
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        _set(self, "lower", lo)
+        _set(self, "upper", hi)
 
     @property
     def midpoint(self) -> float:

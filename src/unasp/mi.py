@@ -27,20 +27,21 @@ builds it once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .intervals import INCONSISTENT
 from .transform import Const, referenced_atoms, substitute
 
 
-@dataclass
 class MiState:
-    interp: dict = field(default_factory=dict)      # Atom -> Interval
-    residual: dict = field(default_factory=dict)    # Atom -> BodyExpr
-    halted_inconsistent: bool = False
-    inconsistent_atoms: list = field(default_factory=list)
-    step: int = 0
-    trace: list = field(default_factory=list)       # (step, assigned, residual count)
+    def __init__(self, interp=None, residual=None, halted_inconsistent=False,
+                 inconsistent_atoms=None, step=0, trace=None):
+        self.interp = {} if interp is None else interp  # Atom -> Interval
+        self.residual = {} if residual is None else residual  # -> BodyExpr
+        self.halted_inconsistent = halted_inconsistent
+        self.inconsistent_atoms = ([] if inconsistent_atoms is None
+                                   else inconsistent_atoms)
+        self.step = step
+        # (step, assigned, residual count)
+        self.trace = [] if trace is None else trace
 
 
 def _ready(residual: dict, atoms) -> list:

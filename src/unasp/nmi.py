@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
-from .intervals import BOTTOM, INCONSISTENT, Interval, tconorm, tnorm
+from .intervals import BOTTOM, INCONSISTENT, Interval, Record, tconorm, tnorm
 from .mi import mi_fixpoint, watch_index
 from .transform import (And, Const, Kagg, Naf, Neg, Or, Ref, node_kinds,
                         substitute)
@@ -30,13 +29,15 @@ from .depgraph import AnalysisOverflow, owned_cycles
 from .depgraph import enumerate_cycles, select_assumption_set  # noqa: F401
 
 
-@dataclass
-class NmiConfig:
-    eps: float = 0.009
-    max_outer_iters: int = 10_000
-    n_b: int = 5
+class NmiConfig(Record):
+    eps = 0.009
+    max_outer_iters = 10_000
+    n_b = 5
 
-    def __post_init__(self):
+    def __init__(self, eps=eps, max_outer_iters=max_outer_iters, n_b=n_b):
+        self.eps = eps
+        self.max_outer_iters = max_outer_iters
+        self.n_b = n_b
         if not 0 < self.eps < math.inf:
             raise ValueError("eps must be positive and finite")
         if self.max_outer_iters < 1:
@@ -53,24 +54,25 @@ class NmiConfig:
         return [i / (self.n_b - 1) for i in range(self.n_b)]
 
 
-@dataclass
 class GainVector:
-    g1: float
-    g2: float
+    def __init__(self, g1: float, g2: float):
+        self.g1 = g1
+        self.g2 = g2
 
     @property
     def norm(self) -> float:
         return max(abs(self.g1), abs(self.g2))
 
 
-@dataclass
 class NmiOutcome:
-    status: str                 # converged | max_iters | inconsistent
-    interp: dict = field(default_factory=dict)   # Atom -> Interval
-    iters: int = 0
-    history: list = field(default_factory=list)  # chosen values per outer step
-    deltas: list = field(default_factory=list)   # sup-norm change per step
-    period: int = 0   # of the exact orbit a max_iters run was read off, if any
+    def __init__(self, status: str, interp: dict = None, iters: int = 0,
+                 history: list = None, deltas: list = None, period: int = 0):
+        self.status = status    # converged | max_iters | inconsistent
+        self.interp = {} if interp is None else interp   # Atom -> Interval
+        self.iters = iters
+        self.history = [] if history is None else history  # per outer step
+        self.deltas = [] if deltas is None else deltas  # sup-norm changes
+        self.period = period  # of an exact orbit max_iters was read off
 
 
 class UnresolvedComponent(RuntimeError):
@@ -193,12 +195,12 @@ def cycle_gain(entries: dict, cycle) -> GainVector:
     return _walk_cycle(entries, cycle)[0]
 
 
-@dataclass
 class ContractionReport:
-    classification: str   # no_naf_no_kagg | simple_cycle_gain_lt1 |
-                          # conj_path_bound | kagg_cycle |
-                          # branch_bound_required | unclassified
-    gains: dict = field(default_factory=dict)   # Atom -> GainVector
+    def __init__(self, classification: str, gains: dict = None):
+        # no_naf_no_kagg | simple_cycle_gain_lt1 | conj_path_bound |
+        # kagg_cycle | branch_bound_required | unclassified
+        self.classification = classification
+        self.gains = {} if gains is None else gains   # Atom -> GainVector
 
 
 def check_contraction(entries: dict, component, assumption_set,

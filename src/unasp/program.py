@@ -20,10 +20,11 @@ parse, so equal atoms of one program are one object.
 `Atom` and `Literal`, the keys of every interpretation, are named
 tuples, so hashing and equality run in C; they keep dataclass-style
 field names, `str` and `repr`, and an `Atom` never equals a `Literal`
-(their first fields differ in type).  The other AST types are frozen,
-slotted dataclasses, whose equality compares the type too.  `ground`
-refuses, before expanding anything, a program that would ground to
-more than `MAX_GROUND_RULES` rules.
+(their first fields differ in type); `Atom`'s `__new__`, which a
+`typing.NamedTuple` may not define, refuses the name `not`.  The other
+AST types are `intervals.Frozen` values, whose equality compares the
+type too.  `ground` refuses, before expanding anything, a program that
+would ground to more than `MAX_GROUND_RULES` rules.
 """
 
 from __future__ import annotations
@@ -31,11 +32,11 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+from collections import namedtuple
 from collections.abc import KeysView
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .intervals import TRUE, Interval
+from .intervals import TRUE, Frozen, Interval, _set
 
 Term = str | Interval  # a constant or variable name, or an interval
 
@@ -48,9 +49,13 @@ def is_variable(term) -> bool:
     return isinstance(term, str) and term[:1].isupper()
 
 
-class Atom(NamedTuple):
-    predicate: str
-    args: tuple = ()
+class Atom(namedtuple("Atom", ("predicate", "args"), defaults=((),))):
+    __slots__ = ()
+
+    def __new__(cls, predicate: str, args: tuple = ()):
+        if predicate == "not":
+            raise ValueError("'not' cannot name a predicate")
+        return tuple.__new__(cls, (predicate, args))
 
     def __str__(self):
         if not self.args:
@@ -71,18 +76,22 @@ class Literal(NamedTuple):
         return ("-" if self.negated else "") + str(self.atom)
 
 
-@dataclass(frozen=True, slots=True)
-class LitItem:
-    literal: Literal
-    naf: bool = False
+class LitItem(Frozen):
+    __slots__ = ("literal", "naf")
+
+    def __init__(self, literal: Literal, naf: bool = False):
+        _set(self, "literal", literal)
+        _set(self, "naf", naf)
 
     def __str__(self):
         return ("not " if self.naf else "") + str(self.literal)
 
 
-@dataclass(frozen=True, slots=True)
-class ConstItem:
-    value: Interval
+class ConstItem(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value: Interval):
+        _set(self, "value", value)
 
     def __str__(self):
         return _fmt_interval(self.value)
@@ -91,12 +100,14 @@ class ConstItem:
 BodyItem = LitItem | ConstItem
 
 
-@dataclass(frozen=True, slots=True)
-class Rule:
-    head: Literal
-    weight: Interval
-    body: tuple = ()
-    label: str = ""
+class Rule(Frozen):
+    __slots__ = ("head", "weight", "body", "label")
+
+    def __init__(self, head: Literal, weight: Interval, body=(), label=""):
+        _set(self, "head", head)
+        _set(self, "weight", weight)
+        _set(self, "body", body)
+        _set(self, "label", label)
 
     @property
     def atoms(self) -> list:
@@ -114,11 +125,12 @@ class Rule:
         return text
 
 
-@dataclass
 class Program:
     """A list of rules.  `rules` is not changed after construction: the
     atom base is computed from it once, when first read."""
-    rules: list = field(default_factory=list)
+
+    def __init__(self, rules: list = None):
+        self.rules = [] if rules is None else rules
 
     @functools.cached_property
     def atom_base(self) -> KeysView:

@@ -33,7 +33,6 @@ whole product of cells.
 from __future__ import annotations
 
 import itertools
-import json
 
 from .intervals import (BOTTOM, INCONSISTENT, EPS_CMP, TRUE, Interval, kagg,
                         naf, negate, tconorm, tnorm)
@@ -338,6 +337,7 @@ def model_from_json(data: dict, p: Program) -> dict:
                                  f"of the program")
             if not (isinstance(value, list) and len(value) == 2
                     and all(type(x) in (int, float) for x in value)):
+                import json   # off `import unasp`: only model files use it
                 raise ValueError(f"model {section} {name!r}: expected two "
                                  f"numbers, got {json.dumps(value)}")
             try:
@@ -354,5 +354,6 @@ def model_from_json(data: dict, p: Program) -> dict:
 
 
 def load_model_file(path: str, p: Program) -> dict:
+    import json
     with open(path) as fh:
         return model_from_json(json.load(fh), p)

@@ -18,24 +18,26 @@ code with it; `unasp analyze` reports the plans instead.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
+from .intervals import Record
 from .program import GroundingCapExceeded, Program, ground
 from . import depgraph, nmi, semantics
 from .mi import MiState, mi_fixpoint
+from .nmi import NmiConfig
 from .transform import (Const, Kagg, Naf, node_kinds, substitute,
                         transform_program)
 
 
-@dataclass
-class SolverConfig:
-    nmi: nmi.NmiConfig = field(default_factory=nmi.NmiConfig)
-    seeds: list = None             # explicit branch-and-bound seed list
-    max_answer_sets: int = 64
-    trace: set = field(default_factory=set)   # subset of {mi, nmi, graph}
-    trace_sink: object = None                 # callable(str)
+class SolverConfig(Record):
+    max_answer_sets = 64
 
-    def __post_init__(self):
+    def __init__(self, nmi=None, seeds=None, max_answer_sets=max_answer_sets,
+                 trace=None, trace_sink=None):
+        self.nmi = NmiConfig() if nmi is None else nmi
+        self.seeds = seeds             # explicit branch-and-bound seed list
+        self.max_answer_sets = max_answer_sets
+        self.trace = set() if trace is None else trace  # of {mi, nmi, graph}
+        self.trace_sink = trace_sink   # callable(str)
         if self.max_answer_sets < 1:
             raise ValueError("max_answer_sets must be at least 1")
         if self.seeds is not None and not (
@@ -52,29 +54,32 @@ class SolverConfig:
         return self.trace_sink if kind in self.trace else None
 
 
-@dataclass
-class SolveReport:
-    answer_sets: list = field(default_factory=list)  # Literal -> Interval
-    status: str = "ok"       # ok | no_answer_set | inconsistent | incomplete
-    diagnostics: dict = field(default_factory=dict)
+class SolveReport(Record):
+    def __init__(self, answer_sets=None, status="ok", diagnostics=None):
+        # each a dict Literal -> Interval
+        self.answer_sets = [] if answer_sets is None else answer_sets
+        self.status = status  # ok | no_answer_set | inconsistent | incomplete
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
 
-@dataclass
 class FrontHalf:
-    program: Program                  # the ground program
-    bodies: dict                      # Atom -> body, as transformed
-    mi: MiState
+    def __init__(self, program: Program, bodies: dict, mi: MiState):
+        self.program = program   # the ground program
+        self.bodies = bodies     # Atom -> body, as transformed
+        self.mi = mi
 
 
-@dataclass
 class ComponentPlan:
     """How the cycles left in one component are solved on one branch."""
-    component: tuple
-    entries: dict = None   # the component's bodies the monotonic stage left
-    method: str = None     # kagg_cycle | nmi | branch_and_bound | ignorance
-    cycles: list = None
-    assumption_set: list = None
-    error: str = None      # why the component could not be solved
+
+    def __init__(self, component, entries=None, method=None, cycles=None,
+                 assumption_set=None, error=None):
+        self.component = component
+        self.entries = entries  # its bodies the monotonic stage left
+        self.method = method  # kagg_cycle | nmi | branch_and_bound | ignorance
+        self.cycles = cycles
+        self.assumption_set = assumption_set
+        self.error = error      # why the component could not be solved
 
     @functools.cached_property
     def contraction(self):
@@ -97,13 +102,15 @@ class ComponentPlan:
         return record
 
 
-@dataclass
 class ComponentPass:
-    branches: list                    # Atom -> Interval, one per branch
-    components: list = field(default_factory=list)  # topological order
-    plans: list = field(default_factory=list)  # per cyclic component, branch
-    notes: list = field(default_factory=list)
-    truncated: bool = False
+    def __init__(self, branches, components=None, plans=None, notes=None,
+                 truncated=False):
+        self.branches = branches      # Atom -> Interval, one per branch
+        # in topological order; per cyclic component and branch
+        self.components = [] if components is None else components
+        self.plans = [] if plans is None else plans
+        self.notes = [] if notes is None else notes
+        self.truncated = truncated
 
 
 def _fmt_vals(values):

@@ -10,72 +10,84 @@ is the one place they are folded, into the Atom -> body dict `mi`
 works on, and the verifier in `semantics` evaluates them unfolded, so
 the two share no valuation code.  The resulting rules carry no weights.
 
-The body nodes are frozen, slotted dataclasses, not named tuples: their
+The body nodes are `intervals.Frozen` values, not named tuples: their
 equality compares the node type, so `Naf(x) != Neg(x)` and
 `And(c) != Or(c)`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .intervals import (BOTTOM, FALSE, INCONSISTENT, TRUE, kagg, naf,
-                        negate, tconorm, tnorm)
+from .intervals import (BOTTOM, FALSE, INCONSISTENT, TRUE, Frozen, _set,
+                        kagg, naf, negate, tconorm, tnorm)
 from .program import ConstItem, Literal, Program
 
 
-@dataclass(frozen=True, slots=True)
-class Const:
-    value: object  # Interval or INCONSISTENT
+class Const(Frozen):
+    __slots__ = ("value",)
+
+    def __init__(self, value):  # Interval or INCONSISTENT
+        _set(self, "value", value)
 
     def __str__(self):
         return str(self.value)
 
 
-@dataclass(frozen=True, slots=True)
-class Ref:
-    literal: Literal
+class Ref(Frozen):
+    __slots__ = ("literal",)
+
+    def __init__(self, literal: Literal):
+        _set(self, "literal", literal)
 
     def __str__(self):
         return str(self.literal)
 
 
-@dataclass(frozen=True, slots=True)
-class Naf:
-    child: object
+class Naf(Frozen):
+    __slots__ = ("child",)
+
+    def __init__(self, child):
+        _set(self, "child", child)
 
     def __str__(self):
         return f"not {self.child}"
 
 
-@dataclass(frozen=True, slots=True)
-class Neg:
-    child: object
+class Neg(Frozen):
+    __slots__ = ("child",)
+
+    def __init__(self, child):
+        _set(self, "child", child)
 
     def __str__(self):
         return f"-({self.child})"
 
 
-@dataclass(frozen=True, slots=True)
-class And:
-    children: tuple
+class And(Frozen):
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple):
+        _set(self, "children", children)
 
     def __str__(self):
         return "(%s)" % " & ".join(str(c) for c in self.children)
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
-    children: tuple
+class Or(Frozen):
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple):
+        _set(self, "children", children)
 
     def __str__(self):
         return "(%s)" % " | ".join(str(c) for c in self.children)
 
 
-@dataclass(frozen=True, slots=True)
-class Kagg:
-    left: object
-    right: object
+class Kagg(Frozen):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __str__(self):
         return f"({self.left} (x)k {self.right})"

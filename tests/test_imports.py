@@ -2,10 +2,13 @@
 tools, with the standard library alone: a module-level import whose
 name the module never reads fails, unless its line carries
 `# noqa: F401`.  The package's `__init__.py` is left out, since its
-imports are the package's exports."""
+imports are the package's exports.  Also: what `import unasp` loads."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -47,3 +50,18 @@ def test_check_finds_an_unused_import():
     source = ("import os\nimport sys  # noqa: F401\n"
               "from math import (floor,\n    ceil)\nprint(floor)\n")
     assert unused_imports(source) == [(1, "os"), (3, "ceil")]
+
+
+def test_import_loads_no_heavy_standard_module():
+    # every command pays for what `import unasp` loads; the modules it
+    # adds are diffed, so that what `site` loads first does not count
+    code = ("import sys\nbefore = set(sys.modules)\nimport unasp\n"
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    added = set(out.stdout.split())
+    assert "unasp.solver" in added
+    assert added & {"dataclasses", "inspect", "json"} == set()

@@ -4,6 +4,9 @@ from hypothesis import example, given, settings, strategies as st
 from unasp import (Atom, ConstItem, GroundingCapExceeded, LitItem, Literal,
                    ParseError, Program, Rule, ground, parse_program, program)
 from unasp.intervals import Interval
+from unasp.mi import MiState
+from unasp.nmi import ContractionReport, NmiConfig, NmiOutcome
+from unasp.solver import ComponentPass, SolveReport, SolverConfig
 from unasp.transform import And, Const, Kagg, Naf, Neg, Or, Ref
 
 from conftest import TEN_VARIABLES
@@ -217,9 +220,16 @@ class TestAtomSharing:
             assert a == b and hash(a) == hash(b)
 
 
+def _fields(value) -> tuple:
+    """The field names of a value type: a `Frozen` type's `__slots__`,
+    a named tuple's `_fields`."""
+    return type(value).__slots__ or value._fields
+
+
 class TestValueTypes:
     """Atom and Literal are named tuples; Interval, the rule parts and
-    the body nodes are frozen, slotted dataclasses."""
+    the body nodes are `intervals.Frozen` values: slotted and immutable,
+    with a frozen dataclass's equality, hash and repr."""
 
     ATOM = Atom("p", ("a", Interval(0.25, 0.5)))
     LIT = Literal(ATOM, True)
@@ -250,6 +260,9 @@ class TestValueTypes:
                 assert Literal(atom, negated) not in {atom: 0}
         assert Naf(Ref(self.LIT)) != Neg(Ref(self.LIT))
         assert And((Ref(self.LIT),)) != Or((Ref(self.LIT),))
+        value = Interval(0.25, 0.5)
+        assert Const(value) != ConstItem(value)
+        assert value != (0.25, 0.5) and (0.25, 0.5) != value
 
     def test_str_and_repr(self):
         assert str(self.ATOM) == "p(a,[0.25,0.5])"
@@ -269,17 +282,68 @@ class TestValueTypes:
 
     @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
     def test_frozen_and_without_dict(self, value):
-        field = next(iter(getattr(value, "__dataclass_fields__", None)
-                          or value._fields))
+        field = _fields(value)[0]
         before = repr(value)
         with pytest.raises(AttributeError):
             setattr(value, field, None)
-        # a slotted frozen dataclass's generated __setattr__ raises
-        # TypeError for a name that is no field on Python 3.11
-        with pytest.raises((AttributeError, TypeError)):
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        with pytest.raises(AttributeError):
             value.extra = None
         assert repr(value) == before
         assert not hasattr(value, "__dict__")
+
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+    def test_equal_and_hashed_by_fields(self, value):
+        fields = tuple(getattr(value, f) for f in _fields(value))
+        assert hash(value) == hash(fields)
+        assert type(value)(*fields) == value
+
+    def test_atom_refuses_not(self):
+        with pytest.raises(ValueError, match="'not' cannot name a predicate"):
+            Atom("not")
+        with pytest.raises(ParseError, match="^1:18: 'not' cannot name"):
+            parse_program("a <- [1,1] : not not.")
+        rule = Rule(Literal(Atom("a")), Interval(1.0, 1.0),
+                    (LitItem(Literal(Atom("p", ("not",))), naf=True),), "r1")
+        assert parse_program(str(rule)).rules == [rule]
+
+
+class TestRecords:
+    """The mutable records are plain classes: fresh mutable defaults for
+    each instance, and a dataclass's equality and repr on the public
+    configurations and report."""
+
+    @pytest.mark.parametrize("make, attribute", [
+        (SolveReport, "answer_sets"), (SolveReport, "diagnostics"),
+        (MiState, "interp"), (MiState, "residual"), (MiState, "trace"),
+        (MiState, "inconsistent_atoms"), (SolverConfig, "trace"),
+        (SolverConfig, "nmi"), (lambda: ComponentPass([]), "components"),
+        (lambda: ComponentPass([]), "plans"),
+        (lambda: ComponentPass([]), "notes"),
+        (lambda: NmiOutcome("converged"), "history"),
+        (lambda: ContractionReport("kagg_cycle"), "gains")])
+    def test_mutable_defaults_not_shared(self, make, attribute):
+        assert getattr(make(), attribute) is not getattr(make(), attribute)
+
+    def test_defaults_equal_the_class_defaults(self):
+        cfg = NmiConfig()
+        assert (cfg.eps, cfg.max_outer_iters, cfg.n_b) == (
+            NmiConfig.eps, NmiConfig.max_outer_iters, NmiConfig.n_b)
+        assert SolverConfig().max_answer_sets == SolverConfig.max_answer_sets
+
+    def test_equality_and_repr(self):
+        assert NmiConfig() == NmiConfig(0.009, 10_000, 5)
+        assert NmiConfig(n_b=3) != NmiConfig()
+        assert SolveReport() == SolveReport([], "ok", {})
+        assert SolverConfig(seeds=[0.5]) == SolverConfig(seeds=[0.5])
+        assert SolveReport() != SolverConfig()
+        assert repr(NmiConfig()) == (
+            "NmiConfig(eps=0.009, max_outer_iters=10000, n_b=5)")
+        assert repr(SolveReport()) == (
+            "SolveReport(answer_sets=[], status='ok', diagnostics={})")
+        with pytest.raises(TypeError):
+            hash(SolveReport())
 
 
 class TestProgramAccessors:
