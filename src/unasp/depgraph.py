@@ -1,13 +1,13 @@
 """Dependency-graph analysis of a transformed program.
 
 One graph is kept: the atom projection of the bodies (an edge u->v when
-v's body mentions u), used for SCC condensation, topological ordering
-and simple-cycle enumeration.  `to_dot` draws the paper's operator
-graph (atom, operator and constant nodes, naf and classical-negation
-edges) straight from the bodies.  The graph algorithms are the
-textbook ones: Tarjan's (1972) strongly connected components, Kahn's
-topological sort taking the smallest ready component first, and
-Johnson's (1975) elementary circuits.  On top of those sit the
+v's body mentions u), used for SCC condensation, topological ordering,
+simple-cycle enumeration and `mi`'s watch index.  `to_dot` draws the
+paper's operator graph (atom, operator and constant nodes, naf and
+classical-negation edges) straight from the bodies.  The graph
+algorithms are the textbook ones: Tarjan's (1972) strongly connected
+components, Kahn's topological sort taking the smallest ready component
+first, and Johnson's (1975) elementary circuits.  On top of those sit the
 assumption-set selection (which atoms to guess per SCC) and cycle
 ownership: the cycles through one chosen atom that avoid the others,
 which both the selection and the contraction check in `nmi` read.
@@ -253,6 +253,7 @@ def select_assumption_set(entries: dict, component, cycles,
             search(chosen + [a], [cyc for cyc in uncovered if a not in cyc])
 
     search([], list(cycles))
+    del search  # it reads itself, a cycle that would keep seen until the GC
     if best is None:
         raise NoValidAssumptionSet(
             f"no assumption set covers all cycles of {atoms}")
@@ -301,4 +302,5 @@ def to_dot(entries: dict) -> str:
 
     for atom in sorted(entries, key=str):
         walk(entries[atom], atom_node(atom))
+    del walk  # it reads itself, a cycle that would keep nodes until the GC
     return "\n".join(["digraph dependencies {", *nodes, *edges, "}"])

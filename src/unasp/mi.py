@@ -10,8 +10,9 @@ inconsistent aggregation halts the iteration.
 `mi_fixpoint` reaches the states of the one-step reference in
 `tests/test_mi.py`, which substitutes into every remaining body, but
 event-driven, in the manner of Dowling-Gallier unit propagation: its
-index (`watch_index`) maps each atom to the bodies that refer to it,
-and a step substitutes into the watchers of the atoms it just assigned
+index (`watch_index`) is the dependency graph `depgraph.atom_digraph`,
+each atom of the bodies to the bodies that refer to it, and a step
+substitutes into the watchers of the atoms it just assigned
 and into no other body, so an acyclic program costs one substitution
 per reference.  Bodies are taken as simplified, as `transform_program`
 and `substitute` leave them; a body no assigned atom reaches is then
@@ -19,16 +20,18 @@ left as it is.
 
 Seed values stand for atoms before the first step, as though
 substituted into every body; only the watchers of a seeded atom are
-rewritten, and a seeded atom that fires is not propagated, since no
-body reads it any more.  The index depends on the bodies alone, so a
+rewritten (every body, for a seeded atom that heads none), and a
+seeded atom that fires is not propagated, since no body reads it any
+more.  The index depends on the bodies alone, so a
 caller that runs many seeded passes over one set of bodies (`nmi`)
 builds it once.
 """
 
 from __future__ import annotations
 
+from .depgraph import atom_digraph
 from .intervals import INCONSISTENT
-from .transform import Const, referenced_atoms, substitute
+from .transform import Const, substitute
 
 
 class MiState:
@@ -65,13 +68,10 @@ def _fire(s: MiState, ready: list) -> dict:
 
 
 def watch_index(bodies: dict) -> tuple:
-    """(order, watchers): Atom -> its place among the bodies, and Atom ->
-    the atoms whose body refers to it."""
-    watchers = {}
-    for atom, e in bodies.items():
-        for ref in referenced_atoms(e):
-            watchers.setdefault(ref, []).append(atom)
-    return {a: k for k, a in enumerate(bodies)}, watchers
+    """(order, watchers): Atom -> its place among the bodies, and the
+    dependency graph of the bodies, Atom -> the atoms whose body refers
+    to it."""
+    return {a: k for k, a in enumerate(bodies)}, atom_digraph(bodies)
 
 
 def mi_fixpoint(bodies: dict, seeds: dict = None,
@@ -84,7 +84,9 @@ def mi_fixpoint(bodies: dict, seeds: dict = None,
     order, watchers = index or watch_index(bodies)
     s = MiState(residual=dict(bodies))
     seeds = seeds or {}
-    for w in dict.fromkeys(w for a in seeds for w in watchers.get(a, ())):
+    # the graph leaves out an atom heading no body: every body may read it
+    for w in dict.fromkeys(w for a in seeds
+                           for w in watchers.get(a, bodies)):
         s.residual[w] = substitute(s.residual[w], seeds)
     ready = _ready(s.residual, s.residual)
     while ready:
@@ -92,8 +94,7 @@ def mi_fixpoint(bodies: dict, seeds: dict = None,
         if s.halted_inconsistent:
             break
         touched = dict.fromkeys(w for a in assigned if a not in seeds
-                                for w in watchers.get(a, ())
-                                if w in s.residual)
+                                for w in watchers[a] if w in s.residual)
         for w in touched:
             s.residual[w] = substitute(s.residual[w], assigned)
         ready = sorted(_ready(s.residual, touched), key=order.__getitem__)

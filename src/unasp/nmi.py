@@ -98,7 +98,7 @@ def nmi_iterate(entries: dict, assumption_set, cfg: NmiConfig,
     for it in range(1, cfg.max_outer_iters + 1):
         state = mi_fixpoint(entries, current, index)
         if state.halted_inconsistent:
-            return NmiOutcome("inconsistent", dict(state.interp), it,
+            return NmiOutcome("inconsistent", state.interp, it,
                               history, deltas)
         if state.residual:
             raise UnresolvedComponent(
@@ -108,20 +108,20 @@ def nmi_iterate(entries: dict, assumption_set, cfg: NmiConfig,
             max(abs(new[a].lower - current[a].lower),
                 abs(new[a].upper - current[a].upper))
             for a in assumption_set)
-        history.append(dict(new))
+        history.append(new)
         deltas.append(delta)
         current = new
         if delta < cfg.eps:
             final = mi_fixpoint(entries, current, index)
             status = ("inconsistent" if final.halted_inconsistent
                       else "converged")
-            return NmiOutcome(status, dict(final.interp), it, history, deltas)
+            return NmiOutcome(status, final.interp, it, history, deltas)
         key = tuple((new[a].lower, new[a].upper) for a in assumption_set)
         if key in seen:
-            return NmiOutcome("max_iters", dict(current), it, history,
+            return NmiOutcome("max_iters", current, it, history,
                               deltas, it - seen[key])
         seen[key] = it
-    return NmiOutcome("max_iters", dict(current), cfg.max_outer_iters,
+    return NmiOutcome("max_iters", current, cfg.max_outer_iters,
                       history, deltas)
 
 
@@ -285,6 +285,5 @@ def branch_and_bound(entries: dict, assumption_set, cfg: NmiConfig,
         if not (state.halted_inconsistent or state.residual) and all(
                 state.interp[a].same_as(values[a], cfg.eps)
                 for a in assumption_set):
-            results.setdefault(_valuation_key(state.interp),
-                               dict(state.interp))
+            results.setdefault(_valuation_key(state.interp), state.interp)
     return list(results.values())

@@ -38,8 +38,6 @@ from typing import NamedTuple
 
 from .intervals import TRUE, Frozen, Interval, _set
 
-Term = str | Interval  # a constant or variable name, or an interval
-
 # the most rules `ground` instantiates; tc-10, the largest generated
 # workload, grounds 1,000 instances of its recursive rule
 MAX_GROUND_RULES = 100_000
@@ -95,9 +93,6 @@ class ConstItem(Frozen):
 
     def __str__(self):
         return _fmt_interval(self.value)
-
-
-BodyItem = LitItem | ConstItem
 
 
 class Rule(Frozen):

@@ -250,6 +250,7 @@ def enumerate_grid_supported(p: Program, points=GRID_POINTS,
             extend(n + 1)
 
     extend(0)
+    del extend  # it reads itself, a cycle that would keep i until the GC
     found.sort()
     return [{lits[m]: cells[k] for m, k in zip(sorted_places, key)}
             for key in found]

@@ -17,8 +17,6 @@ code with it; `unasp analyze` reports the plans instead.
 
 from __future__ import annotations
 
-import functools
-
 from .intervals import Record
 from .program import GroundingCapExceeded, Program, ground
 from . import depgraph, nmi, semantics
@@ -72,24 +70,14 @@ class FrontHalf:
 class ComponentPlan:
     """How the cycles left in one component are solved on one branch."""
 
-    def __init__(self, component, entries=None, method=None, cycles=None,
+    def __init__(self, component, method=None, cycles=None,
                  assumption_set=None, error=None):
         self.component = component
-        self.entries = entries  # its bodies the monotonic stage left
         self.method = method  # kagg_cycle | nmi | branch_and_bound | ignorance
         self.cycles = cycles
         self.assumption_set = assumption_set
+        self.contraction = None  # advisory, set with assumption_set
         self.error = error      # why the component could not be solved
-
-    @functools.cached_property
-    def contraction(self):
-        """The advisory contraction class, checked when first read (a
-        side selection's plan never is); the entries are let go then."""
-        entries, self.entries = self.entries, None
-        if self.assumption_set is None:
-            return None
-        return nmi.check_contraction(entries, tuple(entries),
-                                     self.assumption_set, self.cycles)
 
     def summary(self) -> dict:
         record = {"component": [str(a) for a in self.component],
@@ -137,11 +125,10 @@ def _method(kinds):
     return "ignorance"
 
 
-def _solve_component(plan: ComponentPlan, cfg: SolverConfig, out):
-    """Plan the cycles left in a component, over its entries' atoms, and
-    run the plan; returns their valuations.  A failing analysis raises
-    and leaves the plan as far as it got."""
-    entries = plan.entries
+def _solve_component(plan: ComponentPlan, entries, cfg: SolverConfig, out):
+    """Plan the cycles left in a component's entries, the bodies the
+    monotonic stage left, and run the plan; returns their valuations.
+    A failing analysis raises and leaves the plan as far as it got."""
     atoms = tuple(entries)
     names = ",".join(str(a) for a in plan.component)
     plan.cycles = depgraph.enumerate_cycles(entries, atoms)
@@ -149,6 +136,7 @@ def _solve_component(plan: ComponentPlan, cfg: SolverConfig, out):
     bnb = plan.method == "branch_and_bound"
     aset = plan.assumption_set = depgraph.select_assumption_set(
         entries, atoms, plan.cycles, mode="branch_bound" if bnb else "nmi")
+    plan.contraction = nmi.check_contraction(entries, atoms, aset, plan.cycles)
     if bnb:
         return nmi.branch_and_bound(entries, aset, cfg.nmi, cfg.seeds)
     if plan.method != "kagg_cycle":
@@ -199,9 +187,9 @@ def _value_component(comp, bodies, cfg: SolverConfig, out):
     if not state.residual:
         return [state.interp], None
     names = ",".join(str(a) for a in comp)
-    plan = ComponentPlan(comp, state.residual)
+    plan = ComponentPlan(comp)
     try:
-        results = _solve_component(plan, cfg, out)
+        results = _solve_component(plan, state.residual, cfg, out)
     except (depgraph.AnalysisOverflow, depgraph.NoValidAssumptionSet,
             nmi.UnresolvedComponent) as exc:
         plan.error = str(exc)
@@ -233,7 +221,7 @@ def component_pass(front: FrontHalf, cfg: SolverConfig) -> ComponentPass:
             trace_mi(f"mi step {step}: {_fmt_vals(assigned)} "
                      f"({left} rules residual)")
     residual = front.mi.residual
-    out = ComponentPass([dict(front.mi.interp)])
+    out = ComponentPass([front.mi.interp])
     if front.mi.halted_inconsistent or not residual:
         return out
     components, topo = depgraph.scc_condense(residual)

@@ -100,9 +100,9 @@ def simplify(e, values: dict = None):
 
     values maps Atom -> Interval (or INCONSISTENT); a reference to one
     of those atoms becomes its value, a reference to -a the mirror of
-    a's value, before the folding above it.  A node is returned as it
-    is when nothing beneath it changed and nothing in it folds, so a
-    simplified body no value reaches comes back unchanged."""
+    a's value, before the folding above it.  A conjunction or
+    disjunction is rebuilt, its folded constant first; the other nodes
+    are returned as they are when nothing beneath them changed."""
     kind = type(e)
     if kind is Const:
         return e
@@ -137,30 +137,20 @@ def simplify(e, values: dict = None):
         annihilator = FALSE if is_and else TRUE
         folded = None
         rest = []
-        # the node stands as it is while every child comes back
-        # unchanged and at most one constant leads the children
-        same = True
-        for k, c in enumerate(e.children):
+        for c in e.children:
             child = simplify(c, values)
-            if child is not c:
-                same = False
             if type(child) is Const:
                 if child.value is INCONSISTENT:
                     return child
                 if folded is None:
                     folded = child.value
-                    same = same and k == 0
                 else:
                     folded = combine(folded, child.value)
-                    same = False
             else:
                 rest.append(child)
         if folded is not None and folded.same_as(annihilator):
             return Const(annihilator)
-        kept = folded is not None and not folded.same_as(unit)
-        if same and len(e.children) > 1 and (kept or folded is None):
-            return e
-        if kept:
+        if folded is not None and not folded.same_as(unit):
             rest.insert(0, Const(folded))
         if not rest:
             return Const(folded if folded is not None else unit)

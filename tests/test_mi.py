@@ -214,6 +214,18 @@ class TestSeededPass:
             assert _snapshot(state) == _snapshot(old)
 
 
+def test_seed_of_an_atom_heading_no_body_reaches_its_readers():
+    # the halt leaves b reading a, which heads none of the residual bodies
+    bodies = transform_program(parse_program(
+        "a <- [1,1] : [1,1].\n-a <- [1,1] : [1,1].\nb <- [1,1] : a.\n"))
+    residual = mi_fixpoint(bodies).residual
+    assert list(residual) == [Atom("b")]
+    seeds = {Atom("a"): Interval(0.5, 0.5)}
+    state = mi_fixpoint(residual, seeds)
+    assert state.interp == {Atom("b"): Interval(0.5, 0.5)}
+    assert not state.residual
+
+
 def test_acyclic_chain_substitutes_once_per_reference(monkeypatch):
     n = 2000
     lines = ["a0 <- [1,1] : [0.9,1]."]

@@ -1,9 +1,9 @@
 """Dead-definition check over the package's modules, with the standard
-library alone: every top-level function and class, and every method
-whose name is not a dunder, must be read somewhere in the package
-outside its own body, as a name or as an attribute.  A definition that
-only the tests or `__init__.py`'s exports read fails, unless it is on
-the allowlist below with its reason."""
+library alone: every top-level function, class and assigned name, and
+every method whose name is not a dunder, must be read somewhere in the
+package outside its own body, as a name or as an attribute.  A
+definition that only the tests or `__init__.py`'s exports read fails,
+unless it is on the allowlist below with its reason."""
 
 import ast
 import collections
@@ -43,6 +43,14 @@ def _definitions(tree):
                         and not (item.name.startswith("__")
                                  and item.name.endswith("__"))):
                     yield f"{stmt.name}.{item.name}", item.name, item
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target])
+            for target in targets:
+                for name in ast.walk(target):
+                    if (isinstance(name, ast.Name)
+                            and isinstance(name.ctx, ast.Store)):
+                        yield name.id, name.id, stmt
 
 
 def unused_definitions(sources: dict, checked=None):
@@ -82,6 +90,9 @@ def test_check_finds_an_unused_definition():
               "class C:\n    def __repr__(self):\n        return 'C'\n"
               "    def method(self):\n        return C()\n"
               "    def called(self):\n        return 2\n"
-              "print(used(), C().called())\n")
+              "LIMIT = 3\nAlias = int | None\nleft, right = 1, 2\n"
+              "typed: int = 4\n"
+              "print(used(), C().called(), LIMIT, right)\n")
     assert unused_definitions({"m": source}) == [
-        ("m", "recursive"), ("m", "C.method")]
+        ("m", "recursive"), ("m", "C.method"), ("m", "Alias"),
+        ("m", "left"), ("m", "typed")]
