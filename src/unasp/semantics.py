@@ -10,17 +10,20 @@ A rival below the candidate i is checked against P^i only where it
 differs from i and at the atoms that read one of those without `not`;
 a rival over other literals than i's differs from it everywhere.  An
 atom the rival agrees on, and whose body reads no atom it changed,
-passes as it did for i: P^i's naf constants are i's own values, folded
-where p's naf items are evaluated, so the atom's body gives the value
-it gave when i passed, at the same eps.  The whole reduct is built only
-for the grid.
+passes as it did for i: P^i is read in place, its `not` items in i,
+so the atom's rules give the value they gave when i passed, at the same
+eps.  The whole reduct is built only for the grid.
 
 An interpretation is a supported model when every atom equals the value
-its rules force: its body from `transform.atom_bodies`, the same
-expression that `transform_program` folds for `mi`, evaluated here as
-written, one atom at a time, by `evaluate`, which shares no code with
-the solver's folding; `kagg` breaks ties at `EPS_CMP`, and a caller's
-eps only bounds how far a value may sit from the forced one.
+its rules force, read straight from its rules, one atom at a time, by
+`forced_value`, which builds no body tree.  That completion rule is
+written twice on purpose: `transform.atom_body` builds it as a tree,
+which the solver folds and the grid oracle evaluates (`evaluate`), and
+`forced_value` applies the same operations in the same order, so the
+verifier shares no valuation code with the solver; a property test
+(tests/test_semantics.py) holds the two equal, bit for bit.  `kagg`
+breaks ties at `EPS_CMP`, and a caller's eps only bounds how far a
+value may sit from the forced one.
 
 The grid oracle, which supplies the rivals of small programs, tries
 every grid cell only for the cut atoms, those whose bodies mention
@@ -90,15 +93,52 @@ def _agrees(actual, req, eps: float) -> bool:
     return req is not INCONSISTENT and actual.same_as(req, eps)
 
 
-def _atom_supported(i: dict, atom, body, eps: float) -> bool:
-    """The atom carries exactly the value its body gives under i and
-    its complementary literal mirrors it; raises UnboundLiteral."""
-    actual = lookup(i, Literal(atom, False))
+def _joined(rules, i: dict, naf_i: dict):
+    """`evaluate(join_rules(rules), i)` with `not` read in naf_i, for
+    one or more rules: each rule's items left to right by t-norm, then
+    its weight, and the rules by t-conorm."""
+    joined = None
+    for r in rules:
+        value = None
+        for b in r.body:
+            if type(b) is ConstItem:
+                x = b.value
+            elif b.naf:
+                x = naf(lookup(naf_i, b.literal))
+            else:
+                x = lookup(i, b.literal)
+            value = x if value is None else tnorm(value, x)
+        value = r.weight if value is None else tnorm(value, r.weight)
+        joined = value if joined is None else tconorm(joined, value)
+    return joined
+
+
+def forced_value(group, i: dict, naf_i: dict):
+    """The value an atom's rules force under i, read straight from its
+    rule group (pos, neg) of `transform.rules_by_head`, with `not` read
+    in naf_i: `evaluate(atom_body(pos, neg), i)` when naf_i is i, that
+    atom's body in `reduct(p, naf_i)` otherwise.  The same operations
+    in the same order as `evaluate` on the tree: the negative side
+    mirrored and aggregated with `kagg`, [0,1] if the atom heads no
+    rule."""
+    pos, neg = group
+    if not neg:
+        return _joined(pos, i, naf_i) if pos else BOTTOM
+    if not pos:
+        return negate(_joined(neg, i, naf_i))
+    return kagg(_joined(pos, i, naf_i), negate(_joined(neg, i, naf_i)))
+
+
+def _atom_supported(c: dict, atom, group, naf_i: dict, eps: float) -> bool:
+    """The atom carries exactly the value its rules force under c, `not`
+    read in naf_i, and its complementary literal mirrors it; raises
+    UnboundLiteral."""
+    actual = lookup(c, Literal(atom, False))
     if actual is INCONSISTENT:
         return False
-    if not _agrees(actual, evaluate(body, i), eps):
+    if not _agrees(actual, forced_value(group, c, naf_i), eps):
         return False
-    actual_neg = lookup(i, Literal(atom, True))
+    actual_neg = lookup(c, Literal(atom, True))
     if actual_neg is INCONSISTENT:
         return False
     return actual_neg.same_as(negate(actual), eps)
@@ -108,8 +148,8 @@ def is_supported_model(i: dict, p: Program, eps: float = EPS_CMP) -> bool:
     """Every atom carries exactly the value its rules produce and the
     complementary literal mirrors it; False if a literal is unbound."""
     try:
-        return all(_atom_supported(i, atom, body, eps)
-                   for atom, body in tf.atom_bodies(p))
+        return all(_atom_supported(i, atom, group, i, eps)
+                   for atom, group in tf.rules_by_head(p).items())
     except UnboundLiteral:
         return False
 
@@ -137,8 +177,9 @@ def reduct(p: Program, i: dict) -> Program:
 
 
 class _ReductAt:
-    """P^i, built one atom at a time; i must be a supported model of p
-    at the eps it is read at.
+    """P^i, read in place: an atom's rules are valued by `forced_value`
+    with their `not` items read in i, and no reduct rule is built; i
+    must be a supported model of p at the eps it is read at.
 
     A rival c is a supported model of P^i exactly when it passes at the
     atoms where it differs from i, under either sign, and at the atoms
@@ -156,18 +197,6 @@ class _ReductAt:
                 if isinstance(b, LitItem) and not b.naf:
                     self.readers.setdefault(b.literal.atom, []).append(
                         r.head.atom)
-        self.bodies = {}
-
-    def body(self, atom):
-        """The atom's body in P^i, as `transform.atom_bodies` writes it:
-        [0,1], the value of its closed-world rule, if it heads no rule."""
-        body = self.bodies.get(atom)
-        if body is None:
-            pos, neg = self.groups[atom]
-            body = self.bodies[atom] = tf.atom_body(
-                [_reduct_rule(r, self.i) for r in pos],
-                [_reduct_rule(r, self.i) for r in neg])
-        return body
 
     def supports(self, c: dict, eps: float = EPS_CMP) -> bool:
         """is_supported_model(c, reduct(p, i), eps), checked where c
@@ -182,8 +211,8 @@ class _ReductAt:
             for a in differs:
                 check.update(self.readers.get(a, ()))
         try:
-            return all(_atom_supported(c, a, self.body(a), eps)
-                       for a in self.groups if a in check)
+            return all(_atom_supported(c, a, group, self.i, eps)
+                       for a, group in self.groups.items() if a in check)
         except UnboundLiteral:
             return False
 
@@ -292,8 +321,11 @@ def is_answer_set(i: dict, p: Program, candidates=(),
     enumeration.  A candidate is checked against P^i only where it
     differs from i (`_ReductAt`); the whole reduct is built only for the
     grid.  Grid models are supported models of the reduct by
-    construction (the same bodies, `evaluate` and `_agrees` as
-    `is_supported_model`), so only the candidates are re-checked.
+    construction, so only the candidates are re-checked: the grid keeps
+    the cells that `_agrees` with `evaluate` of the reduct's
+    `atom_body`, which gives what `is_supported_model` reads from the
+    rules with `forced_value`, bit for bit, as the property test in
+    tests/test_semantics.py checks.
     """
     if not is_supported_model(i, p, eps):
         return False

@@ -2,6 +2,7 @@ import itertools
 import pathlib
 
 import pytest
+from hypothesis import strategies as st
 
 from unasp import Atom, Literal, parse_program
 from unasp.intervals import EPS_CMP, INCONSISTENT
@@ -181,3 +182,32 @@ def unmemoized_assumption_set(entries, component, cycles, mode="nmi"):
 
     search([], list(cycles))
     return None if best is None else sorted(best, key=str)
+
+
+@st.composite
+def random_programs(draw):
+    """1-4 atoms a-d and 1-5 rules; a head is classically negated with
+    probability 0.2; each rule has 1-3 body items, a literal with
+    probability 0.75 (naf 0.3, classically negated 0.2), else an
+    interval constant; every bound has two decimals."""
+    def chance(percent):   # shrinks towards False
+        return draw(st.integers(0, 99)) >= 100 - percent
+
+    atoms = "abcd"[:draw(st.integers(1, 4))]
+
+    def literal():
+        return ("-" if chance(20) else "") + draw(st.sampled_from(atoms))
+
+    def interval():
+        lo, hi = sorted(draw(st.integers(0, 100)) / 100 for _ in range(2))
+        return f"[{lo},{hi}]"
+
+    def item():
+        if not chance(75):
+            return interval()
+        return ("not " if chance(30) else "") + literal()
+
+    return "".join(
+        f"{literal()} <- {interval()} : "
+        f"{', '.join(item() for _ in range(draw(st.integers(1, 3))))}.\n"
+        for _ in range(draw(st.integers(1, 5))))

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import pathlib
 import subprocess
@@ -6,15 +7,20 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from unasp import Atom, Literal, parse_program, semantics, solve
-from unasp.intervals import INCONSISTENT, TRUE, Interval, negate
-from unasp.program import ConstItem, Program, Rule
+from unasp import (Atom, Literal, SolverConfig, parse_program, semantics,
+                   solve, transform)
+from unasp.intervals import (BOTTOM, EPS_CMP, INCONSISTENT, TRUE, Interval,
+                             negate)
+from unasp.program import ConstItem, Program, Rule, ground
 from unasp.semantics import (UnboundLiteral, enumerate_grid_supported,
-                             evaluate, grid_intervals, interp_kp_below,
-                             is_answer_set,
+                             evaluate, forced_value, grid_intervals,
+                             interp_kp_below, is_answer_set,
                              is_supported_model, lookup, model_from_json,
                              model_to_json, reduct, total_from_positive)
-from unasp.transform import Neg, Ref, join_rules, rules_by_head, simplify
+from unasp.transform import (Neg, Ref, atom_bodies, atom_body, join_rules,
+                             rules_by_head, simplify)
+
+from conftest import PROGRAMS, random_programs
 
 
 def interp(**values):
@@ -70,6 +76,127 @@ class TestSupportedModel:
         p = parse_program("a <- [1,1] : b.")
         assert is_supported_model(interp(a=(0, 1), b=(0, 1)), p)
         assert not is_supported_model(interp(a=(0.5, 0.5), b=(0.5, 0.5)), p)
+
+
+@st.composite
+def partial_interpretations(draw, missing=True):
+    """Values for the literals of atoms a-d: each atom given under both
+    signs, drawn apart (so mostly off the mirror), by one of its two
+    literals alone or, when missing holds, not at all; about one value
+    in eight is INCONSISTENT, the others have two-decimal bounds."""
+    def value():
+        if draw(st.integers(0, 7)) == 0:
+            return INCONSISTENT
+        return Interval(*sorted(draw(st.integers(0, 100)) / 100
+                                for _ in range(2)))
+
+    shapes = ["both", "positive", "negative"]
+    if missing:
+        shapes.append("missing")
+    i = {}
+    for name in "abcd":
+        shape = draw(st.sampled_from(shapes))
+        if shape in ("both", "positive"):
+            i[Literal(Atom(name))] = value()
+        if shape in ("both", "negative"):
+            i[Literal(Atom(name), True)] = value()
+    return i
+
+
+def _outcome(fn, *args):
+    """The repr of both bounds of fn(*args), INCONSISTENT, or
+    UnboundLiteral if it raised that."""
+    try:
+        v = fn(*args)
+    except UnboundLiteral:
+        return UnboundLiteral
+    return v if v is INCONSISTENT else (repr(v.lower), repr(v.upper))
+
+
+class TestForcedValue:
+    """forced_value reads an atom's rules as `evaluate` reads the tree
+    `atom_body` builds from them: the same bounds bit for bit, or both
+    INCONSISTENT, or both raising UnboundLiteral.  The verifier reads the
+    rules and the grid oracle the trees, so this is what makes every
+    grid model a supported model of the reduct for the verifier too."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=random_programs(), i=partial_interpretations())
+    def test_matches_evaluate_of_atom_body(self, text, i):
+        for group in rules_by_head(parse_program(text)).values():
+            assert _outcome(forced_value, group, i, i) == \
+                _outcome(evaluate, atom_body(*group), i)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=random_programs(), i=partial_interpretations(),
+           j=partial_interpretations(missing=False))
+    def test_naf_read_in_j_is_the_reduct_at_j(self, text, i, j):
+        """With `not` read in j, which binds every atom as reduct(p, j)
+        needs, it is the atom's body in that reduct: the closed world
+        [0,1] ∧ [1,1] for an atom that heads no rule."""
+        p = parse_program(text)
+        at_j = rules_by_head(reduct(p, j))
+        for atom, group in rules_by_head(p).items():
+            assert _outcome(forced_value, group, i, j) == \
+                _outcome(evaluate, atom_body(*at_j[atom]), i)
+
+
+def _tree_supported(i, p, eps):
+    """The supported-model check on the trees of `atom_bodies`, valued
+    by `evaluate`: the verdict is_supported_model gave when it built
+    them."""
+    try:
+        for atom, body in atom_bodies(p):
+            actual = lookup(i, Literal(atom))
+            actual_neg = lookup(i, Literal(atom, True))
+            req = evaluate(body, i)
+            if any(v is INCONSISTENT for v in (actual, actual_neg, req)) \
+                    or not actual.same_as(req, eps) \
+                    or not actual_neg.same_as(negate(actual), eps):
+                return False
+    except UnboundLiteral:
+        return False
+    return True
+
+
+def _refuse(*args):
+    raise AssertionError("the verifier built a body tree")
+
+
+@contextlib.contextmanager
+def no_body_trees():
+    """transform.atom_body and transform.join_rules raise inside."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transform, "atom_body", _refuse)
+        patch.setattr(transform, "join_rules", _refuse)
+        yield
+
+
+def test_supported_model_builds_no_body_tree():
+    """On the example programs of more than 3 atoms, which have no grid,
+    is_supported_model reads every answer set, and every answer set
+    with one atom moved, without a body tree and gives the verdict of
+    the trees."""
+    tol = SolverConfig().nmi.answer_tol
+    checked = 0
+    for path in sorted(PROGRAMS.glob("*.unasp")):
+        p = ground(parse_program(path.read_text()))
+        if len(p.atom_base) <= 3:
+            continue
+        interps = []
+        for answer in solve(p).answer_sets:
+            interps.append(answer)
+            for lit in sorted(answer, key=str):
+                moved = TRUE if answer[lit].same_as(BOTTOM) else BOTTOM
+                interps.append({**answer, lit: moved})
+        expected = [_tree_supported(i, p, eps)
+                    for i in interps for eps in (EPS_CMP, tol)]
+        assert any(expected) and not all(expected)
+        with no_body_trees():
+            assert [is_supported_model(i, p, eps)
+                    for i in interps for eps in (EPS_CMP, tol)] == expected
+        checked += 1
+    assert checked == 2   # ex6 and ex7
 
 
 class TestReduct:
@@ -345,7 +472,8 @@ class TestRivalCheckedWhereItDiffers:
     read without naf, gets the verdict of the whole reduct,
     is_supported_model(c, reduct(p, i), eps), as long as i is a
     supported model of p; a rival over other literals than i's differs
-    from it everywhere."""
+    from it everywhere.  The check builds no body tree and gives the
+    verdict the whole reduct's trees give."""
 
     SAME = (False, "same", 0)
 
@@ -413,8 +541,10 @@ class TestRivalCheckedWhereItDiffers:
                     continue
                 c = local_models[local % len(local_models)]
             c = _reshaped(c, rival_shape, n)
-            assert semantics._ReductAt(p, i).supports(c, eps) == \
-                is_supported_model(c, red, eps)
+            whole = _tree_supported(c, red, eps)
+            assert is_supported_model(c, red, eps) == whole
+            with no_body_trees():
+                assert semantics._ReductAt(p, i).supports(c, eps) == whole
 
     def test_a_reader_of_a_changed_atom_is_checked(self):
         """a passes at any value, so only b, which reads a, rejects the
@@ -427,20 +557,21 @@ class TestRivalCheckedWhereItDiffers:
 
 
 def test_rival_work_does_not_depend_on_the_hash_seed():
-    """Atoms are visited in order of first mention, so ex6 builds the
-    same number of atom bodies under every hash seed.  Ten seeds, since
-    with the atoms in set order most seeds still agree."""
+    """Atoms are visited in order of first mention, so ex6 values the
+    same number of rule groups (`forced_value` calls) under every hash
+    seed.  Ten seeds, since with the atoms in set order most seeds
+    still agree."""
     root = pathlib.Path(__file__).resolve().parent.parent
     script = (
         "import unasp\n"
-        "from unasp import transform\n"
+        "from unasp import semantics\n"
         "calls = 0\n"
-        "body = transform.atom_body\n"
-        "def counting(*groups):\n"
+        "forced = semantics.forced_value\n"
+        "def counting(*args):\n"
         "    global calls\n"
         "    calls += 1\n"
-        "    return body(*groups)\n"
-        "transform.atom_body = counting\n"
+        "    return forced(*args)\n"
+        "semantics.forced_value = counting\n"
         f"text = open({str(root / 'programs' / 'ex6.unasp')!r}).read()\n"
         "assert unasp.solve(unasp.parse_program(text)).status == 'ok'\n"
         "print(calls)\n")

@@ -2,7 +2,7 @@ import json
 import sys
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from unasp import Atom, Literal, parse_program, solve
 from unasp.cli import run_cli
@@ -16,7 +16,7 @@ from unasp.semantics import (enumerate_grid_supported, interp_kp_below,
 from unasp.solver import SolverConfig, component_pass, front_half
 
 from conftest import (FOLDED_CYCLES, PROGRAMS, TEN_VARIABLES, UNCOVERABLE,
-                      atom_values)
+                      atom_values, random_programs)
 
 
 def tight(eps=1e-9, **kw):
@@ -205,8 +205,10 @@ def _raise(*args):
                          ids=lambda path: path.stem)
 class TestNoSharedValuation:
     """The solver folds bodies with `transform.simplify`; the verifier
-    evaluates them as written with `semantics.evaluate`.  Neither calls
-    the other's."""
+    values each atom straight from its rules with
+    `semantics.forced_value`, and the grid oracle evaluates its bodies
+    as written with `semantics.evaluate`.  Neither side calls the
+    other's."""
 
     def test_verifier_folds_nothing(self, path, monkeypatch):
         program = parse_program(path.read_text())
@@ -219,9 +221,11 @@ class TestNoSharedValuation:
 
     def test_solver_evaluates_nothing(self, path, monkeypatch):
         for module in list(sys.modules.values()):
-            if getattr(module, "evaluate", None) is semantics.evaluate \
-                    and module.__name__.split(".")[0] == "unasp":
-                monkeypatch.setattr(module, "evaluate", _raise)
+            if module.__name__.split(".")[0] != "unasp":
+                continue
+            for name in ("evaluate", "forced_value"):
+                if getattr(module, name, None) is getattr(semantics, name):
+                    monkeypatch.setattr(module, name, _raise)
         front = front_half(ground(parse_program(path.read_text())))
         assert component_pass(front, SolverConfig()).branches
 
@@ -467,35 +471,6 @@ def test_folded_component_has_no_record():
     components = [rec["component"] for rec in
                   report.diagnostics["components"]]
     assert ["c", "d"] not in components and ["a"] in components
-
-
-@st.composite
-def random_programs(draw):
-    """1-4 atoms a-d and 1-5 rules; a head is classically negated with
-    probability 0.2; each rule has 1-3 body items, a literal with
-    probability 0.75 (naf 0.3, classically negated 0.2), else an
-    interval constant; every bound has two decimals."""
-    def chance(percent):   # shrinks towards False
-        return draw(st.integers(0, 99)) >= 100 - percent
-
-    atoms = "abcd"[:draw(st.integers(1, 4))]
-
-    def literal():
-        return ("-" if chance(20) else "") + draw(st.sampled_from(atoms))
-
-    def interval():
-        lo, hi = sorted(draw(st.integers(0, 100)) / 100 for _ in range(2))
-        return f"[{lo},{hi}]"
-
-    def item():
-        if not chance(75):
-            return interval()
-        return ("not " if chance(30) else "") + literal()
-
-    return "".join(
-        f"{literal()} <- {interval()} : "
-        f"{', '.join(item() for _ in range(draw(st.integers(1, 3))))}.\n"
-        for _ in range(draw(st.integers(1, 5))))
 
 
 @settings(max_examples=200, deadline=None)
