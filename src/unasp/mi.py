@@ -4,27 +4,27 @@ fixpoint, consuming rules as their bodies become constant.
 Each step assigns, in residual order, every atom whose residual body has
 folded to a constant, records a trace row, and substitutes the new
 values into the bodies that refer to them (simplification drops [1,1]
-conjuncts and [0,0] disjuncts and collapses on annihilators).  An
-inconsistent aggregation halts the iteration.
+conjuncts and [0,0] disjuncts and collapses on annihilators), noting
+as it goes the bodies that fold to a constant: the next step's atoms,
+sorted only when there are two or more.  An inconsistent aggregation
+halts the iteration.  `mi_fixpoint` is that one flat loop.
 
-`mi_fixpoint` reaches the states of the one-step reference in
-`tests/test_mi.py`, which substitutes into every remaining body, but
-event-driven, in the manner of Dowling-Gallier unit propagation: its
-index (`watch_index`) is the dependency graph `depgraph.atom_digraph`,
-each atom of the bodies to the bodies that refer to it, and a step
-substitutes into the watchers of the atoms it just assigned
-and into no other body, so an acyclic program costs one substitution
-per reference.  Bodies are taken as simplified, as `transform_program`
-and `substitute` leave them; a body no assigned atom reaches is then
-left as it is.
+It reaches the states of the one-step reference in `tests/test_mi.py`,
+which substitutes into every remaining body, but event-driven, in the
+manner of Dowling-Gallier unit propagation: its index (`watch_index`)
+is the dependency graph `depgraph.atom_digraph`, each atom of the
+bodies to the bodies that refer to it, and a step substitutes into the
+watchers of the atoms it just assigned and into no other body, so an
+acyclic program costs one substitution per reference.  Bodies are taken
+as simplified, as `transform_program` and `substitute` leave them; a
+body no assigned atom reaches is then left as it is.
 
 Seed values stand for atoms before the first step, as though
 substituted into every body; only the watchers of a seeded atom are
 rewritten (every body, for a seeded atom that heads none), and a
 seeded atom that fires is not propagated, since no body reads it any
-more.  The index depends on the bodies alone, so a
-caller that runs many seeded passes over one set of bodies (`nmi`)
-builds it once.
+more.  The index depends on the bodies alone, so a caller that runs
+many seeded passes over one set of bodies (`nmi`) builds it once.
 """
 
 from __future__ import annotations
@@ -47,26 +47,6 @@ class MiState:
         self.trace = [] if trace is None else trace
 
 
-def _ready(residual: dict, atoms) -> list:
-    """The given atoms whose residual body is a constant."""
-    return [a for a in atoms if isinstance(residual[a], Const)]
-
-
-def _fire(s: MiState, ready: list) -> dict:
-    """Assign the ready atoms in s, in place: move them from the residual
-    into the interpretation, record the trace row, and halt if one is
-    inconsistent.  Returns the assignment."""
-    assigned = {a: s.residual.pop(a).value for a in ready}
-    s.interp.update(assigned)
-    s.step += 1
-    s.trace.append((s.step, assigned, len(s.residual)))
-    bad = [a for a, v in assigned.items() if v is INCONSISTENT]
-    if bad:
-        s.halted_inconsistent = True
-        s.inconsistent_atoms = sorted(bad, key=str)
-    return assigned
-
-
 def watch_index(bodies: dict) -> tuple:
     """(order, watchers): Atom -> its place among the bodies, and the
     dependency graph of the bodies, Atom -> the atoms whose body refers
@@ -83,19 +63,28 @@ def mi_fixpoint(bodies: dict, seeds: dict = None,
     `mi_fixpoint({a: substitute(e, seeds) for a, e in bodies.items()})`."""
     order, watchers = index or watch_index(bodies)
     s = MiState(residual=dict(bodies))
-    seeds = seeds or {}
+    residual, seeds = s.residual, seeds or {}
     # the graph leaves out an atom heading no body: every body may read it
     for w in dict.fromkeys(w for a in seeds
                            for w in watchers.get(a, bodies)):
-        s.residual[w] = substitute(s.residual[w], seeds)
-    ready = _ready(s.residual, s.residual)
+        residual[w] = substitute(residual[w], seeds)
+    ready = [a for a, e in residual.items() if type(e) is Const]
     while ready:
-        assigned = _fire(s, ready)
-        if s.halted_inconsistent:
+        assigned = {a: residual.pop(a).value for a in ready}
+        s.interp.update(assigned)
+        s.step += 1
+        s.trace.append((s.step, assigned, len(residual)))
+        bad = [a for a, v in assigned.items() if v is INCONSISTENT]
+        if bad:
+            s.halted_inconsistent = True
+            s.inconsistent_atoms = sorted(bad, key=str)
             break
-        touched = dict.fromkeys(w for a in assigned if a not in seeds
-                                for w in watchers[a] if w in s.residual)
-        for w in touched:
-            s.residual[w] = substitute(s.residual[w], assigned)
-        ready = sorted(_ready(s.residual, touched), key=order.__getitem__)
+        ready = []
+        for w in dict.fromkeys(w for a in assigned if a not in seeds
+                               for w in watchers[a] if w in residual):
+            e = residual[w] = substitute(residual[w], assigned)
+            if type(e) is Const:
+                ready.append(w)
+        if len(ready) > 1:
+            ready.sort(key=order.__getitem__)
     return s

@@ -166,9 +166,9 @@ class ParseError(ValueError):
 _TOKEN = (r"\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|[a-zA-Z_][a-zA-Z0-9_]*|<-"
           r"|[\[\](),.:-]")
 _TOKEN_RE = re.compile(_TOKEN)
-# whitespace and comments leave group 1 empty; a character that starts no
-# token becomes a one-character token, which _TOKEN_RE then rejects
-_SCAN_RE = re.compile(r"\s+|%%[^\n]*|(%s|.)" % _TOKEN, re.S)
+# comments leave group 1 empty and whitespace is skipped; a character that
+# starts no token becomes a one-character token, which _TOKEN_RE rejects
+_SCAN_RE = re.compile(r"%%[^\n]*|(%s|\S)" % _TOKEN)
 _IDENT_START = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _TRUE_BODY = (ConstItem(TRUE),)
@@ -339,9 +339,12 @@ def _substitute_atom(atom: Atom, binding: dict) -> Atom:
 
 
 def ground(program: Program) -> Program:
-    """Naive full instantiation over the program's constants.  Raises
-    GroundingCapExceeded, naming the rule that passes MAX_GROUND_RULES,
-    before any rule is expanded."""
+    """The program itself when it has no variable, else naive full
+    instantiation over its constants.  Raises GroundingCapExceeded, naming
+    the rule that passes MAX_GROUND_RULES, before any rule is expanded."""
+    if len(program.rules) <= MAX_GROUND_RULES and not any(
+            is_variable(t) for a in program.atom_base for t in a.args):
+        return program
     constants = _program_constants(program)
     rule_variables = [_rule_variables(r) for r in program.rules]
     total = 0

@@ -20,8 +20,8 @@ equality compares the node type, so `Naf(x) != Neg(x)` and
 
 from __future__ import annotations
 
-from .intervals import (BOTTOM, FALSE, INCONSISTENT, TRUE, Frozen, _set,
-                        kagg, naf, negate, tconorm, tnorm)
+from .intervals import (BOTTOM, EPS_CMP, FALSE, INCONSISTENT, TRUE, Frozen,
+                        _set, kagg, naf, negate, tconorm, tnorm)
 from .program import ConstItem, Literal, Program
 
 
@@ -104,17 +104,52 @@ def simplify(e, values: dict = None):
     values maps Atom -> Interval (or INCONSISTENT); a reference to one
     of those atoms becomes its value, a reference to -a the mirror of
     a's value, before the folding above it.  A conjunction or
-    disjunction is rebuilt, its folded constant first; the other nodes
-    are returned as they are when nothing beneath them changed."""
+    disjunction is rebuilt, its folded constant first, and reads its
+    constant and reference children in its own loop, in child order;
+    the other nodes are returned as they are when nothing beneath them
+    changed."""
     kind = type(e)
+    if kind is And or kind is Or:
+        is_and = kind is And
+        combine = tnorm if is_and else tconorm
+        folded = None
+        rest = []
+        for c in e.children:
+            # v is c itself for a child that stays unfolded
+            if type(c) is Ref:
+                v = values.get(c.literal.atom, c) if values else c
+                if v is not c and c.literal.negated:
+                    v = negate(v)
+            elif type(c) is Const:
+                v = c.value
+            else:
+                c = simplify(c, values)
+                v = c.value if type(c) is Const else c
+            if v is c:
+                rest.append(c)
+            elif v is INCONSISTENT:
+                return c if type(c) is Const else Const(v)
+            else:
+                folded = v if folded is None else combine(folded, v)
+        if folded is not None:
+            # 0 <= lower <= upper <= 1, so same_as([0,0]) is upper <= EPS_CMP
+            # and same_as([1,1]) is 1 - lower <= EPS_CMP, bit for bit
+            zero, one = folded.upper <= EPS_CMP, 1.0 - folded.lower <= EPS_CMP
+            if zero if is_and else one:
+                return Const(FALSE if is_and else TRUE)
+            # a unit with nothing beside it is returned as folded
+            if not rest or not (one if is_and else zero):
+                rest.insert(0, Const(folded))
+        if not rest:
+            return Const(TRUE if is_and else FALSE)
+        if len(rest) == 1:
+            return rest[0]
+        return And(tuple(rest)) if is_and else Or(tuple(rest))
     if kind is Const:
         return e
     if kind is Ref:
-        atom = e.literal.atom
-        if not values or atom not in values:
-            return e
-        v = values[atom]
-        return Const(negate(v) if e.literal.negated else v)
+        v = values.get(e.literal.atom, e) if values else e
+        return e if v is e else Const(negate(v) if e.literal.negated else v)
     if kind is Naf or kind is Neg:
         child = simplify(e.child, values)
         if type(child) is Const:
@@ -133,33 +168,6 @@ def simplify(e, values: dict = None):
         if left is e.left and right is e.right:
             return e
         return Kagg(left, right)
-    if kind is And or kind is Or:
-        is_and = kind is And
-        combine = tnorm if is_and else tconorm
-        unit = TRUE if is_and else FALSE
-        annihilator = FALSE if is_and else TRUE
-        folded = None
-        rest = []
-        for c in e.children:
-            child = simplify(c, values)
-            if type(child) is Const:
-                if child.value is INCONSISTENT:
-                    return child
-                if folded is None:
-                    folded = child.value
-                else:
-                    folded = combine(folded, child.value)
-            else:
-                rest.append(child)
-        if folded is not None and folded.same_as(annihilator):
-            return Const(annihilator)
-        if folded is not None and not folded.same_as(unit):
-            rest.insert(0, Const(folded))
-        if not rest:
-            return Const(folded if folded is not None else unit)
-        if len(rest) == 1:
-            return rest[0]
-        return And(tuple(rest)) if is_and else Or(tuple(rest))
     raise TypeError(f"not a body expression: {e!r}")
 
 

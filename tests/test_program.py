@@ -196,6 +196,24 @@ class TestScanner:
             parse_program(" " * 10 ** 5 + "$")
         assert (err.value.line, err.value.column) == (1, 100001)
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("a.\t$", 1, 4),
+        ("a.\r\n$", 2, 1),
+        ("a.\x0b$", 1, 4),
+        ("a.\x0c$", 1, 4),
+        ("a.\xa0$", 1, 4),
+        ("a.\u2028$", 1, 4),
+        ("a.\r\n\tb.\x0c\u2028 $", 2, 7),
+        ("a. % c\r\n\x0b$", 2, 2),
+    ])
+    def test_bad_character_after_each_kind_of_whitespace(self, text, line,
+                                                         column):
+        """Whitespace is skipped, not matched; only \\n starts a line."""
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value).endswith("unexpected character '$'")
+
     def test_many_distinct_bad_characters(self):
         # the first of 20,000 different bad characters is found in one pass
         with pytest.raises(ParseError) as err:
@@ -411,3 +429,37 @@ class TestGrounding:
         p = parse_program("p(X) <- [1,1] : q(X).")
         with pytest.raises(ValueError):
             ground(p)
+
+    @pytest.mark.parametrize("text", [
+        "a <- [1,1] : b, not c.\n-b.",
+        "p(a) <- [0.5,1] : q([0.1,0.2]), not r(a,b).\nq([0.1,0.2]).",
+        "",
+    ])
+    def test_variable_free_program_is_its_own_grounding(self, text):
+        p = parse_program(text)
+        assert ground(p) is p
+
+    def test_example_without_variables_passes_through(self, ex6):
+        assert ground(ex6) is ex6
+
+    def test_variable_free_program_past_the_cap_still_raises(
+            self, monkeypatch):
+        p = parse_program("a.\nb.\nc <- [1,1] : a, b.")
+        monkeypatch.setattr(program, "MAX_GROUND_RULES", 2)
+        with pytest.raises(GroundingCapExceeded, match="rule r#3: 0 "
+                           "constants over 0 variables take the program "
+                           "past 2 ground rules"):
+            ground(p)
+        monkeypatch.setattr(program, "MAX_GROUND_RULES", 3)
+        assert ground(p) is p
+
+    def test_programs_with_variables_still_expand(self, tweety):
+        p = parse_program("e(a,b).\ne(b,c).\n"
+                          "tc(X,Y) <- [1,1] : e(X,Y).\n"
+                          "tc(X,Z) <- [1,1] : e(X,Y), tc(Y,Z).")
+        g = ground(p)
+        assert g is not p and len(g.rules) == 2 + 3 ** 2 + 3 ** 3
+        assert not any(program.is_variable(t) for a in g.atom_base
+                       for t in a.args)
+        assert ground(tweety) is not tweety
+        assert len(ground(tweety).rules) == 2

@@ -1,16 +1,20 @@
 import functools
 import itertools
+import math
 import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from unasp import Atom, Literal, parse_program, transform_program
-from unasp.intervals import (BOTTOM, FALSE, INCONSISTENT, Interval, kagg,
-                             naf, negate, tconorm, tnorm)
+from unasp.intervals import (BOTTOM, EPS_CMP, FALSE, INCONSISTENT, TRUE,
+                             Interval, kagg, naf, negate, tconorm, tnorm)
 from unasp.program import ConstItem, LitItem, Program, Rule
 from unasp.semantics import (evaluate, grid_intervals, is_supported_model,
                              reduct, total_from_positive)
 from unasp.transform import (And, Const, Kagg, Naf, Neg, Or, Ref, atom_body,
-                             join_rules, referenced_atoms, rules_by_head,
-                             simplify, substitute)
+                             join_rules, nodes, referenced_atoms,
+                             rules_by_head, simplify, substitute)
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -166,6 +170,163 @@ class TestSimplify:
                 assert after is INCONSISTENT
             else:
                 assert before.same_as(after, eps=1e-9)
+
+
+def reference_simplify(e, values: dict = None):
+    """`simplify` as it was written before it read leaves in its
+    conjunction/disjunction loop and tested one bound: one recursive call
+    per child and `same_as` against the unit and the annihilator."""
+    kind = type(e)
+    if kind is Const:
+        return e
+    if kind is Ref:
+        atom = e.literal.atom
+        if not values or atom not in values:
+            return e
+        v = values[atom]
+        return Const(negate(v) if e.literal.negated else v)
+    if kind is Naf or kind is Neg:
+        child = reference_simplify(e.child, values)
+        if type(child) is Const:
+            return Const(naf(child.value) if kind is Naf
+                         else negate(child.value))
+        return e if child is e.child else kind(child)
+    if kind is Kagg:
+        left = reference_simplify(e.left, values)
+        right = reference_simplify(e.right, values)
+        left_const, right_const = type(left) is Const, type(right) is Const
+        if left_const and left.value is INCONSISTENT:
+            return left
+        if right_const and right.value is INCONSISTENT:
+            return right
+        if left_const and right_const:
+            return Const(kagg(left.value, right.value))
+        if left is e.left and right is e.right:
+            return e
+        return Kagg(left, right)
+    if kind is And or kind is Or:
+        is_and = kind is And
+        combine = tnorm if is_and else tconorm
+        unit = TRUE if is_and else FALSE
+        annihilator = FALSE if is_and else TRUE
+        folded = None
+        rest = []
+        for c in e.children:
+            child = reference_simplify(c, values)
+            if type(child) is Const:
+                if child.value is INCONSISTENT:
+                    return child
+                if folded is None:
+                    folded = child.value
+                else:
+                    folded = combine(folded, child.value)
+            else:
+                rest.append(child)
+        if folded is not None and folded.same_as(annihilator):
+            return Const(annihilator)
+        if folded is not None and not folded.same_as(unit):
+            rest.insert(0, Const(folded))
+        if not rest:
+            return Const(folded if folded is not None else unit)
+        if len(rest) == 1:
+            return rest[0]
+        return And(tuple(rest)) if is_and else Or(tuple(rest))
+    raise TypeError(f"not a body expression: {e!r}")
+
+
+def _bits(e):
+    """The node types of e, parents first, with every constant's bounds
+    in hex: two trees with equal bits are equal float for float."""
+    return [(type(n), n.value.lower.hex(), n.value.upper.hex())
+            if type(n) is Const and n.value is not INCONSISTENT
+            else (type(n),) for n in nodes(e)]
+
+
+# constants at EPS_CMP from [0,0] and from [1,1], and one ulp beyond
+_NEAR_ZERO = (EPS_CMP, math.nextafter(EPS_CMP, 1.0))
+_NEAR_ONE = (1.0 - EPS_CMP, math.nextafter(1.0 - EPS_CMP, 0.0))
+_BOUNDARY = ([Interval(0.0, x) for x in _NEAR_ZERO]
+             + [Interval(x, x) for x in _NEAR_ZERO + _NEAR_ONE]
+             + [Interval(x, 1.0) for x in _NEAR_ONE])
+_ATOMS = [Atom(name) for name in "abc"]
+
+_values = st.one_of(
+    st.sampled_from(_BOUNDARY + [FALSE, TRUE, BOTTOM, INCONSISTENT]),
+    st.sampled_from(GRID).flatmap(lambda lo: st.sampled_from(
+        [Interval(lo, hi) for hi in GRID if hi >= lo])),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
+        lambda pair: Interval(*sorted(pair))))
+_leaves = st.one_of(
+    _values.map(Const),
+    st.builds(lambda a, neg: Ref(Literal(a, neg)),
+              st.sampled_from(_ATOMS), st.booleans()))
+_bodies = st.recursive(_leaves, lambda inner: st.one_of(
+    inner.map(Naf), inner.map(Neg), st.builds(Kagg, inner, inner),
+    st.lists(inner, max_size=4).map(lambda cs: And(tuple(cs))),
+    st.lists(inner, max_size=4).map(lambda cs: Or(tuple(cs)))),
+    max_leaves=12)
+
+
+class TestSimplifyReference:
+    """simplify gives the reference's tree, bit for bit."""
+
+    def _same(self, e, values):
+        got, want = simplify(e, values), reference_simplify(e, values)
+        assert got == want and repr(got) == repr(want)
+        assert _bits(got) == _bits(want)
+        return got
+
+    @settings(max_examples=1000, deadline=None)
+    @given(e=_bodies, values=st.none() | st.dictionaries(
+        st.sampled_from(_ATOMS), _values))
+    def test_random_bodies_and_values(self, e, values):
+        self._same(e, values)
+
+    @pytest.mark.parametrize("value, folds_to", [
+        (Interval(0.0, _NEAR_ZERO[0]), FALSE),
+        (Interval(0.0, _NEAR_ZERO[1]), None),
+        (Interval(_NEAR_ZERO[0], _NEAR_ZERO[0]), FALSE),
+        (Interval(_NEAR_ZERO[1], _NEAR_ZERO[1]), None),
+        (Interval(_NEAR_ONE[0], 1.0), TRUE),
+        (Interval(_NEAR_ONE[1], 1.0), None),
+        (Interval(_NEAR_ONE[0], _NEAR_ONE[0]), TRUE),
+        (Interval(_NEAR_ONE[1], _NEAR_ONE[1]), None),
+    ])
+    def test_unit_and_annihilator_at_eps(self, value, folds_to):
+        """A constant within EPS_CMP of [0,0] or [1,1], and one ulp
+        beyond, as a written child, as a reference's value and as the
+        mirror of one: [0,0] collapses a conjunction and drops out of a
+        disjunction, [1,1] the other way round.  Mirroring twice rounds
+        a bound near 0, so a mirrored value is checked for the fold only
+        where it comes back bit for bit."""
+        b = Ref(Literal(Atom("b")))
+        folded = {And: b, Or: b}
+        if folds_to is None:
+            folded = {kind: kind((Const(value), b)) for kind in (And, Or)}
+        else:
+            folded[And if folds_to is FALSE else Or] = Const(folds_to)
+        exact = 0
+        for child, values in ((Const(value), None),
+                              (Ref(Literal(Atom("a"))), {Atom("a"): value}),
+                              (Ref(Literal(Atom("a"), True)),
+                               {Atom("a"): negate(value)})):
+            read = reference_simplify(child, values).value
+            exact += read == value
+            for kind in (And, Or):
+                got = self._same(kind((child, b)), values)
+                assert read != value or got == folded[kind]
+                self._same(kind((child,)), values)
+                self._same(kind((child, child, b)), values)
+        assert exact >= 2
+
+    def test_inconsistent_child_or_value_absorbs(self):
+        b = Ref(Literal(Atom("b")))
+        a, not_a = Ref(Literal(Atom("a"))), Ref(Literal(Atom("a"), True))
+        for kind in (And, Or):
+            for e in (kind((b, a)), kind((b, not_a)), kind((b, Naf(a))),
+                      kind((Const(FALSE), Const(INCONSISTENT)))):
+                got = self._same(e, {Atom("a"): INCONSISTENT})
+                assert got == Const(INCONSISTENT)
 
 
 class TestSubstitute:
