@@ -2,13 +2,14 @@
 
 One graph is kept: the atom projection of the bodies (an edge u->v when
 v's body mentions u), used for SCC condensation, topological ordering,
-simple-cycle enumeration and `mi`'s watch index.  `to_dot` draws the
-paper's operator graph (atom, operator and constant nodes, naf and
-classical-negation edges) straight from the bodies.  The graph
+simple-cycle enumeration and `mi`'s watch index; the grid oracle in
+`semantics` condenses the same graph, read from the rules.  `to_dot`
+draws the paper's operator graph (atom, operator and constant nodes, naf
+and classical-negation edges) straight from the bodies.  The graph
 algorithms are the textbook ones: Tarjan's (1972) strongly connected
 components, Kahn's topological sort taking the smallest ready component
-first, and Johnson's (1975) elementary circuits.  On top of those sit the
-assumption-set selection (which atoms to guess per SCC) and cycle
+first, and Johnson's (1975) elementary circuits.  On top of those sit
+the assumption-set selection (which atoms to guess per SCC) and cycle
 ownership: the cycles through one chosen atom that avoid the others,
 which both the selection and the contraction check in `nmi` read.
 """
@@ -146,10 +147,15 @@ def _topological(n, edges):
 
 
 def scc_condense(entries: dict):
-    """Maximal SCCs of the atom projection plus a topological order of
-    the condensation.  Components are sorted-atom tuples; topo_order
-    lists component indices, upstream first."""
-    g = atom_digraph(entries)
+    """`condense` of the atom projection of the bodies."""
+    return condense(atom_digraph(entries))
+
+
+def condense(g: dict):
+    """Maximal SCCs of the graph g, atom u -> the atoms of edges u->v,
+    plus a topological order of the condensation.  Components are
+    sorted-atom tuples; topo_order lists component indices, upstream
+    first."""
     components = [tuple(sorted(c, key=str)) for c in _tarjan(g, g)]
     components.sort(key=lambda c: str(c[0]))
     index = {a: k for k, comp in enumerate(components) for a in comp}

@@ -1,47 +1,43 @@
 """Declarative semantics and the independent verifier.
 
-Valuation of body expressions, supportedness, reducts, and the
-answer-set check (supported model of the reduct, minimally certain
-among known candidates).  The reduct carries the closed world, so it
-keeps the program's atom base; a candidate is checked against the
-program itself.
+Supportedness and the answer-set check: a supported model of the reduct
+P^i, minimally certain among known candidates.  P^i is never built: it
+is p with every `not` item read in i, so it keeps p's atoms and their
+closed world, [0,1] for an atom that heads no rule; a candidate is
+checked against p itself.
 
 A rival below the candidate i is checked against P^i only where it
 differs from i and at the atoms that read one of those without `not`;
-a rival over other literals than i's differs from it everywhere.  An
-atom the rival agrees on, and whose body reads no atom it changed,
-passes as it did for i: P^i is read in place, its `not` items in i,
-so the atom's rules give the value they gave when i passed, at the same
-eps.  The whole reduct is built only for the grid.
+a rival over other literals than i's differs from it everywhere.  Every
+other atom passes as it did for i: its rules, `not` read in i, give the
+value they gave when i passed, at the same eps.
 
 An interpretation is a supported model when every atom equals the value
 its rules force, read straight from its rules, one atom at a time, by
 `forced_value`, which builds no body tree.  That completion rule is
 written twice on purpose: `transform.atom_body` builds it as a tree,
-which the solver folds and the grid oracle evaluates (`evaluate`), and
-`forced_value` applies the same operations in the same order, so the
-verifier shares no valuation code with the solver; a property test
-(tests/test_semantics.py) holds the two equal, bit for bit.  `kagg`
-breaks ties at `EPS_CMP`, and a caller's eps only bounds how far a
-value may sit from the forced one.
+which the solver folds, and `forced_value` applies the same operations
+in the same order, so the verifier shares no valuation code with the
+solver; a property test (tests/test_semantics.py) holds the two equal,
+bit for bit.  `kagg` breaks ties at `EPS_CMP`, and a caller's eps only
+bounds how far a value may sit from the forced one.
 
-The grid oracle, which supplies the rivals of small programs, tries
-every grid cell only for the cut atoms, those whose bodies mention
-themselves or an atom placed after them in the condensation's order;
-every other atom is computed from its `atom_body` and kept on the cells
-that agree with it.  An acyclic reduct takes one pass instead of the
-whole product of cells.
+The grid oracle, which supplies the rivals of small programs, reads P^i
+the same way at every atom, and tries every grid cell only for the cut
+atoms, those whose rules read themselves or an atom placed after them
+in the condensation's order; an acyclic reduct takes one pass instead
+of the whole product of cells.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .intervals import (BOTTOM, INCONSISTENT, EPS_CMP, TRUE, Interval, kagg,
-                        naf, negate, tconorm, tnorm)
-from .program import ConstItem, LitItem, Literal, Program, Rule
-from . import transform as tf
-from .depgraph import scc_condense
+from .intervals import (BOTTOM, INCONSISTENT, EPS_CMP, Interval, kagg, naf,
+                        negate, tconorm, tnorm)
+from .program import ConstItem, LitItem, Literal, Program
+from .transform import rules_by_head
+from .depgraph import condense
 
 GRID_POINTS = (0.0, 0.25, 0.5, 0.75, 1.0)
 # is_answer_set adds the grid's supported models as rivals up to here
@@ -65,28 +61,6 @@ def lookup(i: dict, lit: Literal):
     raise UnboundLiteral(lit)
 
 
-def evaluate(e, i: dict):
-    """Recursive valuation of a body expression; inconsistency absorbs."""
-    kind = type(e)
-    if kind is tf.Ref:
-        return lookup(i, e.literal)
-    if kind is tf.Const:
-        return e.value
-    if kind is tf.And or kind is tf.Or:
-        combine = tnorm if kind is tf.And else tconorm
-        value = evaluate(e.children[0], i)
-        for c in e.children[1:]:
-            value = combine(value, evaluate(c, i))
-        return value
-    if kind is tf.Naf:
-        return naf(evaluate(e.child, i))
-    if kind is tf.Neg:
-        return negate(evaluate(e.child, i))
-    if kind is tf.Kagg:
-        return kagg(evaluate(e.left, i), evaluate(e.right, i))
-    raise TypeError(f"not a body expression: {e!r}")
-
-
 def _agrees(actual, req, eps: float) -> bool:
     """The atom's value is the one its rules force (INCONSISTENT when
     the mixed-evidence aggregation is an equal-width clash)."""
@@ -94,9 +68,9 @@ def _agrees(actual, req, eps: float) -> bool:
 
 
 def _joined(rules, i: dict, naf_i: dict):
-    """`evaluate(join_rules(rules), i)` with `not` read in naf_i, for
-    one or more rules: each rule's items left to right by t-norm, then
-    its weight, and the rules by t-conorm."""
+    """The value of the tree `transform.join_rules` builds, with `not`
+    read in naf_i, for one or more rules: each rule's items left to
+    right by t-norm, then its weight, and the rules by t-conorm."""
     joined = None
     for r in rules:
         value = None
@@ -116,11 +90,10 @@ def _joined(rules, i: dict, naf_i: dict):
 def forced_value(group, i: dict, naf_i: dict):
     """The value an atom's rules force under i, read straight from its
     rule group (pos, neg) of `transform.rules_by_head`, with `not` read
-    in naf_i: `evaluate(atom_body(pos, neg), i)` when naf_i is i, that
-    atom's body in `reduct(p, naf_i)` otherwise.  The same operations
-    in the same order as `evaluate` on the tree: the negative side
-    mirrored and aggregated with `kagg`, [0,1] if the atom heads no
-    rule."""
+    in naf_i: the value of `atom_body(pos, neg)` under i when naf_i is
+    i, that atom's value in P^naf_i otherwise.  The same operations in
+    the same order as on the tree: the negative side mirrored and
+    aggregated with `kagg`, [0,1] if the atom heads no rule."""
     pos, neg = group
     if not neg:
         return _joined(pos, i, naf_i) if pos else BOTTOM
@@ -149,31 +122,21 @@ def is_supported_model(i: dict, p: Program, eps: float = EPS_CMP) -> bool:
     complementary literal mirrors it; False if a literal is unbound."""
     try:
         return all(_atom_supported(i, atom, group, i, eps)
-                   for atom, group in tf.rules_by_head(p).items())
+                   for atom, group in rules_by_head(p).items())
     except UnboundLiteral:
         return False
 
 
-def _reduct_rule(r: Rule, i: dict) -> Rule:
-    """r in P^i: every naf body item replaced with the constant it
-    evaluates to under i."""
-    return Rule(r.head, r.weight,
-                tuple(ConstItem(naf(lookup(i, b.literal)))
-                      if isinstance(b, LitItem) and b.naf else b
-                      for b in r.body), r.label)
-
-
-def reduct(p: Program, i: dict) -> Program:
-    """P^i: every naf body item replaced with the constant it evaluates
-    to under i, plus the closed world, a <- [1,1] : [0,1] (label c#a)
-    for every atom that heads no rule.  The closed-world rules keep the
-    atom base of p, so an atom read only through naf stays an atom of
-    the reduct and of every rival drawn from it."""
-    rules = [_reduct_rule(r, i) for r in p.rules]
-    headed = {r.head.atom for r in p.rules}
-    rules += [Rule(Literal(a, False), TRUE, (ConstItem(BOTTOM),), f"c#{a}")
-              for a in sorted(p.atom_base - headed, key=str)]
-    return Program(rules)
+def _readers(p: Program, read_naf: bool) -> dict:
+    """Atom u -> the heads v of the rules that read it: the edges u->v
+    `depgraph.atom_digraph` draws from the bodies of p when read_naf,
+    of P^i otherwise, where a `not` item is a constant."""
+    g = {a: [] for a in p.atom_base}
+    for r in p.rules:
+        for b in r.body:
+            if isinstance(b, LitItem) and (read_naf or not b.naf):
+                g[b.literal.atom].append(r.head.atom)
+    return g
 
 
 class _ReductAt:
@@ -190,16 +153,11 @@ class _ReductAt:
 
     def __init__(self, p: Program, i: dict):
         self.i = i
-        self.groups = tf.rules_by_head(p)
-        self.readers = {}   # Atom -> the heads of rules reading it without naf
-        for r in p.rules:
-            for b in r.body:
-                if isinstance(b, LitItem) and not b.naf:
-                    self.readers.setdefault(b.literal.atom, []).append(
-                        r.head.atom)
+        self.groups = rules_by_head(p)
+        self.readers = _readers(p, read_naf=False)
 
     def supports(self, c: dict, eps: float = EPS_CMP) -> bool:
-        """is_supported_model(c, reduct(p, i), eps), checked where c
+        """c is a supported model of P^i at eps, checked where it
         differs from i; c holds no INCONSISTENT value, as no rival
         below i in certainty does."""
         check = self.groups
@@ -232,46 +190,53 @@ def grid_intervals(points=GRID_POINTS):
 
 
 def enumerate_grid_supported(p: Program, points=GRID_POINTS,
-                             eps: float = EPS_CMP):
-    """All supported models whose atom values have endpoints on the
-    grid, keyed by positive literal (`lookup` mirrors the negative
-    ones), in product order over the atoms sorted by name.
+                             eps: float = EPS_CMP, naf_i: dict = None):
+    """All supported models of P^naf_i whose atom values have endpoints
+    on the grid, keyed by positive literal (`lookup` mirrors the
+    negative ones), in product order over the atoms sorted by name; with
+    naf_i None, `not` is read in the cells themselves: p as it is.
 
     Cycle-cutset conditioning (Dechter 1990): the atoms are placed
-    upstream first, component by component of the condensation.  A cut
-    atom, whose body mentions itself or an atom placed after it, takes
-    every cell; any other atom takes only the cells that agree with its
-    body, which mentions placed atoms alone and so has its final value.
-    Once all are placed, each cut atom is checked the same way.  So
-    every atom passes the brute-force test (`_agrees` with its
-    `atom_body` on the complete interpretation) and nothing else is
-    pruned: the result is that of trying every cell for every atom, at
-    the cost of the cut atoms' cells alone.  Exponential in the cut."""
-    bodies = dict(tf.atom_bodies(p))
-    components, topo = scc_condense(bodies)
+    upstream first, component by component of the condensation of what
+    each atom's rules read (`_readers`).  A cut atom, whose rules read
+    itself or an atom placed after it, takes every cell; any other atom
+    takes only the cells that agree with its `forced_value`, which reads
+    placed atoms alone and so is final.  Once all are placed, each cut
+    atom is checked the same way.  So every atom passes the brute-force
+    test (`_agrees` with its forced value on the complete
+    interpretation) and nothing else is pruned: the result is that of
+    trying every cell for every atom, at the cost of the cut atoms'
+    cells alone.  Exponential in the cut."""
+    groups = rules_by_head(p)
+    readers = _readers(p, read_naf=naf_i is None)
+    components, topo = condense(readers)
     order = [a for k in topo for a in components[k]]
     place = {a: n for n, a in enumerate(order)}
     lits = [Literal(a, False) for a in order]
-    exprs = [bodies[a] for a in order]
-    cut = [any(place[b] >= n for b in tf.referenced_atoms(e))
-           for n, e in enumerate(exprs)]
-    sorted_places = [place[a] for a in sorted(bodies, key=str)]
+    rules = [groups[a] for a in order]
+    cut = [False] * len(order)
+    for a, heads in readers.items():
+        for h in heads:
+            if place[a] >= place[h]:
+                cut[place[h]] = True
+    sorted_places = [place[a] for a in sorted(groups, key=str)]
     cells = grid_intervals(points)
     every_cell = list(enumerate(cells))
     chosen = [0] * len(order)
     i = {}
+    naf_i = i if naf_i is None else naf_i
     found = []
 
     def extend(n):
         if n == len(order):
-            if all(_agrees(i[lits[m]], evaluate(exprs[m], i), eps)
+            if all(_agrees(i[lits[m]], forced_value(rules[m], i, naf_i), eps)
                    for m in range(n) if cut[m]):
                 found.append([chosen[m] for m in sorted_places])
             return
         if cut[n]:
             options = every_cell
         else:
-            req = evaluate(exprs[n], i)
+            req = forced_value(rules[n], i, naf_i)
             options = [(k, c) for k, c in every_cell if _agrees(c, req, eps)]
         for k, c in options:
             chosen[n] = k
@@ -318,14 +283,12 @@ def is_answer_set(i: dict, p: Program, candidates=(),
     so the two verdicts are the same, bit for bit.  Minimality over the
     continuum is undecidable; it is checked against the supplied
     candidates plus, for small programs, a brute-force grid
-    enumeration.  A candidate is checked against P^i only where it
-    differs from i (`_ReductAt`); the whole reduct is built only for the
-    grid.  Grid models are supported models of the reduct by
-    construction, so only the candidates are re-checked: the grid keeps
-    the cells that `_agrees` with `evaluate` of the reduct's
-    `atom_body`, which gives what `is_supported_model` reads from the
-    rules with `forced_value`, bit for bit, as the property test in
-    tests/test_semantics.py checks.
+    enumeration.  Both read P^i in place, `not` in i: a candidate only
+    where it differs from i (`_ReductAt`), the grid at every atom.  Grid
+    models are supported models of P^i by construction, so only the
+    candidates are re-checked: the grid keeps the cells that `_agrees`
+    with `forced_value` of each atom's rules, the test
+    `is_supported_model` makes.
     """
     if not is_supported_model(i, p, eps):
         return False
@@ -338,7 +301,7 @@ def is_answer_set(i: dict, p: Program, candidates=(),
     if len(p.atom_base) > GRID_MAX_ATOMS:
         return True
     return not any(interp_kp_below(c, i, eps)
-                   for c in enumerate_grid_supported(reduct(p, i), eps=eps))
+                   for c in enumerate_grid_supported(p, eps=eps, naf_i=i))
 
 
 def model_to_json(i: dict) -> dict:

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import strategies as st
 
 from unasp import Atom, Literal, parse_program
-from unasp.intervals import EPS_CMP, INCONSISTENT
-from unasp.semantics import GRID_POINTS, evaluate, grid_intervals
+from unasp import transform as tf
+from unasp.intervals import (BOTTOM, EPS_CMP, INCONSISTENT, TRUE, kagg, naf,
+                             negate, tconorm, tnorm)
+from unasp.program import ConstItem, LitItem, Program, Rule
+from unasp.semantics import GRID_POINTS, grid_intervals, lookup
 from unasp.transform import (Kagg, Naf, Or, atom_body, node_kinds,
                              rules_by_head)
 
@@ -118,6 +121,53 @@ def atom_values(interp):
     """Positive-literal slice of an interpretation as {name: (lo, hi)}."""
     return {str(lit.atom): (v.lower, v.upper)
             for lit, v in interp.items() if not lit.negated}
+
+
+# Reference implementations: body trees valued recursively, and the
+# reduct P^i built as a program, which the package reads in place with
+# `semantics.forced_value`.
+def evaluate(e, i: dict):
+    """Recursive valuation of a body expression; inconsistency absorbs."""
+    kind = type(e)
+    if kind is tf.Ref:
+        return lookup(i, e.literal)
+    if kind is tf.Const:
+        return e.value
+    if kind is tf.And or kind is tf.Or:
+        combine = tnorm if kind is tf.And else tconorm
+        value = evaluate(e.children[0], i)
+        for c in e.children[1:]:
+            value = combine(value, evaluate(c, i))
+        return value
+    if kind is tf.Naf:
+        return naf(evaluate(e.child, i))
+    if kind is tf.Neg:
+        return negate(evaluate(e.child, i))
+    if kind is tf.Kagg:
+        return kagg(evaluate(e.left, i), evaluate(e.right, i))
+    raise TypeError(f"not a body expression: {e!r}")
+
+
+def _reduct_rule(r: Rule, i: dict) -> Rule:
+    """r in P^i: every naf body item replaced with the constant it
+    evaluates to under i."""
+    return Rule(r.head, r.weight,
+                tuple(ConstItem(naf(lookup(i, b.literal)))
+                      if isinstance(b, LitItem) and b.naf else b
+                      for b in r.body), r.label)
+
+
+def reduct(p: Program, i: dict) -> Program:
+    """P^i: every naf body item replaced with the constant it evaluates
+    to under i, plus the closed world, a <- [1,1] : [0,1] (label c#a)
+    for every atom that heads no rule.  The closed-world rules keep the
+    atom base of p, so an atom read only through naf stays an atom of
+    the reduct and of every rival drawn from it."""
+    rules = [_reduct_rule(r, i) for r in p.rules]
+    headed = {r.head.atom for r in p.rules}
+    rules += [Rule(Literal(a, False), TRUE, (ConstItem(BOTTOM),), f"c#{a}")
+              for a in sorted(p.atom_base - headed, key=str)]
+    return Program(rules)
 
 
 def brute_force_grid(p, points=GRID_POINTS, eps=EPS_CMP):

@@ -18,12 +18,12 @@ from unasp.nmi import NmiConfig, cycle_gain, nmi_iterate, solve_kagg_cycle
 from unasp.program import ConstItem, LitItem, Program, Rule
 from unasp.semantics import (GRID_POINTS, enumerate_grid_supported,
                              grid_intervals, interp_kp_below, is_answer_set,
-                             is_supported_model, lookup, reduct,
+                             is_supported_model, lookup,
                              total_from_positive)
 from unasp.solver import ComponentPass, SolverConfig, _value_component
 from unasp.transform import And, Const, Naf, Neg, Or, Ref
 
-from conftest import atom_values
+from conftest import atom_values, reduct
 
 GRID = GRID_POINTS
 

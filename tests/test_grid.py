@@ -9,10 +9,10 @@ from unasp.program import ConstItem, LitItem, Program, Rule
 from unasp import semantics
 from unasp.semantics import (GRID_POINTS, enumerate_grid_supported,
                              grid_intervals, is_supported_model,
-                             load_model_file, reduct, total_from_positive)
+                             load_model_file, total_from_positive)
 from unasp.transform import atom_body, referenced_atoms, rules_by_head
 
-from conftest import PROGRAMS, brute_force_grid
+from conftest import PROGRAMS, brute_force_grid, reduct
 
 COARSE = (0.0, 0.5, 1.0)
 
@@ -67,7 +67,8 @@ def test_matches_brute_force_in_order():
         cells = grid_intervals()
         guess = total_from_positive({a: rng.choice(cells)
                                      for a in p.atom_base})
-        for prog in (p, reduct(p, guess)):
+        red = reduct(p, guess)
+        for prog in (p, red):
             shapes |= _cycle_shapes(prog)
             for eps in (1e-9, 0.027, 0.3):
                 for points in (GRID_POINTS, COARSE):
@@ -78,7 +79,13 @@ def test_matches_brute_force_in_order():
                                for c in found), str(prog)
                     compared += 1
                     nonempty += bool(found)
-    assert compared == 720 and nonempty > 100
+        for eps in (1e-9, 0.027, 0.3):
+            for points in (GRID_POINTS, COARSE):
+                found = enumerate_grid_supported(p, points, eps, naf_i=guess)
+                assert found == brute_force_grid(red, points, eps), str(p)
+                compared += 1
+                nonempty += bool(found)
+    assert compared == 1080 and nonempty > 100
     # self-loops and 2- and 3-atom cycles all occur in the sample
     assert {1, 2, 3} <= shapes
 
@@ -100,20 +107,39 @@ def test_example8_matches_brute_force(ex8):
             == brute_force_grid(ex8, eps=eps)
 
 
+def _valued(monkeypatch, prog, naf_i=None):
+    """The grid's models of prog, `not` read in naf_i, and how many rule
+    groups it valued (`forced_value` calls)."""
+    calls = 0
+    forced_value = semantics.forced_value
+
+    def counting(group, c, naf_i):
+        nonlocal calls
+        calls += 1
+        return forced_value(group, c, naf_i)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(semantics, "forced_value", counting)
+        found = enumerate_grid_supported(prog, naf_i=naf_i)
+    return found, calls
+
+
 def test_acyclic_reduct_takes_one_pass(monkeypatch, ex2):
     # ex2 is acyclic over 3 atoms: the brute-force grid tries 15^3 cells
     i = load_model_file(PROGRAMS / "ex2.model.json", ex2)
     red = reduct(ex2, i)
-    calls = 0
-    evaluate = semantics.evaluate
+    for prog, naf_i in ((red, None), (ex2, i)):
+        found, calls = _valued(monkeypatch, prog, naf_i)
+        assert found == brute_force_grid(red)
+        assert 0 < calls < 100, calls
 
-    def counting(e, i):
-        nonlocal calls
-        calls += 1
-        return evaluate(e, i)
 
-    monkeypatch.setattr(semantics, "evaluate", counting)
-    found = enumerate_grid_supported(red)
-    monkeypatch.undo()
-    assert found == brute_force_grid(red)
-    assert calls < 100, calls
+def test_not_is_no_edge_of_the_reduct(monkeypatch, ex3):
+    """ex3 is p <- [1,1] : not p.  Read as it is, p reads itself, a cut
+    atom checked on each of the 15 cells; in P^i `not p` is a constant,
+    so p is valued once."""
+    i = total_from_positive({Atom("p"): Interval(0.5, 0.5)})
+    found, calls = _valued(monkeypatch, ex3)
+    assert found == brute_force_grid(ex3) and calls == 15
+    found, calls = _valued(monkeypatch, ex3, i)
+    assert found == brute_force_grid(reduct(ex3, i)) and calls == 1

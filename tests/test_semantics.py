@@ -13,14 +13,15 @@ from unasp.intervals import (BOTTOM, EPS_CMP, INCONSISTENT, TRUE, Interval,
                              negate)
 from unasp.program import ConstItem, Program, Rule, ground
 from unasp.semantics import (UnboundLiteral, enumerate_grid_supported,
-                             evaluate, forced_value, grid_intervals,
-                             interp_kp_below, is_answer_set,
-                             is_supported_model, lookup, model_from_json,
-                             model_to_json, reduct, total_from_positive)
+                             forced_value, grid_intervals, interp_kp_below,
+                             is_answer_set, is_supported_model, lookup,
+                             model_from_json, model_to_json,
+                             total_from_positive)
+from unasp.solver import component_pass, front_half
 from unasp.transform import (Neg, Ref, atom_bodies, atom_body, join_rules,
                              rules_by_head, simplify)
 
-from conftest import PROGRAMS, random_programs
+from conftest import PROGRAMS, evaluate, random_programs, reduct
 
 
 def interp(**values):
@@ -279,31 +280,25 @@ class TestAnswerSet:
         assert [id(c) for c in checked] == [id(i)]
         assert [id(c) for c in rivals] == [id(below)]
 
-    def test_no_reduct_without_a_rival_or_the_grid(self, ex7, monkeypatch):
-        """ex7 has 7 atoms, so the grid is off, and one candidate, so
-        it has no rival: its check never builds a reduct."""
-        def refuse(p, i):
-            raise AssertionError("reduct built")
-        monkeypatch.setattr(semantics, "reduct", refuse)
-        report = solve(ex7)
-        assert report.status == "ok" and len(report.answer_sets) == 1
-
-    @pytest.mark.parametrize("name, builds", [("ex6", 0), ("ex4", 5)])
-    def test_reduct_built_per_rival_or_grid(self, name, builds, request,
-                                            monkeypatch):
-        """ex6: none, though four of its candidates have a rival below
-        them, since each rival assigns the candidate's literals and is
-        checked where it differs; ex4 (2 atoms): one for each
-        candidate, for the grid."""
-        calls = []
-        built = semantics.reduct
-
-        def counting(p, i):
-            calls.append(i)
-            return built(p, i)
-        monkeypatch.setattr(semantics, "reduct", counting)
-        assert solve(request.getfixturevalue(name)).status == "ok"
-        assert len(calls) == builds
+    @pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.unasp")),
+                             ids=lambda path: path.stem)
+    def test_verdicts_build_no_body_tree(self, path):
+        """Every candidate the component pass gives gets the verdict it
+        got in `solve` with no body tree built: on the programs of at
+        most 3 atoms the grid oracle reads P^i in place, as the rival
+        check does, and builds no reduct."""
+        g = ground(parse_program(path.read_text()))
+        cfg = SolverConfig()
+        report = solve(g, cfg)
+        totals = [total_from_positive(b)
+                  for b in component_pass(front_half(g), cfg).branches]
+        eps = cfg.nmi.answer_tol
+        verdicts = [is_answer_set(t, g, totals, eps) for t in totals]
+        assert [t for t, ok in zip(totals, verdicts) if ok] \
+            == report.answer_sets
+        with no_body_trees():
+            assert [is_answer_set(t, g, totals, eps) for t in totals] \
+                == verdicts
 
 
 class TestGridEnumeration:

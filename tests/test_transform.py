@@ -10,11 +10,13 @@ from unasp import Atom, Literal, parse_program, transform_program
 from unasp.intervals import (BOTTOM, EPS_CMP, FALSE, INCONSISTENT, TRUE,
                              Interval, kagg, naf, negate, tconorm, tnorm)
 from unasp.program import ConstItem, LitItem, Program, Rule
-from unasp.semantics import (evaluate, grid_intervals, is_supported_model,
-                             reduct, total_from_positive)
+from unasp.semantics import (grid_intervals, is_supported_model,
+                             total_from_positive)
 from unasp.transform import (And, Const, Kagg, Naf, Neg, Or, Ref, atom_body,
                              join_rules, nodes, referenced_atoms,
                              rules_by_head, simplify, substitute)
+
+from conftest import evaluate, reduct
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 

@@ -1,6 +1,11 @@
 """Answer-identity corpus: solve a fixed set of programs and print, one
 canonical JSON line per solve, the status, the answer sets (the repr of
-every bound) and the diagnostics.
+every bound) and the diagnostics.  For a program of at most
+`semantics.GRID_MAX_ATOMS` atoms, where the verifier runs the grid
+oracle, the line also holds `grid_verdicts`: the `unasp check` verdict
+(`is_answer_set` with no candidates, at `answer_tol`) of every
+candidate the component pass gives, so the grid is pinned directly and
+not only through the answer sets `solve` keeps.
 
     PYTHONPATH=src python3 tools/answer_corpus.py > answers.jsonl
 
@@ -29,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import unasp  # noqa: E402
+from unasp import semantics, solver  # noqa: E402
 import workloads  # noqa: E402
 
 RANDOM_PROGRAMS = 400
@@ -94,18 +100,38 @@ def _value(v):
     return repr(v)
 
 
+def grid_verdicts(program, config):
+    """The `check` verdict of every candidate of the component pass, or
+    None past `GRID_MAX_ATOMS` atoms or the ground-rule cap."""
+    try:
+        g = unasp.ground(program)
+    except unasp.GroundingCapExceeded:
+        return None
+    if len(g.atom_base) > semantics.GRID_MAX_ATOMS:
+        return None
+    passed = solver.component_pass(solver.front_half(g), config)
+    return [semantics.is_answer_set(semantics.total_from_positive(b), g,
+                                    eps=config.nmi.answer_tol)
+            for b in passed.branches]
+
+
 def record(name, text, config):
     try:
-        report = unasp.solve(unasp.parse_program(text), config)
+        program = unasp.parse_program(text)
+        report = unasp.solve(program, config)
+        verdicts = grid_verdicts(program, config)
     except Exception as exc:  # a fault is part of the record, not the end
         return {"name": name, "error": f"{type(exc).__name__}: {exc}"}
-    return {
+    out = {
         "name": name,
         "status": report.status,
         "answer_sets": [sorted([str(lit), _value(v)] for lit, v in s.items())
                         for s in report.answer_sets],
         "diagnostics": report.diagnostics,
     }
+    if verdicts is not None:
+        out["grid_verdicts"] = verdicts
+    return out
 
 
 def main():
