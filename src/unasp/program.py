@@ -12,10 +12,13 @@ literals may appear as body items, terms, weights.  Variables start
 uppercase, constants lowercase.  A missing body desugars to `[1,1]`,
 and a fact `h.` abbreviates `h <- [1,1] : [1,1].`
 
-The parser scans the text with one regex pass into a list of token
-strings; a ParseError's line and column are recomputed by scanning
-again, only when one is raised.  Each distinct atom is built once per
-parse, so equal atoms of one program are one object.
+`parse_program` reads a text whose atoms have no arguments with one
+regex match per rule (`_read_rules`).  Any other text, malformed text
+included, goes to the token parser, the only source of ParseError: it
+scans the text with one regex pass into a list of token strings, and
+recomputes a ParseError's line and column only when one is raised.
+Each distinct atom is built once per parse, so equal atoms of one
+program are one object.
 
 `Atom` and `Literal`, the keys of every interpretation, are named
 tuples, so hashing and equality run in C; they keep dataclass-style
@@ -162,13 +165,29 @@ class ParseError(ValueError):
         self.column = column
 
 
+# a number and a name, one spelling each for the scanner and the reader
+_NUMBER = r"[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+_NAME = r"[a-zA-Z_][a-zA-Z0-9_]*"
+_COMMENT = r"%[^\n]*"
 # the token alternatives in priority order: number, ident, arrow, punctuation
-_TOKEN = (r"\d+(?:\.\d+)?(?:[eE][-+]?\d+)?|[a-zA-Z_][a-zA-Z0-9_]*|<-"
-          r"|[\[\](),.:-]")
+_TOKEN = r"%s|%s|<-|[\[\](),.:-]" % (_NUMBER, _NAME)
 _TOKEN_RE = re.compile(_TOKEN)
 # comments leave group 1 empty and whitespace is skipped; a character that
 # starts no token becomes a one-character token, which _TOKEN_RE rejects
-_SCAN_RE = re.compile(r"%%[^\n]*|(%s|\S)" % _TOKEN)
+_SCAN_RE = re.compile(r"%s|(%s|\S)" % (_COMMENT, _TOKEN))
+_COMMENT_RE = re.compile(_COMMENT)
+# the rule reader's: a body item, and a rule whose atoms have no arguments,
+# in groups its label, head, weight and body, the body up to the first "."
+# not followed by a digit, as a number's "." is.  Every optional part
+# starts with a character that is not whitespace, and the body right after
+# its ":", so no two runs can split one stretch of whitespace between them,
+# and a failed match backtracks in linear time.
+_ITEM_RE = re.compile(
+    r"\s*(?:(?:(not)\s+)?(?:(-)\s*)?(%s)|\[\s*(%s)\s*,\s*(%s)\s*\])\s*"
+    % (_NAME, _NUMBER, _NUMBER))
+_RULE_RE = re.compile(
+    r"\s*(?:(%s)\s*:\s*)?((?:-\s*)?%s)\s*(?:<-\s*(\[[^\]]*\])\s*"
+    r"(?::([^.]+(?:\.[0-9][^.]*)*))?)?\.\s*" % (_NAME, _NAME))
 _IDENT_START = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _TRUE_BODY = (ConstItem(TRUE),)
@@ -308,7 +327,7 @@ class _Parser:
 
     def parse_number(self):
         tok = self.tokens[self.pos]
-        if not tok[:1].isdecimal():  # what \d matches
+        if not "0" <= tok[:1] <= "9":  # "" at the end of input
             self._expected("number")
         value = float(tok)
         if value < 0.0 or value > 1.0:
@@ -317,9 +336,63 @@ class _Parser:
         return value
 
 
+def _read_rules(text: str):
+    """The program of a text whose atoms have no arguments, read with one
+    `_RULE_RE` match per rule and one split of its body at the commas,
+    or None for any other text: an atom with arguments, a predicate
+    named `not`, a number outside [0,1], bounds out of order, or text
+    that is not rule after rule to its end.  It builds what `_Parser`
+    builds, one Atom per name; an item written twice the same way is
+    checked and read (`_ITEM_RE`) once, and shared, as it is immutable."""
+    if "%" in text:  # the language has no strings: % always starts a comment
+        text = _COMMENT_RE.sub("", text)
+    atoms, items = {}, {}
+
+    def item(part):
+        """The item that `part`, a head, weight or body item, spells."""
+        if part not in items:
+            m = _ITEM_RE.fullmatch(part)
+            if m is None:
+                raise ValueError(part)
+            naf, sign, name, lo, hi = m.groups()
+            if name:
+                atom = atoms.get(name) or atoms.setdefault(name, Atom(name))
+                items[part] = LitItem(Literal(atom, bool(sign)), bool(naf))
+            else:
+                x, y = float(lo), float(hi)
+                if not 0.0 <= x <= y <= 1.0:  # a bound _Parser reports
+                    raise ValueError(part)
+                items[part] = ConstItem(Interval(x, y))
+        return items[part]
+
+    rules, pos, counter = [], 0, itertools.count(1)
+    try:
+        while pos < len(text):
+            m = _RULE_RE.match(text, pos)
+            if m is None:
+                return None
+            pos = m.end()
+            label, head, weight, body = m.groups()
+            if body:
+                pieces, body = iter(body.split(",")), []
+                for piece in pieces:
+                    if "[" in piece:  # a constant, which holds a comma
+                        piece = (piece + "," + next(pieces, "")).strip()
+                    body.append(item(piece))
+            rules.append(Rule(item(head).literal,
+                              item(weight).value if weight else TRUE,
+                              tuple(body) if body else _TRUE_BODY,
+                              label or f"r#{next(counter)}"))
+    except ValueError:  # not a body item, `not` as a name, a bad bound
+        return None
+    return Program(rules)
+
+
 def parse_program(text: str) -> Program:
-    """Parse source text; raises ParseError with line/column on bad input."""
-    return _Parser(text).parse_program()
+    """Parse source text; raises ParseError with line/column on bad input.
+    `_read_rules` reads what it can, `_Parser` the rest."""
+    program = _read_rules(text)
+    return _Parser(text).parse_program() if program is None else program
 
 
 def _rule_variables(rule: Rule) -> list:

@@ -130,12 +130,13 @@ def is_supported_model(i: dict, p: Program, eps: float = EPS_CMP) -> bool:
 def _readers(p: Program, read_naf: bool) -> dict:
     """Atom u -> the heads v of the rules that read it: the edges u->v
     `depgraph.atom_digraph` draws from the bodies of p when read_naf,
-    of P^i otherwise, where a `not` item is a constant."""
-    g = {a: [] for a in p.atom_base}
+    of P^i otherwise, where a `not` item is a constant.  An atom that
+    no rule reads has no entry."""
+    g = {}
     for r in p.rules:
         for b in r.body:
             if isinstance(b, LitItem) and (read_naf or not b.naf):
-                g[b.literal.atom].append(r.head.atom)
+                g.setdefault(b.literal.atom, []).append(r.head.atom)
     return g
 
 
@@ -209,7 +210,7 @@ def enumerate_grid_supported(p: Program, points=GRID_POINTS,
     cells alone.  Exponential in the cut."""
     groups = rules_by_head(p)
     readers = _readers(p, read_naf=naf_i is None)
-    components, topo = condense(readers)
+    components, topo = condense({a: readers.get(a, ()) for a in p.atom_base})
     order = [a for k in topo for a in components[k]]
     place = {a: n for n, a in enumerate(order)}
     lits = [Literal(a, False) for a in order]

@@ -105,9 +105,9 @@ def simplify(e, values: dict = None):
     of those atoms becomes its value, a reference to -a the mirror of
     a's value, before the folding above it.  A conjunction or
     disjunction is rebuilt, its folded constant first, and reads its
-    constant and reference children in its own loop, in child order;
-    the other nodes are returned as they are when nothing beneath them
-    changed."""
+    constant and reference children, and `not` or `-` of a reference,
+    in its own loop, in child order; the other nodes are returned as
+    they are when nothing beneath them changed."""
     kind = type(e)
     if kind is And or kind is Or:
         is_and = kind is And
@@ -122,6 +122,11 @@ def simplify(e, values: dict = None):
                     v = negate(v)
             elif type(c) is Const:
                 v = c.value
+            elif type(c) in (Naf, Neg) and type(c.child) is Ref:
+                v = values.get(c.child.literal.atom, c) if values else c
+                if v is not c:
+                    v = negate(v) if c.child.literal.negated else v
+                    v = naf(v) if type(c) is Naf else negate(v)
             else:
                 c = simplify(c, values)
                 v = c.value if type(c) is Const else c

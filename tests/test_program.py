@@ -99,6 +99,8 @@ class TestParsing:
          "interval bounds out of order: [0.9, 0.2]"),
         ("p(a).\n  q <- [1,1] : p.",
          "2:16: predicate 'p' used with arity 0 and 1"),
+        # numbers are written in ASCII digits
+        ("a <- [1,1] : [٠,١].", "1:15: unexpected character '٠'"),
     ])
     def test_error_message_line_and_column(self, text, message):
         with pytest.raises(ParseError) as err:
@@ -172,7 +174,7 @@ class TestRoundTrip:
 
 
 # the language's tokens, near misses, junk and non-ASCII characters
-# (٣ is a decimal digit to the scanner, é and 中 start no token)
+# (٣ is a decimal digit but not ASCII; it, é and 中 start no token)
 _PIECES = ["a", "p", "q(a)", "X", "not", "l1", "0", "1", "0.5", "12", "<-",
            "<", "-", "[", "]", "(", ")", ",", ".", ":", " ", "\n", "\t", "%",
            "% c\n", "$", "&", "é", "٣", "中"]
@@ -219,6 +221,122 @@ class TestScanner:
         with pytest.raises(ParseError) as err:
             parse_program("".join(chr(0x4E00 + k) for k in range(20000)))
         assert str(err.value) == "1:1: unexpected character '一'"
+
+
+# every kind of whitespace the scanner skips, and a comment
+_SPACES = ["", "", " ", "  ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\x1c",
+           "\xa0", "\u2028", " % c\n"]
+
+
+@st.composite
+def _plain_program_text(draw):
+    """A program whose atoms have no arguments, in the spellings the rule
+    reader takes: labels (`not:` too), facts, rules without a body,
+    signs, `not`, exponent numbers, whitespace of every kind and
+    comments; now and then a number past 1, bounds out of order or a
+    predicate named `not`, which it leaves to the token parser."""
+    def space():
+        return draw(st.sampled_from(_SPACES))
+
+    def number():
+        return draw(_number_text() | st.sampled_from(
+            ["1e0", "5e-1", "1E-2", "6.36e-05", "0.5e+0", "00.5", "1e-400"]))
+
+    def interval():
+        lo, hi = sorted((number(), number()), key=float)
+        if draw(st.integers(0, 9)) == 0:
+            lo, hi = draw(st.sampled_from([(hi, lo), (lo, "1.5"),
+                                           ("1e1", hi)]))
+        return f"[{space()}{lo}{space()},{space()}{hi}{space()}]"
+
+    def literal():
+        sign = draw(st.sampled_from(["", "", "-", "- "]))
+        return sign + draw(st.sampled_from(["p", "q", "notp", "_r1", "p",
+                                            "q", "not"]))
+
+    rules = []
+    for _ in range(draw(st.integers(0, 5))):
+        label = draw(st.sampled_from(["", "", "l1:", "not: ", "l2 :"]))
+        rule = f"{label}{space()}{literal()}{space()}"
+        if draw(st.booleans()):
+            rule += f"<-{space()}{interval()}{space()}"
+            items = [draw(st.sampled_from(["", "", "not ", "not\t\n"]))
+                     + literal() if draw(st.booleans()) else interval()
+                     for _ in range(draw(st.integers(0, 3)))]
+            if items:
+                rule += ":" + space() + f"{space()},{space()}".join(items)
+        rules.append(rule + space() + ".")
+    return space() + space().join(rules) + space()
+
+
+def _near_miss(text, data):
+    """text with a piece of _PIECES put in, or a character taken out."""
+    k = data.draw(st.integers(0, len(text)))
+    if data.draw(st.booleans()):
+        return text[:k] + data.draw(st.sampled_from(_PIECES)) + text[k:]
+    return text[:k] + text[k + 1:]
+
+
+def _token_parse(text):
+    return program._Parser(text).parse_program()
+
+
+def _outcome(parse, text):
+    """The rules' reprs and whether equal atoms are one object, or the
+    ParseError's message, line and column."""
+    try:
+        rules = parse(text).rules
+    except ParseError as err:
+        return str(err), err.line, err.column
+    atoms = [a for r in rules for a in r.atoms]
+    return ([repr(r) for r in rules],
+            all((a == b) == (a is b) for a in atoms for b in atoms))
+
+
+class TestRuleReader:
+    """parse_program reads rules without arguments with one regex match
+    each and hands every other text to the token parser: the two give
+    the same program, or the same error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_same_program_or_error_as_the_token_parser(self, data):
+        text = data.draw(_plain_program_text()
+                         | st.lists(st.sampled_from(_PIECES),
+                                    max_size=30).map("".join))
+        for text in (text, _near_miss(text, data)):
+            assert _outcome(parse_program, text) == _outcome(
+                _token_parse, text)
+
+    @pytest.mark.parametrize("text, taken", [
+        ("a <- [1,1] : b,.", False), ("a <- [1,1] :.", False),
+        ("a <- [1,1] : not-b.", False), ("p(a).", False), ("not.", False),
+        ("a <- [0.5,1.5].", False), ("a <- [0.9,0.2].", False),
+        ("a <- [0.5,1.0000000000001].", False),
+        ("not: a.\nb <- [0.5,1] : not  -a, [1e-3, 1].", True),
+        ("- a. % c", True), ("", True),
+        # float() alone would refuse the \x1c and \x1f around a number
+        ("a <- [\x1c0.5\x1f,1] : [ 1e-3\xa0, 1 ].", True)])
+    def test_what_the_reader_takes(self, text, taken):
+        assert (program._read_rules(text) is not None) == taken
+        assert _outcome(parse_program, text) == _outcome(_token_parse, text)
+
+    def test_equal_texts_share_their_values(self):
+        p = parse_program("a <- [0.5,1] : b, [0.5,1].\n"
+                          "b <- [0.5,1] : b, [0.5,1].")
+        first, second = p.rules
+        assert first.weight is second.weight is first.body[1].value
+        assert first.body[0] is second.body[0]
+
+    @pytest.mark.parametrize("before, after", [
+        ("", "$"), ("a", "$"), ("l1", ": a."), ("a <- [1,1] : not", "b$"),
+        ("a <- [1,1] : b", ", c$"), ("a <- [1,1] : b", "$"),
+        ("a <- [", "1,1]$"), ("a.", "$")])
+    def test_long_whitespace_inside_a_rule(self, before, after):
+        """No two runs of whitespace in the rule pattern can share one
+        stretch of it, so a failed match takes linear time."""
+        text = before + " " * 10 ** 5 + after
+        assert _outcome(parse_program, text) == _outcome(_token_parse, text)
 
 
 class TestAtomSharing:

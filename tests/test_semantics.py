@@ -550,6 +550,26 @@ class TestRivalCheckedWhereItDiffers:
         assert not is_supported_model(c, reduct(p, i))
         assert not semantics._ReductAt(p, i).supports(c)
 
+    def test_a_reader_through_not_is_not_checked(self, monkeypatch):
+        """In P^i a `not` item is a constant, so a rival that differs
+        from i only at a is checked at a and at c, which reads a, and
+        not at b, which reads it only through `not`."""
+        p = parse_program("a <- [1,1] : a.\nb <- [1,1] : not a.\n"
+                          "c <- [1,1] : a.")
+        i = interp(a=(0.5, 0.5), b=(0.5, 0.5), c=(0.5, 0.5))
+        c = interp(a=(0.25, 0.75), b=(0.5, 0.5), c=(0.5, 0.5))
+        assert is_supported_model(i, p)
+        checked = []
+        supported = semantics._atom_supported
+
+        def counting(*args):
+            checked.append(args[1])
+            return supported(*args)
+        monkeypatch.setattr(semantics, "_atom_supported", counting)
+        assert not semantics._ReductAt(p, i).supports(c)
+        assert checked == [Atom("a"), Atom("c")]
+        assert not is_supported_model(c, reduct(p, i))
+
 
 def test_rival_work_does_not_depend_on_the_hash_seed():
     """Atoms are visited in order of first mention, so ex6 values the

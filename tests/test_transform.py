@@ -6,9 +6,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unasp import Atom, Literal, parse_program, transform_program
+from unasp import Atom, Literal, parse_program, transform, transform_program
 from unasp.intervals import (BOTTOM, EPS_CMP, FALSE, INCONSISTENT, TRUE,
                              Interval, kagg, naf, negate, tconorm, tnorm)
+from unasp.mi import mi_fixpoint
 from unasp.program import ConstItem, LitItem, Program, Rule
 from unasp.semantics import (grid_intervals, is_supported_model,
                              total_from_positive)
@@ -332,6 +333,32 @@ class TestSimplifyReference:
 
 
 class TestSubstitute:
+    def test_not_or_minus_of_a_reference_takes_no_call(self, monkeypatch):
+        """A conjunction or disjunction reads a child `not x` or `-x`, x
+        a reference, in its own loop, as it reads x: transforming and
+        solving an acyclic chain whose rules read `not` of an earlier
+        atom recurses into no such child, and a conjunction of them
+        folds in one call."""
+        n = 2000
+        lines = ["a0 <- [1,1] : [0.9,1]."]
+        lines += [f"a{i} <- [0.95,1] : a{i - 1}, not a{i // 2}, [0.8,1]."
+                  for i in range(1, n)]
+        calls = []
+        monkeypatch.setattr(transform, "simplify",
+                            lambda e, values=None: calls.append(e)
+                            or simplify(e, values))
+        state = mi_fixpoint(transform_program(
+            parse_program("\n".join(lines))))
+        assert len(state.interp) == n and not state.residual
+        assert not [e for e in calls if type(e) in (Naf, Neg, Ref)]
+        calls.clear()
+        a, b = Atom("a"), Atom("b")
+        e = And((Naf(Ref(Literal(a))), Neg(Ref(Literal(b, True))),
+                 Naf(Ref(Literal(b)))))
+        values = {a: Interval(0.25, 0.5)}
+        assert simplify(e, values) == reference_simplify(e, values)
+        assert calls == []
+
     def test_replaces_positive_and_mirrored_negative_refs(self):
         e = And((Ref(Literal(Atom("a"))),
                  Ref(Literal(Atom("b"), negated=True))))
