@@ -171,10 +171,9 @@ _NAME = r"[a-zA-Z_][a-zA-Z0-9_]*"
 _COMMENT = r"%[^\n]*"
 # the token alternatives in priority order: number, ident, arrow, punctuation
 _TOKEN = r"%s|%s|<-|[\[\](),.:-]" % (_NUMBER, _NAME)
-_TOKEN_RE = re.compile(_TOKEN)
 # comments leave group 1 empty and whitespace is skipped; a character that
-# starts no token becomes a one-character token, which _TOKEN_RE rejects
-_SCAN_RE = re.compile(r"%s|(%s|\S)" % (_COMMENT, _TOKEN))
+# starts no token becomes a one-character token, held in group 2 as well
+_SCAN_RE = re.compile(r"%s|(%s|(\S))" % (_COMMENT, _TOKEN))
 _COMMENT_RE = re.compile(_COMMENT)
 # the rule reader's: a body item, and a rule whose atoms have no arguments,
 # in groups its label, head, weight and body, the body up to the first "."
@@ -199,12 +198,13 @@ class _Parser:
 
     def __init__(self, text):
         self.text = text
-        self.tokens = [t for t in _SCAN_RE.findall(text) if t]
-        bad = {t for t in set(self.tokens) if not _TOKEN_RE.fullmatch(t)}
-        if bad:
-            k = next(k for k, t in enumerate(self.tokens) if t in bad)
-            raise ParseError(f"unexpected character {self.tokens[k]!r}",
-                             *self._where(k))
+        self.tokens = []
+        for tok, junk in _SCAN_RE.findall(text):
+            if junk:
+                raise ParseError(f"unexpected character {junk!r}",
+                                 *self._where(len(self.tokens)))
+            if tok:
+                self.tokens.append(tok)
         self.tokens.append("")
         self.pos = 0
         self.arities = {}  # predicate -> arity of its first use

@@ -14,13 +14,18 @@ value they gave when i passed, at the same eps.
 
 An interpretation is a supported model when every atom equals the value
 its rules force, read straight from its rules, one atom at a time, by
-`forced_value`, which builds no body tree.  That completion rule is
+`forced_bounds`, which builds no body tree.  That completion rule is
 written twice on purpose: `transform.atom_body` builds it as a tree,
-which the solver folds, and `forced_value` applies the same operations
+which the solver folds, and `forced_bounds` applies the same operations
 in the same order, so the verifier shares no valuation code with the
 solver; a property test (tests/test_semantics.py) holds the two equal,
-bit for bit.  `kagg` breaks ties at `EPS_CMP`, and a caller's eps only
-bounds how far a value may sit from the forced one.
+bit for bit.  Every operator but `kagg` works on each bound alone, so
+the verifier computes them itself on two floats, and shares only `kagg`
+and `Interval`'s validation, which snaps a t-conorm's float dust back,
+with the solver: it builds an Interval only for `kagg`, or for a
+t-conorm to snap, and compares bounds.  `kagg` breaks ties at
+`EPS_CMP`, and a caller's eps only bounds how far a value may sit from
+the forced one.
 
 The grid oracle, which supplies the rivals of small programs, reads P^i
 the same way at every atom, and tries every grid cell only for the cut
@@ -33,8 +38,7 @@ from __future__ import annotations
 
 import itertools
 
-from .intervals import (BOTTOM, INCONSISTENT, EPS_CMP, Interval, kagg, naf,
-                        negate, tconorm, tnorm)
+from .intervals import INCONSISTENT, EPS_CMP, Interval, kagg, negate
 from .program import ConstItem, LitItem, Literal, Program
 from .transform import rules_by_head
 from .depgraph import condense
@@ -61,60 +65,96 @@ def lookup(i: dict, lit: Literal):
     raise UnboundLiteral(lit)
 
 
-def _agrees(actual, req, eps: float) -> bool:
-    """The atom's value is the one its rules force (INCONSISTENT when
-    the mixed-evidence aggregation is an equal-width clash)."""
-    return req is not INCONSISTENT and actual.same_as(req, eps)
-
-
 def _joined(rules, i: dict, naf_i: dict):
-    """The value of the tree `transform.join_rules` builds, with `not`
-    read in naf_i, for one or more rules: each rule's items left to
-    right by t-norm, then its weight, and the rules by t-conorm."""
-    joined = None
+    """The bounds (lower, upper) of the tree `transform.join_rules`
+    builds, with `not` read in naf_i, for one or more rules, or None if
+    a literal read is INCONSISTENT: each rule's items left to right by
+    t-norm, then its weight, and the rules by t-conorm, each bound on
+    its own, `not` of x as 1 - x's lower bound.  Products of bounds stay
+    ordered within [0,1]; a t-conorm that leaves 0 <= lower <= upper <= 1
+    goes through `Interval`, which snaps float dust back as it does on
+    the tree.  Starting the products at 1 and the join at 0 changes no
+    bit.  An INCONSISTENT read absorbs, but the later items are still
+    read, so an unbound one raises UnboundLiteral as on the tree."""
+    jlo = jhi = 0.0
+    consistent = True
     for r in rules:
-        value = None
+        lo = hi = 1.0
         for b in r.body:
             if type(b) is ConstItem:
                 x = b.value
-            elif b.naf:
-                x = naf(lookup(naf_i, b.literal))
             else:
-                x = lookup(i, b.literal)
-            value = x if value is None else tnorm(value, x)
-        value = r.weight if value is None else tnorm(value, r.weight)
-        joined = value if joined is None else tconorm(joined, value)
-    return joined
+                x = lookup(naf_i if b.naf else i, b.literal)
+                if x is INCONSISTENT:
+                    consistent = False
+                    continue
+                if b.naf:
+                    lo *= 1.0 - x.lower
+                    hi *= 1.0 - x.lower
+                    continue
+            lo *= x.lower
+            hi *= x.upper
+        if consistent:
+            w = r.weight
+            lo *= w.lower
+            hi *= w.upper
+            lo = jlo + lo - jlo * lo
+            hi = jhi + hi - jhi * hi
+            if not 0.0 <= lo <= hi <= 1.0:
+                v = Interval(lo, hi)
+                lo, hi = v.lower, v.upper
+            jlo, jhi = lo, hi
+    return (jlo, jhi) if consistent else None
+
+
+def forced_bounds(group, i: dict, naf_i: dict):
+    """The bounds (lower, upper) an atom's rules force under i, read
+    straight from its rule group (pos, neg) of `transform.rules_by_head`
+    with `not` read in naf_i, or None where they force INCONSISTENT:
+    those of `atom_body(pos, neg)` under i when naf_i is i, of that
+    atom's body in P^naf_i otherwise.  The same operations in the same
+    order as on the tree: the negative side mirrored, as 1 - bound,
+    aggregated with `kagg` on the two Intervals, [0,1] if the atom heads
+    no rule."""
+    pos, neg = group
+    if not neg:
+        return _joined(pos, i, naf_i) if pos else (0.0, 1.0)
+    if not pos:
+        right = _joined(neg, i, naf_i)
+        return None if right is None else (1.0 - right[1], 1.0 - right[0])
+    left = _joined(pos, i, naf_i)
+    right = _joined(neg, i, naf_i)
+    if left is None or right is None:
+        return None
+    v = kagg(Interval(*left), Interval(1.0 - right[1], 1.0 - right[0]))
+    return None if v is INCONSISTENT else (v.lower, v.upper)
 
 
 def forced_value(group, i: dict, naf_i: dict):
-    """The value an atom's rules force under i, read straight from its
-    rule group (pos, neg) of `transform.rules_by_head`, with `not` read
-    in naf_i: the value of `atom_body(pos, neg)` under i when naf_i is
-    i, that atom's value in P^naf_i otherwise.  The same operations in
-    the same order as on the tree: the negative side mirrored and
-    aggregated with `kagg`, [0,1] if the atom heads no rule."""
-    pos, neg = group
-    if not neg:
-        return _joined(pos, i, naf_i) if pos else BOTTOM
-    if not pos:
-        return negate(_joined(neg, i, naf_i))
-    return kagg(_joined(pos, i, naf_i), negate(_joined(neg, i, naf_i)))
+    """`forced_bounds` as a value: an Interval, or INCONSISTENT."""
+    f = forced_bounds(group, i, naf_i)
+    return INCONSISTENT if f is None else Interval(*f)
+
+
+def _near(v, f, eps: float) -> bool:
+    """The value v is within eps of the forced bounds f, None where the
+    rules force INCONSISTENT."""
+    return (f is not None and abs(v.lower - f[0]) <= eps
+            and abs(v.upper - f[1]) <= eps)
 
 
 def _atom_supported(c: dict, atom, group, naf_i: dict, eps: float) -> bool:
-    """The atom carries exactly the value its rules force under c, `not`
-    read in naf_i, and its complementary literal mirrors it; raises
+    """The atom carries exactly the bounds its rules force under c, `not`
+    read in naf_i, and its complementary literal mirrors them; raises
     UnboundLiteral."""
     actual = lookup(c, Literal(atom, False))
-    if actual is INCONSISTENT:
-        return False
-    if not _agrees(actual, forced_value(group, c, naf_i), eps):
+    if actual is INCONSISTENT \
+            or not _near(actual, forced_bounds(group, c, naf_i), eps):
         return False
     actual_neg = lookup(c, Literal(atom, True))
-    if actual_neg is INCONSISTENT:
-        return False
-    return actual_neg.same_as(negate(actual), eps)
+    return (actual_neg is not INCONSISTENT
+            and abs(actual_neg.lower - (1.0 - actual.upper)) <= eps
+            and abs(actual_neg.upper - (1.0 - actual.lower)) <= eps)
 
 
 def is_supported_model(i: dict, p: Program, eps: float = EPS_CMP) -> bool:
@@ -141,7 +181,7 @@ def _readers(p: Program, read_naf: bool) -> dict:
 
 
 class _ReductAt:
-    """P^i, read in place: an atom's rules are valued by `forced_value`
+    """P^i, read in place: an atom's rules are valued by `forced_bounds`
     with their `not` items read in i, and no reduct rule is built; i
     must be a supported model of p at the eps it is read at.
 
@@ -163,12 +203,12 @@ class _ReductAt:
         below i in certainty does."""
         check = self.groups
         if c.keys() == self.i.keys():
-            differs = {lit.atom for lit, v in self.i.items()
-                       if (w := c[lit]) is not v
-                       and (w.lower != v.lower or w.upper != v.upper)}
-            check = set(differs)
-            for a in differs:
-                check.update(self.readers.get(a, ()))
+            check = set()
+            for lit, v in self.i.items():
+                if (w := c[lit]) is not v \
+                        and (w.lower != v.lower or w.upper != v.upper):
+                    check.add(lit.atom)
+                    check.update(self.readers.get(lit.atom, ()))
         try:
             return all(_atom_supported(c, a, group, self.i, eps)
                        for a, group in self.groups.items() if a in check)
@@ -201,10 +241,10 @@ def enumerate_grid_supported(p: Program, points=GRID_POINTS,
     upstream first, component by component of the condensation of what
     each atom's rules read (`_readers`).  A cut atom, whose rules read
     itself or an atom placed after it, takes every cell; any other atom
-    takes only the cells that agree with its `forced_value`, which reads
-    placed atoms alone and so is final.  Once all are placed, each cut
+    takes only the cells within eps of its `forced_bounds`, which read
+    placed atoms alone and so are final.  Once all are placed, each cut
     atom is checked the same way.  So every atom passes the brute-force
-    test (`_agrees` with its forced value on the complete
+    test (within eps of its forced bounds on the complete
     interpretation) and nothing else is pruned: the result is that of
     trying every cell for every atom, at the cost of the cut atoms'
     cells alone.  Exponential in the cut."""
@@ -230,15 +270,17 @@ def enumerate_grid_supported(p: Program, points=GRID_POINTS,
 
     def extend(n):
         if n == len(order):
-            if all(_agrees(i[lits[m]], forced_value(rules[m], i, naf_i), eps)
+            if all(_near(i[lits[m]], forced_bounds(rules[m], i, naf_i), eps)
                    for m in range(n) if cut[m]):
                 found.append([chosen[m] for m in sorted_places])
             return
         if cut[n]:
             options = every_cell
         else:
-            req = forced_value(rules[n], i, naf_i)
-            options = [(k, c) for k, c in every_cell if _agrees(c, req, eps)]
+            f = forced_bounds(rules[n], i, naf_i)
+            options = [] if f is None else [
+                (k, c) for k, c in every_cell
+                if abs(c.lower - f[0]) <= eps and abs(c.upper - f[1]) <= eps]
         for k, c in options:
             chosen[n] = k
             i[lits[n]] = c
@@ -287,8 +329,8 @@ def is_answer_set(i: dict, p: Program, candidates=(),
     enumeration.  Both read P^i in place, `not` in i: a candidate only
     where it differs from i (`_ReductAt`), the grid at every atom.  Grid
     models are supported models of P^i by construction, so only the
-    candidates are re-checked: the grid keeps the cells that `_agrees`
-    with `forced_value` of each atom's rules, the test
+    candidates are re-checked: the grid keeps the cells within eps of
+    the `forced_bounds` of each atom's rules, the test
     `is_supported_model` makes.
     """
     if not is_supported_model(i, p, eps):

@@ -7,10 +7,11 @@ head no rule get the constraint body [0,1].  `atom_body` is that rule
 as a tree, and `atom_bodies` the one place a program's rule groups
 become bodies, as written; `transform_program` is the one place they
 are folded, into the Atom -> body dict `mi` works on.  The verifier
-and its grid oracle build no body: `semantics.forced_value` applies
+and its grid oracle build no body: `semantics.forced_bounds` applies
 the same rule straight to the rule groups, written a second time on
 purpose so that the verifier shares no valuation code with the
-solver, and a property test holds the two equal.  The resulting rules
+solver but `kagg` and `Interval`'s validation, and a property test
+holds the two equal.  The resulting rules
 carry no weights.
 
 The body nodes are `intervals.Frozen` values, not named tuples: their

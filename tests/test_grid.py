@@ -109,17 +109,17 @@ def test_example8_matches_brute_force(ex8):
 
 def _valued(monkeypatch, prog, naf_i=None):
     """The grid's models of prog, `not` read in naf_i, and how many rule
-    groups it valued (`forced_value` calls)."""
+    groups it valued (`forced_bounds` calls)."""
     calls = 0
-    forced_value = semantics.forced_value
+    forced_bounds = semantics.forced_bounds
 
     def counting(group, c, naf_i):
         nonlocal calls
         calls += 1
-        return forced_value(group, c, naf_i)
+        return forced_bounds(group, c, naf_i)
 
     with monkeypatch.context() as patch:
-        patch.setattr(semantics, "forced_value", counting)
+        patch.setattr(semantics, "forced_bounds", counting)
         found = enumerate_grid_supported(prog, naf_i=naf_i)
     return found, calls
 

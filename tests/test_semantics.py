@@ -13,10 +13,10 @@ from unasp.intervals import (BOTTOM, EPS_CMP, INCONSISTENT, TRUE, Interval,
                              negate)
 from unasp.program import ConstItem, Program, Rule, ground
 from unasp.semantics import (UnboundLiteral, enumerate_grid_supported,
-                             forced_value, grid_intervals, interp_kp_below,
-                             is_answer_set, is_supported_model, lookup,
-                             model_from_json, model_to_json,
-                             total_from_positive)
+                             forced_bounds, forced_value, grid_intervals,
+                             interp_kp_below, is_answer_set,
+                             is_supported_model, lookup, model_from_json,
+                             model_to_json, total_from_positive)
 from unasp.solver import component_pass, front_half
 from unasp.transform import (Neg, Ref, atom_bodies, atom_body, join_rules,
                              rules_by_head, simplify)
@@ -140,6 +140,55 @@ class TestForcedValue:
         for atom, group in rules_by_head(p).items():
             assert _outcome(forced_value, group, i, j) == \
                 _outcome(evaluate, atom_body(*at_j[atom]), i)
+
+
+@pytest.mark.parametrize("text, bounds", [
+    # [0,0.13] v [1,1] is (1.0, 0.9999999999999999) before the snap
+    ("a <- [1,1] : [0,0.13]. a <- [1,1] : [1,1].", (1.0, 1.0)),
+    # the same join on the negative side of a kagg, whose mirror
+    # (1.1e-16, 0.0) would snap to a midpoint of 5.6e-17
+    ("a <- [0,1] : [1,1]. -a <- [1,1] : [0,0.13]. -a <- [1,1] : [1,1].",
+     (0.0, 0.0)),
+], ids=["join", "kagg-side"])
+def test_forced_bounds_snap_as_the_tree_does(text, bounds):
+    """A t-conorm of two valid bounds can leave them out of order by
+    float dust, which `Interval` snaps back; the bounds fold snaps them
+    where the tree does, before any later operation reads them."""
+    p = parse_program(text)
+    group = rules_by_head(p)[Atom("a")]
+    i = interp(a=bounds)
+    v = evaluate(atom_body(*group), i)
+    assert (v.lower, v.upper) == bounds
+    assert forced_bounds(group, i, i) == bounds
+    assert is_supported_model(i, p, eps=0.0)
+
+
+def test_supported_check_builds_intervals_only_for_kagg(monkeypatch):
+    """is_supported_model compares bounds and builds no Interval, except
+    the two that `kagg` takes for an atom heading both a and -a rules:
+    one such atom in ex2 and ex8, two in ex6 (p and j)."""
+    built = 0
+    post_init = Interval.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    tol = SolverConfig().nmi.answer_tol
+    counts = {}
+    for path in sorted(PROGRAMS.glob("*.unasp")):
+        p = ground(parse_program(path.read_text()))
+        counts[path.stem] = []
+        for answer in solve(p).answer_sets:
+            built = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(Interval, "__post_init__", counting)
+                assert is_supported_model(answer, p, tol)
+            counts[path.stem].append(built)
+    assert counts == {"ex1": [0], "ex2": [2], "ex3": [0], "ex4": [0] * 5,
+                      "ex5": [], "ex6": [4] * 5, "ex7": [0], "ex8": [2],
+                      "tweety": [0]}
 
 
 def _tree_supported(i, p, eps):
@@ -573,7 +622,7 @@ class TestRivalCheckedWhereItDiffers:
 
 def test_rival_work_does_not_depend_on_the_hash_seed():
     """Atoms are visited in order of first mention, so ex6 values the
-    same number of rule groups (`forced_value` calls) under every hash
+    same number of rule groups (`forced_bounds` calls) under every hash
     seed.  Ten seeds, since with the atoms in set order most seeds
     still agree."""
     root = pathlib.Path(__file__).resolve().parent.parent
@@ -581,12 +630,12 @@ def test_rival_work_does_not_depend_on_the_hash_seed():
         "import unasp\n"
         "from unasp import semantics\n"
         "calls = 0\n"
-        "forced = semantics.forced_value\n"
+        "forced = semantics.forced_bounds\n"
         "def counting(*args):\n"
         "    global calls\n"
         "    calls += 1\n"
         "    return forced(*args)\n"
-        "semantics.forced_value = counting\n"
+        "semantics.forced_bounds = counting\n"
         f"text = open({str(root / 'programs' / 'ex6.unasp')!r}).read()\n"
         "assert unasp.solve(unasp.parse_program(text)).status == 'ok'\n"
         "print(calls)\n")

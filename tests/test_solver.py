@@ -206,8 +206,8 @@ def _raise(*args):
 class TestNoSharedValuation:
     """The solver folds bodies with `transform.simplify`; the verifier
     values each atom straight from its rules with
-    `semantics.forced_value`, and the grid oracle values rules with
-    `forced_value` too.  Neither side calls the other's."""
+    `semantics.forced_bounds`, and the grid oracle values rules with
+    `forced_bounds` too.  Neither side calls the other's."""
 
     def test_verifier_folds_nothing(self, path, monkeypatch):
         program = parse_program(path.read_text())
@@ -222,9 +222,9 @@ class TestNoSharedValuation:
         for module in list(sys.modules.values()):
             if module.__name__.split(".")[0] != "unasp":
                 continue
-            if getattr(module, "forced_value", None) \
-                    is semantics.forced_value:
-                monkeypatch.setattr(module, "forced_value", _raise)
+            for name in ("forced_value", "forced_bounds"):
+                if getattr(module, name, None) is getattr(semantics, name):
+                    monkeypatch.setattr(module, name, _raise)
         front = front_half(ground(parse_program(path.read_text())))
         assert component_pass(front, SolverConfig()).branches
 
