@@ -90,7 +90,11 @@ class Interval(Frozen):
         # keep both bounds, bit for bit
         if type(lo) is float and type(hi) is float and 0.0 <= lo <= hi <= 1.0:
             return
-        lo, hi = float(lo), float(hi)
+        try:
+            lo, hi = float(lo), float(hi)
+        except OverflowError:   # an int past the float range
+            raise ValueError("interval outside [0,1]: a bound past the "
+                             "float range") from None
         if lo > hi + _BOUNDARY_SLACK:
             raise ValueError(f"interval bounds out of order: [{lo}, {hi}]")
         # written so that a NaN bound fails it too

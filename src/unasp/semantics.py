@@ -10,7 +10,9 @@ A rival below the candidate i is checked against P^i only where it
 differs from i and at the atoms that read one of those without `not`;
 a rival over other literals than i's differs from it everywhere.  Every
 other atom passes as it did for i: its rules, `not` read in i, give the
-value they gave when i passed, at the same eps.
+value they gave when i passed, at the same eps.  The candidate and its
+rivals go through one loop (`_supported_at`), given every atom for the
+candidate and those atoms for a rival.
 
 An interpretation is a supported model when every atom equals the value
 its rules force, read straight from its rules, one atom at a time, by
@@ -130,12 +132,6 @@ def forced_bounds(group, i: dict, naf_i: dict):
     return None if v is INCONSISTENT else (v.lower, v.upper)
 
 
-def forced_value(group, i: dict, naf_i: dict):
-    """`forced_bounds` as a value: an Interval, or INCONSISTENT."""
-    f = forced_bounds(group, i, naf_i)
-    return INCONSISTENT if f is None else Interval(*f)
-
-
 def _near(v, f, eps: float) -> bool:
     """The value v is within eps of the forced bounds f, None where the
     rules force INCONSISTENT."""
@@ -157,14 +153,21 @@ def _atom_supported(c: dict, atom, group, naf_i: dict, eps: float) -> bool:
             and abs(actual_neg.upper - (1.0 - actual.lower)) <= eps)
 
 
+def _supported_at(c: dict, atoms, naf_i: dict, eps: float) -> bool:
+    """c carries, at the atom of each (atom, rule group) pair of atoms,
+    the bounds that atom's rules force, `not` read in naf_i, and its
+    complementary literal mirrors them; False if a literal is unbound."""
+    try:
+        return all(_atom_supported(c, atom, group, naf_i, eps)
+                   for atom, group in atoms)
+    except UnboundLiteral:
+        return False
+
+
 def is_supported_model(i: dict, p: Program, eps: float = EPS_CMP) -> bool:
     """Every atom carries exactly the value its rules produce and the
     complementary literal mirrors it; False if a literal is unbound."""
-    try:
-        return all(_atom_supported(i, atom, group, i, eps)
-                   for atom, group in rules_by_head(p).items())
-    except UnboundLiteral:
-        return False
+    return _supported_at(i, rules_by_head(p).items(), i, eps)
 
 
 def _readers(p: Program, read_naf: bool) -> dict:
@@ -180,40 +183,28 @@ def _readers(p: Program, read_naf: bool) -> dict:
     return g
 
 
-class _ReductAt:
-    """P^i, read in place: an atom's rules are valued by `forced_bounds`
-    with their `not` items read in i, and no reduct rule is built; i
-    must be a supported model of p at the eps it is read at.
+def _rival_supported(c: dict, i: dict, groups: dict, readers: dict,
+                     eps: float) -> bool:
+    """c is a supported model of P^i at eps, P^i read in place: p's rule
+    groups (`rules_by_head`) with `not` read in i, which must be a
+    supported model of p at eps; readers is `_readers(p, False)`.
 
-    A rival c is a supported model of P^i exactly when it passes at the
-    atoms where it differs from i, under either sign, and at the atoms
-    whose rules read one of those through a body item without `not`;
+    c is checked at the atoms where it differs from i, under either
+    sign, and at the atoms whose rules read one of those without `not`;
     every other atom gives the value it gave i, bit for bit (see the
     module docstring).  A rival over other literals is checked at every
-    atom."""
-
-    def __init__(self, p: Program, i: dict):
-        self.i = i
-        self.groups = rules_by_head(p)
-        self.readers = _readers(p, read_naf=False)
-
-    def supports(self, c: dict, eps: float = EPS_CMP) -> bool:
-        """c is a supported model of P^i at eps, checked where it
-        differs from i; c holds no INCONSISTENT value, as no rival
-        below i in certainty does."""
-        check = self.groups
-        if c.keys() == self.i.keys():
-            check = set()
-            for lit, v in self.i.items():
-                if (w := c[lit]) is not v \
-                        and (w.lower != v.lower or w.upper != v.upper):
-                    check.add(lit.atom)
-                    check.update(self.readers.get(lit.atom, ()))
-        try:
-            return all(_atom_supported(c, a, group, self.i, eps)
-                       for a, group in self.groups.items() if a in check)
-        except UnboundLiteral:
-            return False
+    atom.  c holds no INCONSISTENT value, as no rival below i in
+    certainty does."""
+    atoms = groups.items()
+    if c.keys() == i.keys():
+        check = set()
+        for lit, v in i.items():
+            if (w := c[lit]) is not v \
+                    and (w.lower != v.lower or w.upper != v.upper):
+                check.add(lit.atom)
+                check.update(readers.get(lit.atom, ()))
+        atoms = ((a, group) for a, group in atoms if a in check)
+    return _supported_at(c, atoms, i, eps)
 
 
 def total_from_positive(positive: dict) -> dict:
@@ -327,10 +318,10 @@ def is_answer_set(i: dict, p: Program, candidates=(),
     continuum is undecidable; it is checked against the supplied
     candidates plus, for small programs, a brute-force grid
     enumeration.  Both read P^i in place, `not` in i: a candidate only
-    where it differs from i (`_ReductAt`), the grid at every atom.  Grid
-    models are supported models of P^i by construction, so only the
-    candidates are re-checked: the grid keeps the cells within eps of
-    the `forced_bounds` of each atom's rules, the test
+    where it differs from i (`_rival_supported`), the grid at every
+    atom.  Grid models are supported models of P^i by construction, so
+    only the candidates are re-checked: the grid keeps the cells within
+    eps of the `forced_bounds` of each atom's rules, the test
     `is_supported_model` makes.
     """
     if not is_supported_model(i, p, eps):
@@ -338,8 +329,9 @@ def is_answer_set(i: dict, p: Program, candidates=(),
     rivals = [c for c in candidates
               if c is not i and interp_kp_below(c, i, eps)]
     if rivals:
-        at_i = _ReductAt(p, i)
-        if any(at_i.supports(c, eps) for c in rivals):
+        groups = rules_by_head(p)
+        readers = _readers(p, read_naf=False)
+        if any(_rival_supported(c, i, groups, readers, eps) for c in rivals):
             return False
     if len(p.atom_base) > GRID_MAX_ATOMS:
         return True

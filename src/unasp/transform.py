@@ -4,15 +4,14 @@ All rules sharing a head literal are joined into a disjunction of
 (body ∧ weight) conjunctions; positive and negative evidence for the
 same atom are then combined with the certainty aggregator.  Atoms that
 head no rule get the constraint body [0,1].  `atom_body` is that rule
-as a tree, and `atom_bodies` the one place a program's rule groups
-become bodies, as written; `transform_program` is the one place they
-are folded, into the Atom -> body dict `mi` works on.  The verifier
-and its grid oracle build no body: `semantics.forced_bounds` applies
-the same rule straight to the rule groups, written a second time on
-purpose so that the verifier shares no valuation code with the
-solver but `kagg` and `Interval`'s validation, and a property test
-holds the two equal.  The resulting rules
-carry no weights.
+as a tree, and `transform_program` the one place a program's rule
+groups become bodies, folded into the Atom -> body dict `mi` works
+on.  The verifier and its grid oracle build no body:
+`semantics.forced_bounds` applies the same rule straight to the rule
+groups, written a second time on purpose so that the verifier shares
+no valuation code with the solver but `kagg` and `Interval`'s
+validation, and a property test holds the two equal.  The resulting
+rules carry no weights.
 
 The body nodes are `intervals.Frozen` values, not named tuples: their
 equality compares the node type, so `Naf(x) != Neg(x)` and
@@ -263,14 +262,8 @@ def atom_body(pos_rules, neg_rules):
     return Const(BOTTOM)
 
 
-def atom_bodies(p: Program):
-    """(atom, atom_body) for every atom of the program, in order of
-    first mention, built one at a time as the caller asks for them."""
-    return ((atom, atom_body(*group))
-            for atom, group in rules_by_head(p).items())
-
-
 def transform_program(p: Program) -> dict:
     """Atom -> its body, folded: the one table `mi` and the analyses
     work on, and the one place bodies are folded."""
-    return {atom: simplify(body) for atom, body in atom_bodies(p)}
+    return {atom: simplify(atom_body(*group))
+            for atom, group in rules_by_head(p).items()}

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from unasp import Atom, Literal, parse_program
 from unasp import transform as tf
-from unasp.intervals import (BOTTOM, EPS_CMP, INCONSISTENT, TRUE, kagg, naf,
-                             negate, tconorm, tnorm)
+from unasp.intervals import (BOTTOM, EPS_CMP, INCONSISTENT, TRUE, Interval,
+                             kagg, naf, negate, tconorm, tnorm)
 from unasp.program import ConstItem, LitItem, Program, Rule
-from unasp.semantics import GRID_POINTS, grid_intervals, lookup
+from unasp.semantics import (GRID_POINTS, forced_bounds, grid_intervals,
+                             lookup)
 from unasp.transform import (Kagg, Naf, Or, atom_body, node_kinds,
                              rules_by_head)
 
@@ -125,7 +126,14 @@ def atom_values(interp):
 
 # Reference implementations: body trees valued recursively, and the
 # reduct P^i built as a program, which the package reads in place with
-# `semantics.forced_value`.
+# `semantics.forced_bounds`.
+def forced_value(group, i: dict, naf_i: dict):
+    """`semantics.forced_bounds` as a value: an Interval, or
+    INCONSISTENT, the form `evaluate` gives for the atom's body tree."""
+    f = forced_bounds(group, i, naf_i)
+    return INCONSISTENT if f is None else Interval(*f)
+
+
 def evaluate(e, i: dict):
     """Recursive valuation of a body expression; inconsistency absorbs."""
     kind = type(e)

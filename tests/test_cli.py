@@ -345,6 +345,8 @@ def test_dot_labels_each_parallel_edge_by_its_own_operator(command, tmp_path,
      "model positive 'a': interval bounds out of order"),
     ('{"negative": {"b": [0, 2]}}',
      "model negative 'b': interval outside [0,1]"),
+    ('{"positive": {"a": [0, 1' + '0' * 400 + ']}}',
+     "model positive 'a': interval outside [0,1]"),
     ('{"positive": {"a": [0.3, 0.3], "zz": [0.5, 0.5]}}',
      "model positive 'zz': not an atom of the program"),
     ('{"positive": ', "Expecting value")])

@@ -38,6 +38,8 @@ class TestConstruction:
             Interval(-0.1, 0.5)
         with pytest.raises(ValueError):
             Interval(0.5, 1.1)
+        with pytest.raises(ValueError, match=r"outside \[0,1\]"):
+            Interval(0, 10**400)
 
     def test_nan_rejected(self):
         nan = float("nan")

@@ -13,15 +13,16 @@ from unasp.intervals import (BOTTOM, EPS_CMP, INCONSISTENT, TRUE, Interval,
                              negate)
 from unasp.program import ConstItem, Program, Rule, ground
 from unasp.semantics import (UnboundLiteral, enumerate_grid_supported,
-                             forced_bounds, forced_value, grid_intervals,
-                             interp_kp_below, is_answer_set,
-                             is_supported_model, lookup, model_from_json,
-                             model_to_json, total_from_positive)
+                             forced_bounds, grid_intervals, interp_kp_below,
+                             is_answer_set, is_supported_model, lookup,
+                             model_from_json, model_to_json,
+                             total_from_positive)
 from unasp.solver import component_pass, front_half
-from unasp.transform import (Neg, Ref, atom_bodies, atom_body, join_rules,
-                             rules_by_head, simplify)
+from unasp.transform import (Neg, Ref, atom_body, join_rules, rules_by_head,
+                             simplify)
 
-from conftest import PROGRAMS, evaluate, random_programs, reduct
+from conftest import (PROGRAMS, evaluate, forced_value, random_programs,
+                      reduct)
 
 
 def interp(**values):
@@ -192,14 +193,14 @@ def test_supported_check_builds_intervals_only_for_kagg(monkeypatch):
 
 
 def _tree_supported(i, p, eps):
-    """The supported-model check on the trees of `atom_bodies`, valued
+    """The supported-model check on the trees of `atom_body`, valued
     by `evaluate`: the verdict is_supported_model gave when it built
     them."""
     try:
-        for atom, body in atom_bodies(p):
+        for atom, group in rules_by_head(p).items():
             actual = lookup(i, Literal(atom))
             actual_neg = lookup(i, Literal(atom, True))
-            req = evaluate(body, i)
+            req = evaluate(atom_body(*group), i)
             if any(v is INCONSISTENT for v in (actual, actual_neg, req)) \
                     or not actual.same_as(req, eps) \
                     or not actual_neg.same_as(negate(actual), eps):
@@ -207,6 +208,13 @@ def _tree_supported(i, p, eps):
     except UnboundLiteral:
         return False
     return True
+
+
+def _rival_check(p, i, c, eps=EPS_CMP):
+    """The verdict `is_answer_set` gives a rival c of i: a supported
+    model of P^i, checked where it differs from i."""
+    return semantics._rival_supported(
+        c, i, rules_by_head(p), semantics._readers(p, read_naf=False), eps)
 
 
 def _refuse(*args):
@@ -314,17 +322,17 @@ class TestAnswerSet:
         assert any(interp_kp_below(c, i) for c in enumerate_grid_supported(red))
         checked, rivals = [], []
         supported = semantics.is_supported_model
-        supports = semantics._ReductAt.supports
+        supports = semantics._rival_supported
 
         def recording(c, prog, eps):
             checked.append(c)
             return supported(c, prog, eps)
 
-        def recording_rival(self, c, eps):
+        def recording_rival(c, *args):
             rivals.append(c)
-            return supports(self, c, eps)
+            return supports(c, *args)
         monkeypatch.setattr(semantics, "is_supported_model", recording)
-        monkeypatch.setattr(semantics._ReductAt, "supports", recording_rival)
+        monkeypatch.setattr(semantics, "_rival_supported", recording_rival)
         assert not is_answer_set(i, ex1, candidates=[below, level, i])
         assert [id(c) for c in checked] == [id(i)]
         assert [id(c) for c in rivals] == [id(below)]
@@ -588,7 +596,7 @@ class TestRivalCheckedWhereItDiffers:
             whole = _tree_supported(c, red, eps)
             assert is_supported_model(c, red, eps) == whole
             with no_body_trees():
-                assert semantics._ReductAt(p, i).supports(c, eps) == whole
+                assert _rival_check(p, i, c, eps) == whole
 
     def test_a_reader_of_a_changed_atom_is_checked(self):
         """a passes at any value, so only b, which reads a, rejects the
@@ -597,7 +605,7 @@ class TestRivalCheckedWhereItDiffers:
         i = interp(a=(0, 0), b=(0, 0))
         c = interp(a=(1, 1), b=(0, 0))
         assert not is_supported_model(c, reduct(p, i))
-        assert not semantics._ReductAt(p, i).supports(c)
+        assert not _rival_check(p, i, c)
 
     def test_a_reader_through_not_is_not_checked(self, monkeypatch):
         """In P^i a `not` item is a constant, so a rival that differs
@@ -615,7 +623,7 @@ class TestRivalCheckedWhereItDiffers:
             checked.append(args[1])
             return supported(*args)
         monkeypatch.setattr(semantics, "_atom_supported", counting)
-        assert not semantics._ReductAt(p, i).supports(c)
+        assert not _rival_check(p, i, c)
         assert checked == [Atom("a"), Atom("c")]
         assert not is_supported_model(c, reduct(p, i))
 
@@ -651,7 +659,40 @@ def test_rival_work_does_not_depend_on_the_hash_seed():
     assert len(counts) == 1
 
 
+# any JSON value, and model-shaped objects: sections keyed by the atoms
+# of ex2 (and one name that is none), mapped to any value or to pairs of
+# numbers, some of them ordered within [0,1], so that many reach an
+# interval's bounds and some load; JSON ints are unbounded, and most of
+# the second range lies past the float range
+INTS = st.integers() | st.integers(-2**1100, 2**1100)
+UNIT = st.integers(0, 1) | st.floats(0, 1)
+JSON_ANY = st.recursive(
+    st.none() | st.booleans() | INTS | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+BOUNDS_JSON = (JSON_ANY
+               | st.lists(INTS | st.floats(), min_size=2, max_size=2)
+               | st.lists(UNIT, min_size=2, max_size=2).map(sorted))
+MODEL_JSON = JSON_ANY | st.dictionaries(
+    st.sampled_from(["positive", "negative", "other"]),
+    JSON_ANY | st.dictionaries(st.sampled_from(["a", "b", "c", "zz"]),
+                               BOUNDS_JSON, max_size=3),
+    max_size=3)
+
+
 class TestModelJson:
+    @settings(max_examples=300, deadline=None)
+    @given(data=MODEL_JSON)
+    @example(data={"positive": {"a": [0, 10**400]}})
+    def test_any_json_value_loads_or_raises_value_error(self, data, ex2):
+        try:
+            i = model_from_json(data, ex2)
+        except ValueError:
+            return
+        assert all(type(lit) is Literal and type(v) is Interval
+                   for lit, v in i.items())
+
     def test_round_trip(self, ex2):
         i = interp(a=(0, 0), b=(1, 1), c=(1, 1))
         data = model_to_json(i)

@@ -17,9 +17,6 @@ ALLOWED = {
                "that each preorder refines its bilattice order",
     "cycle_gain": "the paper's linearized cycle gain, public, checked "
                   "against its closed form by the acceptance tests",
-    "forced_value": "an atom's forced bounds as a value, public, the form "
-                    "in which a property test holds them equal to the "
-                    "solver's body tree, bit for bit",
     "Program.rules_for": "the traced benchmark counts its calls "
                          "(program.rules_for_calls)",
 }
