@@ -1,23 +1,23 @@
 """Monotonic iteration: drive the consequence operator to its least
 fixpoint, consuming rules as their bodies become constant.
 
-Each step assigns, in residual order, every atom whose residual body has
-folded to a constant, records a trace row, and substitutes the new
-values into the bodies that refer to them (simplification drops [1,1]
-conjuncts and [0,0] disjuncts and collapses on annihilators), noting
-as it goes the bodies that fold to a constant: the next step's atoms,
-sorted only when there are two or more.  An inconsistent aggregation
-halts the iteration.  `mi_fixpoint` is that one flat loop.
+Each step pops, in residual order, the value of every atom whose
+residual body has folded to a constant, in one pass that notes an
+inconsistent aggregation, which halts the iteration, and records a
+trace row.  It substitutes the values into those atoms' unassigned
+watchers, merging their lists only for two or more atoms (a list names
+each body once), and notes the bodies that fold to a constant: the next
+step's atoms, sorted only when there are two or more.  Simplification
+drops [1,1] conjuncts and [0,0] disjuncts and collapses on annihilators.
 
 It reaches the states of the one-step reference in `tests/test_mi.py`,
 which substitutes into every remaining body, but event-driven, in the
 manner of Dowling-Gallier unit propagation: its index (`watch_index`)
 is the dependency graph `depgraph.atom_digraph`, each atom of the
-bodies to the bodies that refer to it, and a step substitutes into the
-watchers of the atoms it just assigned and into no other body, so an
-acyclic program costs one substitution per reference.  Bodies are taken
-as simplified, as `transform_program` and `substitute` leave them; a
-body no assigned atom reaches is then left as it is.
+bodies to the bodies that refer to it, and a step substitutes into no
+other body, so an acyclic program costs one substitution per
+reference.  Bodies are taken as simplified, as `transform_program` and
+`substitute` leave them; a body no assigned atom reaches is left as is.
 
 Seed values stand for atoms before the first step, as though
 substituted into every body; only the watchers of a seeded atom are
@@ -69,22 +69,32 @@ def mi_fixpoint(bodies: dict, seeds: dict = None,
                            for w in watchers.get(a, bodies)):
         residual[w] = substitute(residual[w], seeds)
     ready = [a for a, e in residual.items() if type(e) is Const]
+    step = 0
     while ready:
-        assigned = {a: residual.pop(a).value for a in ready}
+        assigned, bad = {}, []
+        for a in ready:
+            v = assigned[a] = residual.pop(a).value
+            if v is INCONSISTENT:
+                bad.append(a)
         s.interp.update(assigned)
-        s.step += 1
-        s.trace.append((s.step, assigned, len(residual)))
-        bad = [a for a, v in assigned.items() if v is INCONSISTENT]
+        step += 1
+        s.trace.append((step, assigned, len(residual)))
         if bad:
             s.halted_inconsistent = True
             s.inconsistent_atoms = sorted(bad, key=str)
             break
+        if len(ready) == 1:
+            targets = () if ready[0] in seeds else watchers[ready[0]]
+        else:
+            targets = dict.fromkeys(w for a in ready if a not in seeds
+                                    for w in watchers[a])
         ready = []
-        for w in dict.fromkeys(w for a in assigned if a not in seeds
-                               for w in watchers[a] if w in residual):
-            e = residual[w] = substitute(residual[w], assigned)
-            if type(e) is Const:
-                ready.append(w)
+        for w in targets:
+            if w in residual:
+                e = residual[w] = substitute(residual[w], assigned)
+                if type(e) is Const:
+                    ready.append(w)
         if len(ready) > 1:
             ready.sort(key=order.__getitem__)
+    s.step = step
     return s

@@ -17,17 +17,17 @@ candidate and those atoms for a rival.
 An interpretation is a supported model when every atom equals the value
 its rules force, read straight from its rules, one atom at a time, by
 `forced_bounds`, which builds no body tree.  That completion rule is
-written twice on purpose: `transform.atom_body` builds it as a tree,
-which the solver folds, and `forced_bounds` applies the same operations
+written twice on purpose: `transform_program` builds it as folded
+bodies for the solver, and `forced_bounds` applies the same operations
 in the same order, so the verifier shares no valuation code with the
-solver; a property test (tests/test_semantics.py) holds the two equal,
-bit for bit.  Every operator but `kagg` works on each bound alone, so
-the verifier computes them itself on two floats, and shares only `kagg`
-and `Interval`'s validation, which snaps a t-conorm's float dust back,
-with the solver: it builds an Interval only for `kagg`, or for a
-t-conorm to snap, and compares bounds.  `kagg` breaks ties at
-`EPS_CMP`, and a caller's eps only bounds how far a value may sit from
-the forced one.
+solver; property tests chain both, bit for bit, to the reference tree
+`atom_body` of tests/conftest.py.  Every operator but `kagg` works on
+each bound alone, so the verifier computes them itself on two floats,
+and shares only `kagg` and `Interval`'s validation, which snaps a
+t-conorm's float dust back, with the solver: it builds an Interval
+only for `kagg`, or for a t-conorm to snap, and compares bounds.
+`kagg` breaks ties at `EPS_CMP`, and a caller's eps only bounds how
+far a value may sit from the forced one.
 
 The grid oracle, which supplies the rivals of small programs, reads P^i
 the same way at every atom, and tries every grid cell only for the cut
@@ -48,6 +48,8 @@ from .depgraph import condense
 GRID_POINTS = (0.0, 0.25, 0.5, 0.75, 1.0)
 # is_answer_set adds the grid's supported models as rivals up to here
 GRID_MAX_ATOMS = 3
+# Literal(atom, sign) without the named tuple's Python-level __new__
+_new = tuple.__new__
 
 
 class UnboundLiteral(LookupError):
@@ -68,7 +70,7 @@ def lookup(i: dict, lit: Literal):
 
 
 def _joined(rules, i: dict, naf_i: dict):
-    """The bounds (lower, upper) of the tree `transform.join_rules`
+    """The bounds (lower, upper) of the reference tree `join_rules`
     builds, with `not` read in naf_i, for one or more rules, or None if
     a literal read is INCONSISTENT: each rule's items left to right by
     t-norm, then its weight, and the rules by t-conorm, each bound on
@@ -143,11 +145,11 @@ def _atom_supported(c: dict, atom, group, naf_i: dict, eps: float) -> bool:
     """The atom carries exactly the bounds its rules force under c, `not`
     read in naf_i, and its complementary literal mirrors them; raises
     UnboundLiteral."""
-    actual = lookup(c, Literal(atom, False))
+    actual = lookup(c, _new(Literal, (atom, False)))
     if actual is INCONSISTENT \
             or not _near(actual, forced_bounds(group, c, naf_i), eps):
         return False
-    actual_neg = lookup(c, Literal(atom, True))
+    actual_neg = lookup(c, _new(Literal, (atom, True)))
     return (actual_neg is not INCONSISTENT
             and abs(actual_neg.lower - (1.0 - actual.upper)) <= eps
             and abs(actual_neg.upper - (1.0 - actual.lower)) <= eps)

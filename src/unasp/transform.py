@@ -3,15 +3,15 @@
 All rules sharing a head literal are joined into a disjunction of
 (body ∧ weight) conjunctions; positive and negative evidence for the
 same atom are then combined with the certainty aggregator.  Atoms that
-head no rule get the constraint body [0,1].  `atom_body` is that rule
-as a tree, and `transform_program` the one place a program's rule
-groups become bodies, folded into the Atom -> body dict `mi` works
-on.  The verifier and its grid oracle build no body:
-`semantics.forced_bounds` applies the same rule straight to the rule
-groups, written a second time on purpose so that the verifier shares
-no valuation code with the solver but `kagg` and `Interval`'s
-validation, and a property test holds the two equal.  The resulting
-rules carry no weights.
+head no rule get the constraint body [0,1].  `transform_program` is the
+one place a program's rule groups become bodies, built folded with the
+unit and annihilator rules of `simplify` (`_fold`): each the body that
+`simplify` folds from the unfolded tree of `atom_body` in
+tests/conftest.py, bit for bit.  The verifier and its grid oracle build
+no body: `semantics.forced_bounds` applies the same rule straight to
+the rule groups, written a second time on purpose so that the verifier
+shares no valuation code with the solver but `kagg` and `Interval`'s
+validation.  The resulting rules carry no weights.
 
 The body nodes are `intervals.Frozen` values, not named tuples: their
 equality compares the node type, so `Naf(x) != Neg(x)` and
@@ -96,6 +96,25 @@ class Kagg(Frozen):
         return f"({self.left} (x)k {self.right})"
 
 
+def _fold(is_and: bool, folded, rest: list):
+    """The conjunction (is_and) or disjunction of the constant folded
+    (None for none) and the nodes rest: the annihilator collapses it,
+    the unit drops out unless alone, and a kept constant goes first."""
+    if folded is not None:
+        # 0 <= lower <= upper <= 1, so same_as([0,0]) is upper <= EPS_CMP
+        # and same_as([1,1]) is 1 - lower <= EPS_CMP, bit for bit
+        zero, one = folded.upper <= EPS_CMP, 1.0 - folded.lower <= EPS_CMP
+        if zero if is_and else one:
+            return Const(FALSE if is_and else TRUE)
+        if not rest or not (one if is_and else zero):
+            rest.insert(0, Const(folded))
+    if not rest:
+        return Const(TRUE if is_and else FALSE)
+    if len(rest) == 1:
+        return rest[0]
+    return And(tuple(rest)) if is_and else Or(tuple(rest))
+
+
 def simplify(e, values: dict = None):
     """Constant folding plus the unit/annihilator rewrites: drop [1,1]
     conjuncts and [0,0] disjuncts, collapse on [0,0] conjuncts and
@@ -112,8 +131,7 @@ def simplify(e, values: dict = None):
     if kind is And or kind is Or:
         is_and = kind is And
         combine = tnorm if is_and else tconorm
-        folded = None
-        rest = []
+        folded, rest = None, []
         for c in e.children:
             # v is c itself for a child that stays unfolded
             if type(c) is Ref:
@@ -136,20 +154,7 @@ def simplify(e, values: dict = None):
                 return c if type(c) is Const else Const(v)
             else:
                 folded = v if folded is None else combine(folded, v)
-        if folded is not None:
-            # 0 <= lower <= upper <= 1, so same_as([0,0]) is upper <= EPS_CMP
-            # and same_as([1,1]) is 1 - lower <= EPS_CMP, bit for bit
-            zero, one = folded.upper <= EPS_CMP, 1.0 - folded.lower <= EPS_CMP
-            if zero if is_and else one:
-                return Const(FALSE if is_and else TRUE)
-            # a unit with nothing beside it is returned as folded
-            if not rest or not (one if is_and else zero):
-                rest.insert(0, Const(folded))
-        if not rest:
-            return Const(TRUE if is_and else FALSE)
-        if len(rest) == 1:
-            return rest[0]
-        return And(tuple(rest)) if is_and else Or(tuple(rest))
+        return _fold(is_and, folded, rest)
     if kind is Const:
         return e
     if kind is Ref:
@@ -216,13 +221,6 @@ def referenced_atoms(e) -> set:
     return atoms
 
 
-def _item_expr(item):
-    if isinstance(item, ConstItem):
-        return Const(item.value)
-    ref = Ref(item.literal)
-    return Naf(ref) if item.naf else ref
-
-
 def rules_by_head(p: Program) -> dict:
     """Atom -> (rules with head a, rules with head -a) for every atom of
     the program, headless ones included, in the order of `atom_base`,
@@ -233,37 +231,47 @@ def rules_by_head(p: Program) -> dict:
     return groups
 
 
-def join_rules(rules):
-    """Disjunction of (body ∧ weight) over the given rules, as written;
-    the empty join is the disjunction identity [0,0]."""
-    disjuncts = []
+def _join(rules):
+    """The disjunction of (body ∧ weight) over one or more rules, built
+    folded: a rule's literal items in order, `not` ones as Naf(Ref), its
+    constant items then its weight multiplied into one constant (a rule
+    with no item is its weight), the rules in order, constants folded."""
+    folded, rest = None, []
     for r in rules:
-        parts = tuple(_item_expr(b) for b in r.body) + (Const(r.weight),)
-        disjuncts.append(parts[0] if len(parts) == 1 else And(parts))
-    if not disjuncts:
-        return Const(FALSE)
-    if len(disjuncts) == 1:
-        return disjuncts[0]
-    return Or(tuple(disjuncts))
-
-
-def atom_body(pos_rules, neg_rules):
-    """The value an atom's rules force on it, unfolded: the join of its
-    positive rules aggregated with the mirror of the join of its negative
-    rules, one side alone when the other has no rules, and the
-    closed-world [0,1] when it heads no rule (Clark's completion, one
-    atom at a time)."""
-    if pos_rules and neg_rules:
-        return Kagg(join_rules(pos_rules), Neg(join_rules(neg_rules)))
-    if pos_rules:
-        return join_rules(pos_rules)
-    if neg_rules:
-        return Neg(join_rules(neg_rules))
-    return Const(BOTTOM)
+        w, lits = None, []
+        for b in r.body:
+            if type(b) is ConstItem:
+                w = b.value if w is None else tnorm(w, b.value)
+            else:
+                ref = Ref(b.literal)
+                lits.append(Naf(ref) if b.naf else ref)
+        e = (_fold(True, r.weight if w is None else tnorm(w, r.weight), lits)
+             if r.body else Const(r.weight))
+        if len(rules) == 1:
+            return e
+        if type(e) is Const:
+            folded = e.value if folded is None else tconorm(folded, e.value)
+        else:
+            rest.append(e)
+    return _fold(False, folded, rest)
 
 
 def transform_program(p: Program) -> dict:
-    """Atom -> its body, folded: the one table `mi` and the analyses
-    work on, and the one place bodies are folded."""
-    return {atom: simplify(atom_body(*group))
-            for atom, group in rules_by_head(p).items()}
+    """Atom -> its body, built folded in one pass over the rule groups
+    (Clark's completion, one atom at a time): the one table `mi` and the
+    analyses work on."""
+    bodies = {}
+    for atom, (pos, neg) in rules_by_head(p).items():
+        e = _join(pos) if pos else Const(BOTTOM)
+        if neg:
+            right = _join(neg)
+            right = (Const(negate(right.value)) if type(right) is Const
+                     else Neg(right))
+            if not pos:
+                e = right
+            elif type(e) is Const and type(right) is Const:
+                e = Const(kagg(e.value, right.value))
+            else:
+                e = Kagg(e, right)
+        bodies[atom] = e
+    return bodies

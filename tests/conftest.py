@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 
 from unasp import Atom, Literal, parse_program
 from unasp import transform as tf
-from unasp.intervals import (BOTTOM, EPS_CMP, INCONSISTENT, TRUE, Interval,
-                             kagg, naf, negate, tconorm, tnorm)
+from unasp.intervals import (BOTTOM, EPS_CMP, FALSE, INCONSISTENT, TRUE,
+                             Interval, kagg, naf, negate, tconorm, tnorm)
 from unasp.program import ConstItem, LitItem, Program, Rule
 from unasp.semantics import (GRID_POINTS, forced_bounds, grid_intervals,
                              lookup)
-from unasp.transform import (Kagg, Naf, Or, atom_body, node_kinds,
+from unasp.transform import (And, Const, Kagg, Naf, Neg, Or, Ref, node_kinds,
                              rules_by_head)
 
 PROGRAMS = pathlib.Path(__file__).resolve().parent.parent / "programs"
@@ -124,9 +124,47 @@ def atom_values(interp):
             for lit, v in interp.items() if not lit.negated}
 
 
-# Reference implementations: body trees valued recursively, and the
-# reduct P^i built as a program, which the package reads in place with
-# `semantics.forced_bounds`.
+# Reference implementations: body trees built unfolded and valued
+# recursively, which the package builds folded (`transform_program`) and
+# reads straight from the rules (`semantics.forced_bounds`), and the
+# reduct P^i built as a program, which the package reads in place.
+def _item_expr(item):
+    if isinstance(item, ConstItem):
+        return Const(item.value)
+    ref = Ref(item.literal)
+    return Naf(ref) if item.naf else ref
+
+
+def join_rules(rules):
+    """Disjunction of (body ∧ weight) over the given rules, as written;
+    the empty join is the disjunction identity [0,0]."""
+    disjuncts = []
+    for r in rules:
+        parts = tuple(_item_expr(b) for b in r.body) + (Const(r.weight),)
+        disjuncts.append(parts[0] if len(parts) == 1 else And(parts))
+    if not disjuncts:
+        return Const(FALSE)
+    if len(disjuncts) == 1:
+        return disjuncts[0]
+    return Or(tuple(disjuncts))
+
+
+def atom_body(pos_rules, neg_rules):
+    """The value an atom's rules force on it, unfolded: the join of its
+    positive rules aggregated with the mirror of the join of its negative
+    rules, one side alone when the other has no rules, and the
+    closed-world [0,1] when it heads no rule (Clark's completion, one
+    atom at a time).  `simplify` folds it to the body `transform_program`
+    builds."""
+    if pos_rules and neg_rules:
+        return Kagg(join_rules(pos_rules), Neg(join_rules(neg_rules)))
+    if pos_rules:
+        return join_rules(pos_rules)
+    if neg_rules:
+        return Neg(join_rules(neg_rules))
+    return Const(BOTTOM)
+
+
 def forced_value(group, i: dict, naf_i: dict):
     """`semantics.forced_bounds` as a value: an Interval, or
     INCONSISTENT, the form `evaluate` gives for the atom's body tree."""

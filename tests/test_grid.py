@@ -10,9 +10,9 @@ from unasp import semantics
 from unasp.semantics import (GRID_POINTS, enumerate_grid_supported,
                              grid_intervals, is_supported_model,
                              load_model_file, total_from_positive)
-from unasp.transform import atom_body, referenced_atoms, rules_by_head
+from unasp.transform import referenced_atoms, rules_by_head
 
-from conftest import PROGRAMS, brute_force_grid, reduct
+from conftest import PROGRAMS, atom_body, brute_force_grid, reduct
 
 COARSE = (0.0, 0.5, 1.0)
 

@@ -18,11 +18,10 @@ from unasp.semantics import (UnboundLiteral, enumerate_grid_supported,
                              model_from_json, model_to_json,
                              total_from_positive)
 from unasp.solver import component_pass, front_half
-from unasp.transform import (Neg, Ref, atom_body, join_rules, rules_by_head,
-                             simplify)
+from unasp.transform import Neg, Ref, rules_by_head, simplify
 
-from conftest import (PROGRAMS, evaluate, forced_value, random_programs,
-                      reduct)
+from conftest import (PROGRAMS, atom_body, evaluate, forced_value,
+                      join_rules, random_programs, reduct)
 
 
 def interp(**values):
@@ -223,10 +222,11 @@ def _refuse(*args):
 
 @contextlib.contextmanager
 def no_body_trees():
-    """transform.atom_body and transform.join_rules raise inside."""
+    """transform's body builders, transform_program and the join of an
+    atom's rules it builds each body from, raise inside."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(transform, "atom_body", _refuse)
-        patch.setattr(transform, "join_rules", _refuse)
+        patch.setattr(transform, "transform_program", _refuse)
+        patch.setattr(transform, "_join", _refuse)
         yield
 
 

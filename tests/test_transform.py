@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from unasp import Atom, Literal, parse_program, transform, transform_program
 from unasp.intervals import (BOTTOM, EPS_CMP, FALSE, INCONSISTENT, TRUE,
@@ -13,11 +13,11 @@ from unasp.mi import mi_fixpoint
 from unasp.program import ConstItem, LitItem, Program, Rule
 from unasp.semantics import (grid_intervals, is_supported_model,
                              total_from_positive)
-from unasp.transform import (And, Const, Kagg, Naf, Neg, Or, Ref, atom_body,
-                             join_rules, nodes, referenced_atoms,
-                             rules_by_head, simplify, substitute)
+from unasp.transform import (And, Const, Kagg, Naf, Neg, Or, Ref, nodes,
+                             referenced_atoms, rules_by_head, simplify,
+                             substitute)
 
-from conftest import evaluate, reduct
+from conftest import atom_body, evaluate, join_rules, reduct
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -330,6 +330,100 @@ class TestSimplifyReference:
                       kind((Const(FALSE), Const(INCONSISTENT)))):
                 got = self._same(e, {Atom("a"): INCONSISTENT})
                 assert got == Const(INCONSISTENT)
+
+
+# [0,0] and [1,1], [0,1], and constants within EPS_CMP of [0,0] and [1,1]
+_EDGE_BOUNDS = ("[0,0]", "[1,1]", "[0,1]", "[0,0.000000001]",
+                "[0.999999999,1]")
+
+
+@st.composite
+def folded_programs(draw):
+    """1-6 rules over the heads a-c, a, b or c under `-` with
+    probability 0.3: a fact `h.`, or a weight and 1-4 body items, each a
+    constant or a literal of a-d, `not` with probability 0.3.  d heads
+    no rule.  A bound is an edge value with probability 0.3, else two
+    random decimals, so the products round."""
+    def chance(percent):   # shrinks towards False
+        return draw(st.integers(0, 99)) >= 100 - percent
+
+    def interval():
+        if chance(30):
+            return draw(st.sampled_from(_EDGE_BOUNDS))
+        lo, hi = sorted(draw(st.integers(0, 100)) / 100 for _ in range(2))
+        return f"[{lo},{hi}]"
+
+    def literal(atoms):
+        return ("-" if chance(30) else "") + draw(st.sampled_from(atoms))
+
+    def item():
+        if chance(40):
+            return interval()
+        return ("not " if chance(30) else "") + literal("abcd")
+
+    rules = []
+    for _ in range(draw(st.integers(1, 6))):
+        head = literal("abc")
+        if chance(15):
+            rules.append(f"{head}.")
+            continue
+        items = ", ".join(item() for _ in range(draw(st.integers(1, 4))))
+        rules.append(f"{head} <- {interval()} : {items}.")
+    return "\n".join(rules)
+
+
+def _built_as_folded(p):
+    """transform_program(p) is simplify of each atom's unfolded tree,
+    node for node and bit for bit, over the atoms of rules_by_head."""
+    built = transform_program(p)
+    groups = rules_by_head(p)
+    assert list(built) == list(groups)
+    for atom, group in groups.items():
+        want = simplify(atom_body(*group))
+        assert built[atom] == want and _bits(built[atom]) == _bits(want)
+    return built
+
+
+class TestBuiltFolded:
+    """transform_program builds each body already folded; simplify of
+    the reference tree `atom_body` (tests/conftest.py) is what it must
+    give."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=folded_programs())
+    @example(text="a <- [0.8,0.8] : b, [0.3,0.7], not c, [0.9,0.9].\n"
+                  "a <- [1,1] : [0.5,0.6].\na <- [0,0] : c.\nb.")
+    @example(text="a <- [1,1] : [0.2,0.4].\n-a <- [1,1] : [0.2,0.4].")
+    @example(text="-a <- [0.5,1] : b.\n-a <- [1,1] : [0,0].\n"
+                  "b <- [1,1] : not d, [1,1].")
+    def test_matches_simplify_of_atom_body(self, text):
+        _built_as_folded(parse_program(text))
+
+    def test_pinned_shapes(self):
+        """The examples above fold as written: several rules with their
+        constants and weight folded, an equal-width tie of a and -a to
+        INCONSISTENT, a -a-only head to the mirror of its join, and a
+        headless atom to [0,1]."""
+        built = _built_as_folded(parse_program(
+            "a <- [1,1] : [0.2,0.4].\n-a <- [1,1] : [0.2,0.4].\n"
+            "-b <- [0.5,1] : c.\n-b <- [1,1] : [0,0].\nd <- [1,1] : e."))
+        a, b, c, e = (Atom(name) for name in "abce")
+        assert built[a] == Const(INCONSISTENT)
+        assert built[b] == Neg(And((Const(Interval(0.5, 1.0)),
+                                    Ref(Literal(c)))))
+        assert built[c] == built[e] == Const(BOTTOM)
+
+    def test_rules_without_body_items(self):
+        """A rule built with no body item, which the parser never gives
+        (a fact `h.` reads [1,1] : [1,1]), is its weight alone, alone or
+        beside other rules."""
+        a, b = Literal(Atom("a")), Literal(Atom("b"))
+        for weights in ([Interval(0.0, EPS_CMP)], [Interval(0.2, 0.4)],
+                        [Interval(0.2, 0.4), Interval(0.3, 1.0)]):
+            rules = [Rule(a, w) for w in weights]
+            rules.append(Rule(Literal(Atom("b"), True), Interval(0.5, 1.0)))
+            rules.append(Rule(b, Interval(0.1, 0.3), (LitItem(a),)))
+            _built_as_folded(Program(rules))
 
 
 class TestSubstitute:
