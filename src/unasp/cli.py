@@ -16,7 +16,9 @@ import os
 import sys
 
 from .intervals import INCONSISTENT
+from .mi import mi_fixpoint
 from .program import GroundingCapExceeded, ground, parse_program
+from .transform import transform_program
 from . import depgraph, nmi, semantics, solver
 
 EXIT_OK = 0
@@ -117,12 +119,13 @@ def _write_dot(path, entries):
 
 
 def _cmd_solve(args, program, cfg):
-    front = solver.front_half(program)
+    bodies = (transform_program(program)
+              if args.dump_transformed or args.dot else None)
     if args.dump_transformed:
-        _dump_bodies(front.bodies)
-    report = solver.solve_front(front, cfg)
+        _dump_bodies(bodies)
+    report = solver.solve(program, cfg)
     if args.dot:
-        _write_dot(args.dot, front.bodies)
+        _write_dot(args.dot, bodies)
     return _print_report(args, report)
 
 
@@ -166,19 +169,19 @@ def _analysis_record(comp, plan):
 
 
 def _cmd_analyze(args, program, cfg):
-    front = solver.front_half(program)
-    state = front.mi
+    bodies = transform_program(program)
+    state = mi_fixpoint(bodies)
     if args.dump_transformed:
-        _dump_bodies(front.bodies)
+        _dump_bodies(bodies)
     if args.dot:
-        _write_dot(args.dot, state.residual or front.bodies)
-    passed = solver.component_pass(front, cfg)
+        _write_dot(args.dot, state.residual or bodies)
+    passed = solver.component_pass(state, cfg)
     first = {plan.component: plan for plan in reversed(passed.plans)}
     info = {
         "mi_assigned": {str(a): [v.lower, v.upper]
                         for a, v in state.interp.items()
                         if v is not INCONSISTENT},
-        "halted_inconsistent": state.halted_inconsistent,
+        "halted_inconsistent": bool(state.inconsistent_atoms),
         "components": [_analysis_record(comp, first.get(comp))
                        for comp in passed.components],
     }

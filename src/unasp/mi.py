@@ -1,14 +1,16 @@
 """Monotonic iteration: drive the consequence operator to its least
 fixpoint, consuming rules as their bodies become constant.
 
-Each step pops, in residual order, the value of every atom whose
-residual body has folded to a constant, in one pass that notes an
+Each step pops, in residual order, into the interpretation the value
+of every atom whose residual body has folded to a constant, noting an
 inconsistent aggregation, which halts the iteration, and records a
-trace row.  It substitutes the values into those atoms' unassigned
-watchers, merging their lists only for two or more atoms (a list names
-each body once), and notes the bodies that fold to a constant: the next
-step's atoms, sorted only when there are two or more.  Simplification
-drops [1,1] conjuncts and [0,0] disjuncts and collapses on annihilators.
+trace row of counts: only the interpretation holds values, in the order
+assigned.  It substitutes it into those atoms' unassigned watchers
+(which read no atom assigned before), merging their lists only for two
+or more atoms (a list names each body once), and notes the bodies that
+fold to a constant: the next step's atoms, sorted only when there are
+two or more.  Simplification drops [1,1] conjuncts and [0,0] disjuncts
+and collapses on annihilators.
 
 It reaches the states of the one-step reference in `tests/test_mi.py`,
 which substitutes into every remaining body, but event-driven, in the
@@ -35,15 +37,16 @@ from .transform import Const, substitute
 
 
 class MiState:
-    def __init__(self, interp=None, residual=None, halted_inconsistent=False,
-                 inconsistent_atoms=None, step=0, trace=None):
-        self.interp = {} if interp is None else interp  # Atom -> Interval
+    def __init__(self, interp=None, residual=None, inconsistent_atoms=None,
+                 step=0, trace=None):
+        # Atom -> Interval, in the order assigned
+        self.interp = {} if interp is None else interp
         self.residual = {} if residual is None else residual  # -> BodyExpr
-        self.halted_inconsistent = halted_inconsistent
+        # where an inconsistent value halted the iteration, sorted by name
         self.inconsistent_atoms = ([] if inconsistent_atoms is None
                                    else inconsistent_atoms)
         self.step = step
-        # (step, assigned, residual count)
+        # (step, atoms assigned, residual count)
         self.trace = [] if trace is None else trace
 
 
@@ -69,19 +72,16 @@ def mi_fixpoint(bodies: dict, seeds: dict = None,
                            for w in watchers.get(a, bodies)):
         residual[w] = substitute(residual[w], seeds)
     ready = [a for a, e in residual.items() if type(e) is Const]
-    step = 0
+    interp, bad, step = s.interp, s.inconsistent_atoms, 0
     while ready:
-        assigned, bad = {}, []
         for a in ready:
-            v = assigned[a] = residual.pop(a).value
-            if v is INCONSISTENT:
+            if (v := residual.pop(a).value) is INCONSISTENT:
                 bad.append(a)
-        s.interp.update(assigned)
+            interp[a] = v
         step += 1
-        s.trace.append((step, assigned, len(residual)))
+        s.trace.append((step, len(ready), len(residual)))
         if bad:
-            s.halted_inconsistent = True
-            s.inconsistent_atoms = sorted(bad, key=str)
+            bad.sort(key=str)
             break
         if len(ready) == 1:
             targets = () if ready[0] in seeds else watchers[ready[0]]
@@ -91,7 +91,7 @@ def mi_fixpoint(bodies: dict, seeds: dict = None,
         ready = []
         for w in targets:
             if w in residual:
-                e = residual[w] = substitute(residual[w], assigned)
+                e = residual[w] = substitute(residual[w], interp)
                 if type(e) is Const:
                     ready.append(w)
         if len(ready) > 1:

@@ -97,7 +97,7 @@ def nmi_iterate(entries: dict, assumption_set, cfg: NmiConfig,
     index = watch_index(entries)
     for it in range(1, cfg.max_outer_iters + 1):
         state = mi_fixpoint(entries, current, index)
-        if state.halted_inconsistent:
+        if state.inconsistent_atoms:
             return NmiOutcome("inconsistent", state.interp, it,
                               history, deltas)
         if state.residual:
@@ -113,7 +113,7 @@ def nmi_iterate(entries: dict, assumption_set, cfg: NmiConfig,
         current = new
         if delta < cfg.eps:
             final = mi_fixpoint(entries, current, index)
-            status = ("inconsistent" if final.halted_inconsistent
+            status = ("inconsistent" if final.inconsistent_atoms
                       else "converged")
             return NmiOutcome(status, final.interp, it, history, deltas)
         key = tuple((new[a].lower, new[a].upper) for a in assumption_set)
@@ -282,7 +282,7 @@ def branch_and_bound(entries: dict, assumption_set, cfg: NmiConfig,
     for combo in itertools.product(points, repeat=len(assumption_set)):
         values = {a: Interval(x, x) for a, x in zip(assumption_set, combo)}
         state = mi_fixpoint(entries, values, index)
-        if not (state.halted_inconsistent or state.residual) and all(
+        if not (state.inconsistent_atoms or state.residual) and all(
                 state.interp[a].same_as(values[a], cfg.eps)
                 for a in assumption_set):
             results.setdefault(_valuation_key(state.interp), state.interp)

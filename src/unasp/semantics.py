@@ -72,14 +72,15 @@ def lookup(i: dict, lit: Literal):
 def _joined(rules, i: dict, naf_i: dict):
     """The bounds (lower, upper) of the reference tree `join_rules`
     builds, with `not` read in naf_i, for one or more rules, or None if
-    a literal read is INCONSISTENT: each rule's items left to right by
-    t-norm, then its weight, and the rules by t-conorm, each bound on
-    its own, `not` of x as 1 - x's lower bound.  Products of bounds stay
-    ordered within [0,1]; a t-conorm that leaves 0 <= lower <= upper <= 1
-    goes through `Interval`, which snaps float dust back as it does on
-    the tree.  Starting the products at 1 and the join at 0 changes no
-    bit.  An INCONSISTENT read absorbs, but the later items are still
-    read, so an unbound one raises UnboundLiteral as on the tree."""
+    a literal read, a constant item or a weight is INCONSISTENT: each
+    rule's items left to right by t-norm, then its weight, and the rules
+    by t-conorm, each bound on its own, `not` of x as 1 - x's lower
+    bound.  Products of bounds stay ordered within [0,1]; a t-conorm
+    that leaves 0 <= lower <= upper <= 1 goes through `Interval`, which
+    snaps float dust back as it does on the tree.  Starting the products
+    at 1 and the join at 0 changes no bit.  An INCONSISTENT part
+    absorbs, but the later items are still read, so an unbound one
+    raises UnboundLiteral as on the tree."""
     jlo = jhi = 0.0
     consistent = True
     for r in rules:
@@ -89,17 +90,18 @@ def _joined(rules, i: dict, naf_i: dict):
                 x = b.value
             else:
                 x = lookup(naf_i if b.naf else i, b.literal)
-                if x is INCONSISTENT:
-                    consistent = False
-                    continue
-                if b.naf:
+                if b.naf and x is not INCONSISTENT:
                     lo *= 1.0 - x.lower
                     hi *= 1.0 - x.lower
                     continue
+            if x is INCONSISTENT:
+                consistent = False
+                continue
             lo *= x.lower
             hi *= x.upper
+        w = r.weight
+        consistent &= w is not INCONSISTENT
         if consistent:
-            w = r.weight
             lo *= w.lower
             hi *= w.upper
             lo = jlo + lo - jlo * lo

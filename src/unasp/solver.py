@@ -1,21 +1,25 @@
 """Full solving pipeline.
 
-Front half: ground -> transform -> monotonic fixpoint.  Component pass:
-dependency analysis of the residual, then per component in topological
-order and per branch, the branch's values are substituted and the
-monotonic fixpoint values what that leaves acyclic.  Only the cycles
-left are planned (iteration, which leaves a constant-free cycle at
-[0,1]; branch-and-bound; or, for a component with a certainty
-aggregation, side selection: each selection of one side of every
-aggregation is valued the same way, and kept where the chosen sides
-win, merged with what exact seeds and iterating the aggregations reach)
-and run, branching the downstream computation whenever a component
-admits several stable valuations.  `solve` re-checks every emitted
-answer set with the declarative verifier, which shares no valuation
-code with it; `unasp analyze` reports the plans instead.
+`solve` grounds the program, transforms it and runs the monotonic
+fixpoint; the transformed bodies go once that returns, and the stages
+after it read only its state.  Component pass: dependency analysis of
+the residual, then per component in topological order and per branch,
+the branch's values are substituted and the monotonic fixpoint values
+what that leaves acyclic.  Only the cycles left are planned (iteration,
+which leaves a constant-free cycle at [0,1]; branch-and-bound; or, for
+a component with a certainty aggregation, side selection: each
+selection of one side of every aggregation is valued the same way, and
+kept where the chosen sides win, merged with what exact seeds and
+iterating the aggregations reach) and run, branching the downstream
+computation whenever a component admits several stable valuations.
+`solve` re-checks every emitted answer set with the declarative
+verifier, which shares no valuation code with it; `unasp analyze`
+reports the plans instead.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from .intervals import Record
 from .program import GroundingCapExceeded, Program, ground
@@ -60,13 +64,6 @@ class SolveReport(Record):
         self.diagnostics = {} if diagnostics is None else diagnostics
 
 
-class FrontHalf:
-    def __init__(self, program: Program, bodies: dict, mi: MiState):
-        self.program = program   # the ground program
-        self.bodies = bodies     # Atom -> body, as transformed
-        self.mi = mi
-
-
 class ComponentPlan:
     """How the cycles left in one component are solved on one branch."""
 
@@ -101,8 +98,8 @@ class ComponentPass:
         self.truncated = truncated
 
 
-def _fmt_vals(values):
-    return ", ".join(f"{a}:{v}" for a, v in sorted(values.items(),
+def _fmt_vals(pairs):   # (atom, value) pairs
+    return ", ".join(f"{a}:{v}" for a, v in sorted(pairs,
                                                    key=lambda kv: str(kv[0])))
 
 
@@ -180,7 +177,7 @@ def _value_component(comp, bodies, cfg: SolverConfig, out):
     every atom of the bodies, and the plan or None; a component that
     cannot be solved has no valuation, noted in out."""
     state = mi_fixpoint(bodies)
-    if state.halted_inconsistent:
+    if state.inconsistent_atoms:
         out.notes.append("branch dropped: inconsistent value at "
                          + ", ".join(str(a) for a in state.inconsistent_atoms))
         return [], None
@@ -201,28 +198,25 @@ def _value_component(comp, bodies, cfg: SolverConfig, out):
     if trace_nmi:
         for k, values in enumerate(results):
             trace_nmi(f"component {names} [{plan.method}] "
-                      f"result {k}: {_fmt_vals(values)}")
+                      f"result {k}: {_fmt_vals(values.items())}")
     return results, plan
 
 
-def front_half(g: Program) -> FrontHalf:
-    """Transform a ground program and run the monotonic fixpoint."""
-    bodies = transform_program(g)
-    return FrontHalf(g, bodies, mi_fixpoint(bodies))
-
-
-def component_pass(front: FrontHalf, cfg: SolverConfig) -> ComponentPass:
-    """Value every component of the residual, upstream first, on every
-    branch, after writing the mi trace.  A component that cannot be
-    solved drops its branch and makes the pass incomplete."""
+def component_pass(state: MiState, cfg: SolverConfig) -> ComponentPass:
+    """Value every component of the residual of the monotonic stage,
+    upstream first, on every branch, after writing the mi trace.  A
+    component that cannot be solved drops its branch and makes the pass
+    incomplete."""
     trace_mi = cfg._sink("mi")
     if trace_mi:
-        for step, assigned, left in front.mi.trace:
-            trace_mi(f"mi step {step}: {_fmt_vals(assigned)} "
+        # the interpretation holds each step's values in step order
+        values = iter(state.interp.items())
+        for step, count, left in state.trace:
+            trace_mi(f"mi step {step}: {_fmt_vals(islice(values, count))} "
                      f"({left} rules residual)")
-    residual = front.mi.residual
-    out = ComponentPass([front.mi.interp])
-    if front.mi.halted_inconsistent or not residual:
+    residual = state.residual
+    out = ComponentPass([state.interp])
+    if state.inconsistent_atoms or not residual:
         return out
     components, topo = depgraph.scc_condense(residual)
     out.components = [components[k] for k in topo]
@@ -256,37 +250,26 @@ def solve(p: Program, cfg: SolverConfig = None) -> SolveReport:
         g = ground(p)
     except GroundingCapExceeded as exc:
         return capped_report(exc)
-    return solve_front(front_half(g), cfg)
-
-
-def capped_report(exc: GroundingCapExceeded) -> SolveReport:
-    """The report of a program past the ground-rule cap."""
-    return SolveReport([], "incomplete", {"notes": [str(exc)]})
-
-
-def solve_front(front: FrontHalf, cfg: SolverConfig) -> SolveReport:
-    """The component pass and the verifier over a computed front half."""
-    mi_state = front.mi
-    passed = component_pass(front, cfg)
+    state = mi_fixpoint(transform_program(g))
+    passed = component_pass(state, cfg)
     diagnostics = {
-        "mi_steps": mi_state.step,
-        "mi_assigned": len(mi_state.interp),
-        "residual_rules": len(mi_state.residual),
+        "mi_steps": state.step,
+        "mi_assigned": len(state.interp),
+        "residual_rules": len(state.residual),
         "components": [],
         "notes": [],
     }
-    if mi_state.halted_inconsistent:
+    if state.inconsistent_atoms:
         diagnostics["notes"].append(
             "monotonic stage halted: inconsistent aggregation at "
-            + ", ".join(str(a) for a in mi_state.inconsistent_atoms))
+            + ", ".join(str(a) for a in state.inconsistent_atoms))
         return SolveReport([], "no_answer_set", diagnostics)
     diagnostics["components"] = [plan.summary() for plan in passed.plans]
     diagnostics["notes"] += passed.notes
     verify_eps = cfg.nmi.answer_tol
     totals = [semantics.total_from_positive(b) for b in passed.branches]
     answer_sets = [t for t in totals
-                   if semantics.is_answer_set(t, front.program,
-                                              candidates=totals,
+                   if semantics.is_answer_set(t, g, candidates=totals,
                                               eps=verify_eps)]
     rejected = len(totals) - len(answer_sets)
     if rejected:
@@ -300,3 +283,8 @@ def solve_front(front: FrontHalf, cfg: SolverConfig) -> SolveReport:
         status = "ok"
     diagnostics["verify_eps"] = verify_eps
     return SolveReport(answer_sets, status, diagnostics)
+
+
+def capped_report(exc: GroundingCapExceeded) -> SolveReport:
+    """The report of a program past the ground-rule cap."""
+    return SolveReport([], "incomplete", {"notes": [str(exc)]})

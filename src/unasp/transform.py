@@ -99,7 +99,10 @@ class Kagg(Frozen):
 def _fold(is_and: bool, folded, rest: list):
     """The conjunction (is_and) or disjunction of the constant folded
     (None for none) and the nodes rest: the annihilator collapses it,
-    the unit drops out unless alone, and a kept constant goes first."""
+    the unit drops out unless alone, and a kept constant goes first.
+    An INCONSISTENT constant absorbs, as in `simplify`."""
+    if folded is INCONSISTENT:
+        return Const(INCONSISTENT)
     if folded is not None:
         # 0 <= lower <= upper <= 1, so same_as([0,0]) is upper <= EPS_CMP
         # and same_as([1,1]) is 1 - lower <= EPS_CMP, bit for bit
@@ -271,6 +274,8 @@ def transform_program(p: Program) -> dict:
                 e = right
             elif type(e) is Const and type(right) is Const:
                 e = Const(kagg(e.value, right.value))
+            elif Const(INCONSISTENT) in (e, right):   # it absorbs
+                e = Const(INCONSISTENT)
             else:
                 e = Kagg(e, right)
         bodies[atom] = e

@@ -113,6 +113,26 @@ class TestSolve:
             "y <- not z.\n"
             "z <- not y.\n")
 
+    def test_unwritable_dot_after_the_dump_and_the_trace(self, tmp_path,
+                                                         capsys):
+        """solve writes the dump, then the trace of the solve, and only
+        then fails on the --dot file: exit 2, nothing on stdout."""
+        flags = ["--dump-transformed", "--trace", "mi,nmi,graph"]
+        run_cli(["solve", path("ex6"), flags[0]])
+        dump = capsys.readouterr().err
+        run_cli(["solve", path("ex6"), *flags[1:]])
+        trace = capsys.readouterr().err
+        dot = tmp_path / "missing" / "x.dot"
+        assert run_cli(["solve", path("ex6"), *flags, "--dot", str(dot)]) \
+            == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert dump and trace.startswith("mi step 1: ")
+        assert err.startswith(dump + trace)
+        error = err[len(dump + trace):]
+        assert error.startswith("error: ") and error.count("\n") == 1
+        assert str(dot) in error
+
     def test_dot_file(self, tmp_path, capsys):
         dot = tmp_path / "graph.dot"
         assert run_cli(["solve", path("ex3"), "--dot", str(dot)]) == EXIT_OK

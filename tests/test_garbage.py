@@ -7,10 +7,9 @@ import gc
 
 import pytest
 
-from unasp import parse_program, solve
+from unasp import parse_program, solve, transform_program
 from unasp.depgraph import to_dot
 from unasp.program import ground
-from unasp.solver import front_half
 
 from conftest import FOLDED_CYCLES, PROGRAMS, UNCOVERABLE
 
@@ -40,5 +39,5 @@ def test_solve_leaves_no_cycles(name):
 
 @pytest.mark.parametrize("name", TEXTS)
 def test_dot_leaves_no_cycles(name):
-    bodies = front_half(ground(parse_program(TEXTS[name]))).bodies
+    bodies = transform_program(ground(parse_program(TEXTS[name])))
     assert _garbage(lambda: to_dot(bodies)) == 0

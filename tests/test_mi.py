@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from unasp import Atom, mi, parse_program, transform_program
 from unasp.intervals import INCONSISTENT, Interval
 from unasp.mi import MiState, mi_fixpoint, watch_index
+from unasp.solver import SolverConfig, component_pass
 from unasp.transform import Const, referenced_atoms, substitute
 
 from conftest import PROGRAMS
@@ -18,15 +19,15 @@ def gamma_step(s):
     simultaneous firing of every atom whose body is constant, then a
     substitution into every remaining body; s is left as it was."""
     ready = [a for a, e in s.residual.items() if isinstance(e, Const)]
-    if s.halted_inconsistent or not ready:
+    if s.inconsistent_atoms or not ready:
         return s
     assigned = {a: s.residual[a].value for a in ready}
     residual = {a: e for a, e in s.residual.items() if a not in assigned}
     nxt = MiState(s.interp | assigned, residual, step=s.step + 1,
-                  trace=s.trace + [(s.step + 1, assigned, len(residual))])
+                  trace=s.trace + [(s.step + 1, len(assigned),
+                                    len(residual))])
     bad = [a for a, v in assigned.items() if v is INCONSISTENT]
     if bad:
-        nxt.halted_inconsistent = True
         nxt.inconsistent_atoms = sorted(bad, key=str)
     else:
         nxt.residual = {a: substitute(e, assigned)
@@ -61,7 +62,7 @@ class TestExample6Trace:
         assert got["s"].same_as(Interval(0.42, 0.72))
         assert got["p"].same_as(Interval(0.3916, 0.495), eps=5e-4)
         assert len(state.residual) == 18
-        assert not state.halted_inconsistent
+        assert not state.inconsistent_atoms
 
     def test_residual_atoms(self, ex6):
         state = mi_fixpoint(transform_program(ex6))
@@ -85,7 +86,6 @@ class TestFixpointShapes:
 
     def test_inconsistent_aggregation_halts(self, ex5):
         state = mi_fixpoint(transform_program(ex5))
-        assert state.halted_inconsistent
         assert state.inconsistent_atoms == [Atom("a")]
 
     def test_interpretation_grows_monotonically(self, ex6):
@@ -125,13 +125,10 @@ def _exact(v):
 def _snapshot(s):
     return {
         "step": s.step,
-        "trace": [(step, [(str(a), repr(v), _exact(v))
-                          for a, v in assigned.items()], left)
-                  for step, assigned, left in s.trace],
-        "interp": [(str(a), _exact(v)) for a, v in s.interp.items()],
+        "trace": s.trace,
+        "interp": [(str(a), repr(v), _exact(v)) for a, v in s.interp.items()],
         "residual": [(str(a), str(e)) for a, e in s.residual.items()],
         "residual_exprs": list(s.residual.values()),
-        "halted": s.halted_inconsistent,
         "inconsistent": [str(a) for a in s.inconsistent_atoms],
     }
 
@@ -173,12 +170,49 @@ class TestWatchListMatchesStepping:
         _assert_same_paths(path.read_text())
 
     def test_inconsistent_halt_is_covered(self, ex5):
-        assert mi_fixpoint(transform_program(ex5)).halted_inconsistent
+        assert mi_fixpoint(transform_program(ex5)).inconsistent_atoms
 
     @settings(max_examples=300, deadline=None)
     @given(text=_program_text())
     def test_random_programs(self, text):
         _assert_same_paths(text)
+
+
+def _reference_trace(bodies):
+    """The mi trace lines, formatted from the values each gamma_step
+    assigns."""
+    lines, state = [], initial_state(bodies)
+    while (nxt := gamma_step(state)) is not state:
+        assigned = {a: v for a, v in nxt.interp.items()
+                    if a not in state.interp}
+        values = ", ".join(f"{a}:{v}" for a, v in
+                           sorted(assigned.items(), key=lambda kv: str(kv[0])))
+        lines.append(f"mi step {nxt.step}: {values} "
+                     f"({len(nxt.residual)} rules residual)")
+        state = nxt
+    return lines
+
+
+def _assert_trace_lines(text):
+    """component_pass writes the reference's mi trace lines, which it
+    reads back from the fixpoint's counts and interpretation."""
+    bodies = transform_program(parse_program(text))
+    lines = []
+    component_pass(mi_fixpoint(bodies),
+                   SolverConfig(trace={"mi"}, trace_sink=lines.append))
+    assert lines == _reference_trace(bodies)
+
+
+class TestTraceLines:
+    @pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.unasp")),
+                             ids=lambda path: path.stem)
+    def test_example_programs(self, path):
+        _assert_trace_lines(path.read_text())
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_program_text())
+    def test_random_programs(self, text):
+        _assert_trace_lines(text)
 
 
 SEED_VALUES = st.sampled_from([Interval(0.0, 0.0), Interval(1.0, 1.0),
@@ -209,7 +243,6 @@ class TestSeededPass:
             assert [(str(a), repr(v)) for a, v in state.interp.items()] \
                 == [(str(a), repr(v)) for a, v in old.interp.items()]
             assert list(state.residual.items()) == list(old.residual.items())
-            assert state.halted_inconsistent == old.halted_inconsistent
             assert state.inconsistent_atoms == old.inconsistent_atoms
             assert _snapshot(state) == _snapshot(old)
 

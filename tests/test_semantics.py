@@ -7,8 +7,8 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from unasp import (Atom, Literal, SolverConfig, parse_program, semantics,
-                   solve, transform)
+from unasp import (Atom, Literal, SolverConfig, mi_fixpoint, parse_program,
+                   semantics, solve, transform, transform_program)
 from unasp.intervals import (BOTTOM, EPS_CMP, INCONSISTENT, TRUE, Interval,
                              negate)
 from unasp.program import ConstItem, Program, Rule, ground
@@ -17,7 +17,7 @@ from unasp.semantics import (UnboundLiteral, enumerate_grid_supported,
                              is_answer_set, is_supported_model, lookup,
                              model_from_json, model_to_json,
                              total_from_positive)
-from unasp.solver import component_pass, front_half
+from unasp.solver import component_pass
 from unasp.transform import Neg, Ref, rules_by_head, simplify
 
 from conftest import (PROGRAMS, atom_body, evaluate, forced_value,
@@ -348,7 +348,8 @@ class TestAnswerSet:
         cfg = SolverConfig()
         report = solve(g, cfg)
         totals = [total_from_positive(b)
-                  for b in component_pass(front_half(g), cfg).branches]
+                  for b in component_pass(mi_fixpoint(transform_program(g)),
+                                          cfg).branches]
         eps = cfg.nmi.answer_tol
         verdicts = [is_answer_set(t, g, totals, eps) for t in totals]
         assert [t for t, ok in zip(totals, verdicts) if ok] \

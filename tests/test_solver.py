@@ -1,10 +1,12 @@
 import json
 import sys
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
 
-from unasp import Atom, Literal, parse_program, solve
+from unasp import (Atom, Literal, mi_fixpoint, parse_program, solve,
+                   transform_program)
 from unasp.cli import run_cli
 from unasp.intervals import Interval
 from unasp import semantics, solver, transform
@@ -13,7 +15,7 @@ from unasp.program import Program, ground
 from unasp.semantics import (enumerate_grid_supported, interp_kp_below,
                              is_answer_set, is_supported_model,
                              model_to_json, total_from_positive)
-from unasp.solver import SolverConfig, component_pass, front_half
+from unasp.solver import SolverConfig, component_pass
 
 from conftest import (FOLDED_CYCLES, PROGRAMS, TEN_VARIABLES, UNCOVERABLE,
                       atom_values, random_programs, reduct)
@@ -225,8 +227,9 @@ class TestNoSharedValuation:
                 continue
             if getattr(module, "forced_bounds", None) is forced:
                 monkeypatch.setattr(module, "forced_bounds", _raise)
-        front = front_half(ground(parse_program(path.read_text())))
-        assert component_pass(front, SolverConfig()).branches
+        g = ground(parse_program(path.read_text()))
+        state = mi_fixpoint(transform_program(g))
+        assert component_pass(state, SolverConfig()).branches
 
 
 def _setting_id(kw):
@@ -266,6 +269,41 @@ def test_config_rejects_empty_or_out_of_range_seeds(seeds):
         SolverConfig(seeds=seeds)
 
 
+@pytest.mark.parametrize("name", ["ex2", "ex6", "ex7"])
+def test_verifier_runs_with_no_body_table(name, monkeypatch):
+    """solve holds the transformed bodies only while the monotonic
+    stage runs: the table is freed before the first candidate is
+    verified, and the trace rows of every fixpoint are counts, with no
+    dict of values."""
+    class Table(dict):
+        pass
+    tables, states, dead = [], [], []
+    transform_program, mi_fixpoint = (solver.transform_program,
+                                      solver.mi_fixpoint)
+    verify = semantics.is_answer_set
+
+    def keep_table(g):
+        table = Table(transform_program(g))
+        tables.append(weakref.ref(table))
+        return table
+
+    def keep_state(*args):
+        states.append(mi_fixpoint(*args))
+        return states[-1]
+
+    def check_freed(*args, **kwargs):
+        dead.append(all(ref() is None for ref in tables))
+        return verify(*args, **kwargs)
+    monkeypatch.setattr(solver, "transform_program", keep_table)
+    monkeypatch.setattr(solver, "mi_fixpoint", keep_state)
+    monkeypatch.setattr(semantics, "is_answer_set", check_freed)
+    assert solve(parse_program((PROGRAMS / f"{name}.unasp").read_text())) \
+        .answer_sets
+    assert len(tables) == 1 and dead and all(dead)
+    assert all(type(x) is int
+               for state in states for row in state.trace for x in row)
+
+
 def test_untraced_solve_builds_no_trace_text(ex6, monkeypatch):
     """Trace lines are formatted only for a traced kind with a sink."""
     from unasp import solver
@@ -290,7 +328,8 @@ class TestGridTieTolerance:
         assert report.status == "ok"
         assert "verifier rejected 1 candidate(s)" \
             in report.diagnostics["notes"]
-        branches = component_pass(front_half(p), cfg).branches
+        branches = component_pass(mi_fixpoint(transform_program(p)),
+                                  cfg).branches
         (branch,) = [b for b in branches
                      if b[Atom("a")].same_as(Interval(0, 0.120455646), 1e-8)]
         candidate = total_from_positive(branch)

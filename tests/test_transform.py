@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from unasp import Atom, Literal, parse_program, transform, transform_program
+from unasp import (Atom, Literal, parse_program, solve, transform,
+                   transform_program)
 from unasp.intervals import (BOTTOM, EPS_CMP, FALSE, INCONSISTENT, TRUE,
                              Interval, kagg, naf, negate, tconorm, tnorm)
 from unasp.mi import mi_fixpoint
@@ -372,6 +373,26 @@ def folded_programs(draw):
     return "\n".join(rules)
 
 
+def _inconsistent_parts():
+    """Hand-built programs with an INCONSISTENT constant item or weight,
+    which the parser cannot give, alone and beside a literal."""
+    a, b, c = (Literal(Atom(name)) for name in "abc")
+    bad, half = ConstItem(INCONSISTENT), ConstItem(Interval(0.5, 0.5))
+    return {
+        "item": [Rule(a, TRUE, (bad,))],
+        "item-beside-literal": [Rule(a, TRUE, (LitItem(b), bad)),
+                                Rule(a, Interval(0.5, 1.0), (LitItem(c),))],
+        "weight": [Rule(a, INCONSISTENT, (half,))],
+        "weight-beside-literal": [
+            Rule(a, INCONSISTENT, (LitItem(b, naf=True),)),
+            Rule(Literal(Atom("a"), True), Interval(0.2, 0.4), (LitItem(c),))],
+    }
+
+
+INCONSISTENT_PARTS = {name: Program(rules)
+                      for name, rules in _inconsistent_parts().items()}
+
+
 def _built_as_folded(p):
     """transform_program(p) is simplify of each atom's unfolded tree,
     node for node and bit for bit, over the atoms of rules_by_head."""
@@ -390,14 +411,21 @@ class TestBuiltFolded:
     give."""
 
     @settings(max_examples=500, deadline=None)
-    @given(text=folded_programs())
-    @example(text="a <- [0.8,0.8] : b, [0.3,0.7], not c, [0.9,0.9].\n"
-                  "a <- [1,1] : [0.5,0.6].\na <- [0,0] : c.\nb.")
-    @example(text="a <- [1,1] : [0.2,0.4].\n-a <- [1,1] : [0.2,0.4].")
-    @example(text="-a <- [0.5,1] : b.\n-a <- [1,1] : [0,0].\n"
-                  "b <- [1,1] : not d, [1,1].")
-    def test_matches_simplify_of_atom_body(self, text):
-        _built_as_folded(parse_program(text))
+    @given(program=folded_programs())
+    @example(program="a <- [0.8,0.8] : b, [0.3,0.7], not c, [0.9,0.9].\n"
+                     "a <- [1,1] : [0.5,0.6].\na <- [0,0] : c.\nb.")
+    @example(program="a <- [1,1] : [0.2,0.4].\n-a <- [1,1] : [0.2,0.4].")
+    @example(program="-a <- [0.5,1] : b.\n-a <- [1,1] : [0,0].\n"
+                     "b <- [1,1] : not d, [1,1].")
+    @example(program=INCONSISTENT_PARTS["item"])
+    @example(program=INCONSISTENT_PARTS["item-beside-literal"])
+    @example(program=INCONSISTENT_PARTS["weight"])
+    @example(program=INCONSISTENT_PARTS["weight-beside-literal"])
+    def test_matches_simplify_of_atom_body(self, program):
+        """program is a program text or, for the INCONSISTENT parts the
+        parser cannot give, a built Program."""
+        _built_as_folded(parse_program(program) if type(program) is str
+                         else program)
 
     def test_pinned_shapes(self):
         """The examples above fold as written: several rules with their
@@ -424,6 +452,19 @@ class TestBuiltFolded:
             rules.append(Rule(Literal(Atom("b"), True), Interval(0.5, 1.0)))
             rules.append(Rule(b, Interval(0.1, 0.3), (LitItem(a),)))
             _built_as_folded(Program(rules))
+
+
+@pytest.mark.parametrize("program", INCONSISTENT_PARTS.values(),
+                         ids=INCONSISTENT_PARTS)
+def test_inconsistent_part_has_no_answer_set(program):
+    """An INCONSISTENT constant item or weight absorbs its atom's body:
+    the solve halts with no answer set, and the verifier finds no
+    supported model, as for an INCONSISTENT literal read."""
+    assert transform_program(program)[Atom("a")] == Const(INCONSISTENT)
+    assert solve(program).status == "no_answer_set"
+    ignorance = total_from_positive({atom: BOTTOM
+                                     for atom in program.atom_base})
+    assert not is_supported_model(ignorance, program)
 
 
 class TestSubstitute:

@@ -109,7 +109,8 @@ def grid_verdicts(program, config):
         return None
     if len(g.atom_base) > semantics.GRID_MAX_ATOMS:
         return None
-    passed = solver.component_pass(solver.front_half(g), config)
+    passed = solver.component_pass(
+        unasp.mi_fixpoint(unasp.transform_program(g)), config)
     return [semantics.is_answer_set(semantics.total_from_positive(b), g,
                                     eps=config.nmi.answer_tol)
             for b in passed.branches]
