@@ -6,7 +6,7 @@ from .program import (Atom, ConstItem, GroundingCapExceeded, LitItem, Literal,
                       ParseError, Program, Rule, ground, parse_program)
 from .transform import simplify, substitute, transform_program
 from .semantics import (UnboundLiteral, is_answer_set, is_supported_model,
-                        total_from_positive)
+                        totals_from_positive)
 from .mi import MiState, mi_fixpoint
 from .depgraph import (AnalysisOverflow, NoValidAssumptionSet,
                        enumerate_cycles, intersection_table, owned_cycles,

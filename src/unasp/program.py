@@ -17,8 +17,8 @@ regex match per rule (`_read_rules`).  Any other text, malformed text
 included, goes to the token parser, the only source of ParseError: it
 scans the text with one regex pass into a list of token strings, and
 recomputes a ParseError's line and column only when one is raised.
-Each distinct atom is built once per parse, so equal atoms of one
-program are one object.
+Each distinct atom and literal is built once per parse, so equal atoms
+of one program are one object, and so are equal literals.
 
 `Atom` and `Literal`, the keys of every interpretation, are named
 tuples, so hashing and equality run in C; they keep dataclass-style
@@ -39,7 +39,7 @@ from collections import namedtuple
 from collections.abc import KeysView
 from typing import NamedTuple
 
-from .intervals import TRUE, Frozen, Interval, _set
+from .intervals import INCONSISTENT, TRUE, Frozen, Interval, _set
 
 # the most rules `ground` instantiates; tc-10, the largest generated
 # workload, grounds 1,000 instances of its recursive rule
@@ -151,6 +151,10 @@ def _fmt_number(x: float) -> str:
 
 
 def _fmt_interval(iv: Interval) -> str:
+    """[lower,upper], or INCONSISTENT, which a constant item or a weight
+    may hold, as `--dump-transformed` prints its constant."""
+    if iv is INCONSISTENT:
+        return str(iv)
     return "[%s,%s]" % (_fmt_number(iv.lower), _fmt_number(iv.upper))
 
 
@@ -209,6 +213,7 @@ class _Parser:
         self.pos = 0
         self.arities = {}  # predicate -> arity of its first use
         self.atoms = {}  # (predicate, args) -> the one Atom of this parse
+        self.literals = {}  # (predicate, args, negated) -> the one Literal
 
     def _where(self, k):
         """The line and column of token k, found by scanning again."""
@@ -297,15 +302,18 @@ class _Parser:
                 parts.append(self.parse_term())
             self._expect(")")
             args = tuple(parts)
-        atom = self.atoms.get((name, args))
-        if atom is None:
-            seen = self.arities.setdefault(name, len(args))
-            if seen != len(args):
-                raise ParseError(f"predicate {name!r} used with arity "
-                                 f"{len(args)} and {seen}",
-                                 *self._where(name_at))
-            atom = self.atoms[name, args] = Atom(name, args)
-        return Literal(atom, negated)
+        lit = self.literals.get((name, args, negated))
+        if lit is None:
+            atom = self.atoms.get((name, args))
+            if atom is None:
+                seen = self.arities.setdefault(name, len(args))
+                if seen != len(args):
+                    raise ParseError(f"predicate {name!r} used with arity "
+                                     f"{len(args)} and {seen}",
+                                     *self._where(name_at))
+                atom = self.atoms[name, args] = Atom(name, args)
+            lit = self.literals[name, args, negated] = Literal(atom, negated)
+        return lit
 
     def parse_term(self):
         if self.tokens[self.pos] == "[":
@@ -342,22 +350,27 @@ def _read_rules(text: str):
     or None for any other text: an atom with arguments, a predicate
     named `not`, a number outside [0,1], bounds out of order, or text
     that is not rule after rule to its end.  It builds what `_Parser`
-    builds, one Atom per name; an item written twice the same way is
-    checked and read (`_ITEM_RE`) once, and shared, as it is immutable."""
+    builds, one Atom per name and one Literal per signed name; an item
+    written twice the same way, whitespace around it aside, is checked
+    and read (`_ITEM_RE`) once, and shared, as it is immutable."""
     if "%" in text:  # the language has no strings: % always starts a comment
         text = _COMMENT_RE.sub("", text)
-    atoms, items = {}, {}
+    atoms, literals, items = {}, {}, {}
 
     def item(part):
-        """The item that `part`, a head, weight or body item, spells."""
+        """The item that `part`, a stripped head, weight or body item,
+        spells."""
         if part not in items:
             m = _ITEM_RE.fullmatch(part)
             if m is None:
                 raise ValueError(part)
             naf, sign, name, lo, hi = m.groups()
             if name:
-                atom = atoms.get(name) or atoms.setdefault(name, Atom(name))
-                items[part] = LitItem(Literal(atom, bool(sign)), bool(naf))
+                lit = literals.get((name, sign))
+                if lit is None:
+                    atom = atoms[name] = atoms.get(name) or Atom(name)
+                    lit = literals[name, sign] = Literal(atom, bool(sign))
+                items[part] = LitItem(lit, bool(naf))
             else:
                 x, y = float(lo), float(hi)
                 if not 0.0 <= x <= y <= 1.0:  # a bound _Parser reports
@@ -377,8 +390,8 @@ def _read_rules(text: str):
                 pieces, body = iter(body.split(",")), []
                 for piece in pieces:
                     if "[" in piece:  # a constant, which holds a comma
-                        piece = (piece + "," + next(pieces, "")).strip()
-                    body.append(item(piece))
+                        piece += "," + next(pieces, "")
+                    body.append(item(piece.strip()))
             rules.append(Rule(item(head).literal,
                               item(weight).value if weight else TRUE,
                               tuple(body) if body else _TRUE_BODY,

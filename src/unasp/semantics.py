@@ -29,6 +29,12 @@ only for `kagg`, or for a t-conorm to snap, and compares bounds.
 `kagg` breaks ties at `EPS_CMP`, and a caller's eps only bounds how
 far a value may sit from the forced one.
 
+`solve` builds its candidates in one pass (`totals_from_positive`):
+total interpretations over a and -a, which share one key pair per atom
+and one mirror per value object, so the upstream values its branches
+share are held once.  While it verifies them, it holds besides them only
+the ground program and its diagnostics.
+
 The grid oracle, which supplies the rivals of small programs, reads P^i
 the same way at every atom, and tries every grid cell only for the cut
 atoms, those whose rules read themselves or an atom placed after them
@@ -211,13 +217,26 @@ def _rival_supported(c: dict, i: dict, groups: dict, readers: dict,
     return _supported_at(c, atoms, i, eps)
 
 
-def total_from_positive(positive: dict) -> dict:
-    """Strictly consistent total interpretation from atom values."""
-    i = {}
-    for atom, v in positive.items():
-        i[Literal(atom, False)] = v
-        i[Literal(atom, True)] = negate(v)
-    return i
+def totals_from_positive(branches) -> list:
+    """The strictly consistent total interpretation of each dict of atom
+    values, a then -a for each atom in its order.  The totals share one
+    key pair per atom and one mirror per value object."""
+    pairs, mirrors, totals = {}, {}, []
+    for positive in branches:
+        total = {}
+        for atom, v in positive.items():
+            pair = pairs.get(atom)
+            if pair is None:
+                pair = pairs[atom] = (_new(Literal, (atom, False)),
+                                      _new(Literal, (atom, True)))
+            # every v stays alive in its total, so its id names it
+            mirror = mirrors.get(id(v))
+            if mirror is None:
+                mirror = mirrors[id(v)] = negate(v)
+            total[pair[0]] = v
+            total[pair[1]] = mirror
+        totals.append(total)
+    return totals
 
 
 def grid_intervals(points=GRID_POINTS):

@@ -14,7 +14,10 @@ iterating the aggregations reach) and run, branching the downstream
 computation whenever a component admits several stable valuations.
 `solve` re-checks every emitted answer set with the declarative
 verifier, which shares no valuation code with it; `unasp analyze`
-reports the plans instead.
+reports the plans instead.  Before it builds the candidates, `solve`
+reads what it reports from the monotonic stage's state and the
+component pass and lets both go: while it verifies, it holds the ground
+program, the diagnostics and the candidates alone.
 """
 
 from __future__ import annotations
@@ -259,15 +262,20 @@ def solve(p: Program, cfg: SolverConfig = None) -> SolveReport:
         "components": [],
         "notes": [],
     }
-    if state.inconsistent_atoms:
+    halted = state.inconsistent_atoms
+    del state  # the verifier reads none of the front's state
+    if halted:
         diagnostics["notes"].append(
             "monotonic stage halted: inconsistent aggregation at "
-            + ", ".join(str(a) for a in state.inconsistent_atoms))
+            + ", ".join(str(a) for a in halted))
         return SolveReport([], "no_answer_set", diagnostics)
     diagnostics["components"] = [plan.summary() for plan in passed.plans]
     diagnostics["notes"] += passed.notes
+    truncated, branches = passed.truncated, passed.branches
+    del passed  # nor the plans
+    totals = semantics.totals_from_positive(branches)
+    del branches
     verify_eps = cfg.nmi.answer_tol
-    totals = [semantics.total_from_positive(b) for b in passed.branches]
     answer_sets = [t for t in totals
                    if semantics.is_answer_set(t, g, candidates=totals,
                                               eps=verify_eps)]
@@ -275,7 +283,7 @@ def solve(p: Program, cfg: SolverConfig = None) -> SolveReport:
     if rejected:
         diagnostics["notes"].append(
             f"verifier rejected {rejected} candidate(s)")
-    if passed.truncated:
+    if truncated:
         status = "incomplete"
     elif not answer_sets:
         status = "no_answer_set"

@@ -126,8 +126,10 @@ def atom_values(interp):
 
 # Reference implementations: body trees built unfolded and valued
 # recursively, which the package builds folded (`transform_program`) and
-# reads straight from the rules (`semantics.forced_bounds`), and the
-# reduct P^i built as a program, which the package reads in place.
+# reads straight from the rules (`semantics.forced_bounds`), a total
+# interpretation built per branch, which the package builds for all
+# branches at once, and the reduct P^i built as a program, which the
+# package reads in place.
 def _item_expr(item):
     if isinstance(item, ConstItem):
         return Const(item.value)
@@ -163,6 +165,17 @@ def atom_body(pos_rules, neg_rules):
     if neg_rules:
         return Neg(join_rules(neg_rules))
     return Const(BOTTOM)
+
+
+def total_from_positive(positive: dict) -> dict:
+    """Strictly consistent total interpretation from atom values, one
+    dict at a time, a then -a per atom: what `semantics.totals_from_positive`
+    builds for each of its dicts."""
+    i = {}
+    for atom, v in positive.items():
+        i[Literal(atom, False)] = v
+        i[Literal(atom, True)] = negate(v)
+    return i
 
 
 def forced_value(group, i: dict, naf_i: dict):

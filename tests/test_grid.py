@@ -9,10 +9,11 @@ from unasp.program import ConstItem, LitItem, Program, Rule
 from unasp import semantics
 from unasp.semantics import (GRID_POINTS, enumerate_grid_supported,
                              grid_intervals, is_supported_model,
-                             load_model_file, total_from_positive)
+                             load_model_file)
 from unasp.transform import referenced_atoms, rules_by_head
 
-from conftest import PROGRAMS, atom_body, brute_force_grid, reduct
+from conftest import (PROGRAMS, atom_body, brute_force_grid, reduct,
+                      total_from_positive)
 
 COARSE = (0.0, 0.5, 1.0)
 

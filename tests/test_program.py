@@ -281,16 +281,26 @@ def _token_parse(text):
     return program._Parser(text).parse_program()
 
 
+def _one_object_each(values) -> bool:
+    """Equal values are one object."""
+    return all((a == b) == (a is b) for a in values for b in values)
+
+
+def _literals(rules) -> list:
+    return [lit for r in rules for lit in [r.head] + [
+        b.literal for b in r.body if isinstance(b, LitItem)]]
+
+
 def _outcome(parse, text):
-    """The rules' reprs and whether equal atoms are one object, or the
-    ParseError's message, line and column."""
+    """The rules' reprs and whether equal atoms are one object, and equal
+    literals, or the ParseError's message, line and column."""
     try:
         rules = parse(text).rules
     except ParseError as err:
         return str(err), err.line, err.column
-    atoms = [a for r in rules for a in r.atoms]
     return ([repr(r) for r in rules],
-            all((a == b) == (a is b) for a in atoms for b in atoms))
+            _one_object_each([a for r in rules for a in r.atoms]),
+            _one_object_each(_literals(rules)))
 
 
 class TestRuleReader:
@@ -327,6 +337,10 @@ class TestRuleReader:
         first, second = p.rules
         assert first.weight is second.weight is first.body[1].value
         assert first.body[0] is second.body[0]
+        # the same item with and without whitespace around it
+        first, second = parse_program("a <- [1,1] : b,c.\n"
+                                      "d <- [1,1] : c, not b.").rules
+        assert first.body[1] is second.body[0]
 
     @pytest.mark.parametrize("before, after", [
         ("", "$"), ("a", "$"), ("l1", ": a."), ("a <- [1,1] : not", "b$"),
@@ -346,7 +360,12 @@ class TestAtomSharing:
     def test_equal_atoms_of_one_parse_are_one_object(self, name, request):
         for text in (self.TEXT, str(request.getfixturevalue(name))):
             atoms = [a for r in parse_program(text).rules for a in r.atoms]
-            assert all((a == b) == (a is b) for a in atoms for b in atoms)
+            assert _one_object_each(atoms)
+
+    @pytest.mark.parametrize("name", ["ex2", "ex6", "ex7", "tweety"])
+    def test_equal_literals_of_one_parse_are_one_object(self, name, request):
+        for text in (self.TEXT, str(request.getfixturevalue(name))):
+            assert _one_object_each(_literals(parse_program(text).rules))
 
     def test_atoms_of_two_parses_stay_equal(self):
         first, second = (parse_program(self.TEXT).rules[0].atoms

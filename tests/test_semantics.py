@@ -15,13 +15,13 @@ from unasp.program import ConstItem, Program, Rule, ground
 from unasp.semantics import (UnboundLiteral, enumerate_grid_supported,
                              forced_bounds, grid_intervals, interp_kp_below,
                              is_answer_set, is_supported_model, lookup,
-                             model_from_json, model_to_json,
-                             total_from_positive)
+                             model_from_json, model_to_json)
 from unasp.solver import component_pass
 from unasp.transform import Neg, Ref, rules_by_head, simplify
 
 from conftest import (PROGRAMS, atom_body, evaluate, forced_value,
-                      join_rules, random_programs, reduct)
+                      join_rules, random_programs, reduct,
+                      total_from_positive)
 
 
 def interp(**values):
@@ -377,6 +377,72 @@ class TestGridEnumeration:
         for eps in (1e-6, 1e-9):
             (i,) = enumerate_grid_supported(p, eps=eps)
             assert i[Literal(Atom("a"))].same_as(Interval(0.25, 0.5))
+
+
+def _shares_keys_and_mirrors(totals):
+    """Each literal is one key object over all the totals, and each value
+    object has one mirror object: the value of its atom's -a."""
+    keys, mirrors = {}, {}
+    for t in totals:
+        for lit, v in t.items():
+            if keys.setdefault(lit, lit) is not lit:
+                return False
+            if lit.negated:
+                continue
+            mirror = t[Literal(lit.atom, True)]
+            if mirrors.setdefault(id(v), mirror) is not mirror:
+                return False
+    return True
+
+
+@st.composite
+def branch_lists(draw):
+    """Dicts of atom values, some over the same atoms in another order,
+    drawn from a pool where equal bounds may be one object or two."""
+    atoms = [Atom(f"a{k}") for k in range(draw(st.integers(0, 6)))]
+    pool = draw(st.lists(
+        st.tuples(st.floats(0, 1), st.floats(0, 1))
+        .map(lambda b: Interval(*sorted(b)))
+        | st.sampled_from([Interval(0.0, 1.0), Interval(0.25, 0.25),
+                           INCONSISTENT]),
+        min_size=1, max_size=6))
+    values = st.sampled_from(pool)
+    branches = []
+    for _ in range(draw(st.integers(0, 5))):
+        order = draw(st.permutations(atoms))
+        branches.append({a: draw(values)
+                         for a in order[draw(st.integers(0, len(order))):]})
+    return branches
+
+
+def _bound_reprs(total):
+    return [(repr(lit), repr(v) if v is INCONSISTENT
+             else (repr(v.lower), repr(v.upper)))
+            for lit, v in total.items()]
+
+
+class TestTotalsFromPositive:
+    @settings(max_examples=300, deadline=None)
+    @given(branch_lists())
+    def test_as_built_branch_by_branch(self, branches):
+        """The batch build gives what the per-branch reference gives, key
+        order and bound reprs alike, and every value is held by the
+        branch's own object; the keys and mirrors are shared."""
+        totals = semantics.totals_from_positive(branches)
+        assert [_bound_reprs(t) for t in totals] == [
+            _bound_reprs(total_from_positive(b)) for b in branches]
+        assert all(type(lit) is Literal for t in totals for lit in t)
+        assert all(t[Literal(a, False)] is v
+                   for t, b in zip(totals, branches) for a, v in b.items())
+        assert _shares_keys_and_mirrors(totals)
+
+    def test_answer_sets_of_one_solve_share_keys_and_mirrors(self, ex6):
+        sets = solve(ex6).answer_sets
+        first = sets[0]
+        assert len(sets) > 1
+        # the branches share their upstream values
+        assert any(s[lit] is first[lit] for s in sets[1:] for lit in first)
+        assert _shares_keys_and_mirrors(sets)
 
 
 class TestInterpOrdering:

@@ -14,11 +14,12 @@ from unasp.nmi import KAGG_CAP, NmiConfig
 from unasp.program import Program, ground
 from unasp.semantics import (enumerate_grid_supported, interp_kp_below,
                              is_answer_set, is_supported_model,
-                             model_to_json, total_from_positive)
+                             model_to_json)
 from unasp.solver import SolverConfig, component_pass
 
 from conftest import (FOLDED_CYCLES, PROGRAMS, TEN_VARIABLES, UNCOVERABLE,
-                      atom_values, random_programs, reduct)
+                      atom_values, random_programs, reduct,
+                      total_from_positive)
 
 
 def tight(eps=1e-9, **kw):
@@ -272,36 +273,45 @@ def test_config_rejects_empty_or_out_of_range_seeds(seeds):
 @pytest.mark.parametrize("name", ["ex2", "ex6", "ex7"])
 def test_verifier_runs_with_no_body_table(name, monkeypatch):
     """solve holds the transformed bodies only while the monotonic
-    stage runs: the table is freed before the first candidate is
-    verified, and the trace rows of every fixpoint are counts, with no
-    dict of values."""
+    stage runs, and that stage's state and the component pass only
+    until it builds the candidates: none of them is alive while a
+    candidate is verified.  The trace rows of every fixpoint are
+    counts, with no dict of values."""
     class Table(dict):
         pass
-    tables, states, dead = [], [], []
-    transform_program, mi_fixpoint = (solver.transform_program,
-                                      solver.mi_fixpoint)
+    refs, kinds, dead = [], [], []
+    transform_program, mi_fixpoint, component_pass = (
+        solver.transform_program, solver.mi_fixpoint, solver.component_pass)
     verify = semantics.is_answer_set
 
-    def keep_table(g):
-        table = Table(transform_program(g))
-        tables.append(weakref.ref(table))
-        return table
-
-    def keep_state(*args):
-        states.append(mi_fixpoint(*args))
-        return states[-1]
+    def watch(fn, wrap=None):
+        def watched(*args):
+            result = fn(*args)
+            if wrap:
+                result = wrap(result)
+            refs.append(weakref.ref(result))
+            kinds.append(type(result))
+            return result
+        return watched
 
     def check_freed(*args, **kwargs):
-        dead.append(all(ref() is None for ref in tables))
+        dead.append(all(ref() is None for ref in refs))
         return verify(*args, **kwargs)
-    monkeypatch.setattr(solver, "transform_program", keep_table)
-    monkeypatch.setattr(solver, "mi_fixpoint", keep_state)
+
+    def counts_only(state):
+        assert all(type(x) is int for row in state.trace for x in row)
+        return state
+    monkeypatch.setattr(solver, "transform_program",
+                        watch(transform_program, Table))
+    monkeypatch.setattr(solver, "mi_fixpoint",
+                        watch(mi_fixpoint, counts_only))
+    monkeypatch.setattr(solver, "component_pass", watch(component_pass))
     monkeypatch.setattr(semantics, "is_answer_set", check_freed)
     assert solve(parse_program((PROGRAMS / f"{name}.unasp").read_text())) \
         .answer_sets
-    assert len(tables) == 1 and dead and all(dead)
-    assert all(type(x) is int
-               for state in states for row in state.trace for x in row)
+    assert kinds.count(Table) == 1 and kinds.count(solver.ComponentPass) == 1
+    assert solver.MiState in kinds
+    assert dead and all(dead)
 
 
 def test_untraced_solve_builds_no_trace_text(ex6, monkeypatch):

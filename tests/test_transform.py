@@ -12,13 +12,13 @@ from unasp.intervals import (BOTTOM, EPS_CMP, FALSE, INCONSISTENT, TRUE,
                              Interval, kagg, naf, negate, tconorm, tnorm)
 from unasp.mi import mi_fixpoint
 from unasp.program import ConstItem, LitItem, Program, Rule
-from unasp.semantics import (grid_intervals, is_supported_model,
-                             total_from_positive)
+from unasp.semantics import grid_intervals, is_supported_model
 from unasp.transform import (And, Const, Kagg, Naf, Neg, Or, Ref, nodes,
                              referenced_atoms, rules_by_head, simplify,
                              substitute)
 
-from conftest import atom_body, evaluate, join_rules, reduct
+from conftest import (atom_body, evaluate, join_rules, reduct,
+                      total_from_positive)
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -465,6 +465,20 @@ def test_inconsistent_part_has_no_answer_set(program):
     ignorance = total_from_positive({atom: BOTTOM
                                      for atom in program.atom_base})
     assert not is_supported_model(ignorance, program)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("item", "a <- [1,1] : INCONSISTENT."),
+    ("item-beside-literal",
+     "a <- [1,1] : b, INCONSISTENT.\na <- [0.5,1] : c."),
+    ("weight", "a <- INCONSISTENT : [0.5,0.5]."),
+    ("weight-beside-literal",
+     "a <- INCONSISTENT : not b.\n-a <- [0.2,0.4] : c.")])
+def test_inconsistent_part_prints(name, text):
+    """An INCONSISTENT constant item or weight prints as the constant of
+    `--dump-transformed` does."""
+    assert str(INCONSISTENT_PARTS[name]) == text
+    assert str(Const(INCONSISTENT)) == "INCONSISTENT"
 
 
 class TestSubstitute:

@@ -111,9 +111,8 @@ def grid_verdicts(program, config):
         return None
     passed = solver.component_pass(
         unasp.mi_fixpoint(unasp.transform_program(g)), config)
-    return [semantics.is_answer_set(semantics.total_from_positive(b), g,
-                                    eps=config.nmi.answer_tol)
-            for b in passed.branches]
+    return [semantics.is_answer_set(t, g, eps=config.nmi.answer_tol)
+            for t in semantics.totals_from_positive(passed.branches)]
 
 
 def record(name, text, config):
