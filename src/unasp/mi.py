@@ -27,6 +27,16 @@ rewritten (every body, for a seeded atom that heads none), and a
 seeded atom that fires is not propagated, since no body reads it any
 more.  The index depends on the bodies alone, so a caller that runs
 many seeded passes over one set of bodies (`nmi`) builds it once.
+
+The residual is a copy: the caller's dict keeps its keys, order and
+bodies, and the iteration lets go of it once copied, so a body the
+caller passed on (`solve` passes `transform_program(g)`) is freed when
+its first substitution replaces it, on CPython 3.11+, where a call
+moves its arguments into the callee's frame.  A pass given no index
+builds the graph on first need, for seeds or for a first step that
+leaves bodies to reach, and the order only for a step that readies two
+or more atoms: one with no constant to start from, or whose first step
+assigns every atom, builds neither.
 """
 
 from __future__ import annotations
@@ -50,11 +60,18 @@ class MiState:
         self.trace = [] if trace is None else trace
 
 
+def _order(watchers: dict) -> dict:
+    """Atom -> its place among the keys of a dependency graph, which
+    `atom_digraph` gives in the order of the bodies."""
+    return {a: k for k, a in enumerate(watchers)}
+
+
 def watch_index(bodies: dict) -> tuple:
     """(order, watchers): Atom -> its place among the bodies, and the
     dependency graph of the bodies, Atom -> the atoms whose body refers
     to it."""
-    return {a: k for k, a in enumerate(bodies)}, atom_digraph(bodies)
+    watchers = atom_digraph(bodies)
+    return _order(watchers), watchers
 
 
 def mi_fixpoint(bodies: dict, seeds: dict = None,
@@ -63,15 +80,25 @@ def mi_fixpoint(bodies: dict, seeds: dict = None,
     to the state where no residual body is constant or inconsistency
     halts, substituting only through the watch index, which must be
     `watch_index(bodies)`.  The state is that of
-    `mi_fixpoint({a: substitute(e, seeds) for a, e in bodies.items()})`."""
-    order, watchers = index or watch_index(bodies)
+    `mi_fixpoint({a: substitute(e, seeds) for a, e in bodies.items()})`.
+    The residual is a copy of bodies, which is left as it was and let
+    go; without an index, the graph and the order are built on first
+    need."""
     s = MiState(residual=dict(bodies))
+    del bodies  # the residual alone holds each body from here
     residual, seeds = s.residual, seeds or {}
-    # the graph leaves out an atom heading no body: every body may read it
-    for w in dict.fromkeys(w for a in seeds
-                           for w in watchers.get(a, bodies)):
-        residual[w] = substitute(residual[w], seeds)
+    order, watchers = index or (None, None)
+    if seeds:
+        if watchers is None:
+            watchers = atom_digraph(residual)
+        # the graph leaves out an atom heading no body: every body may
+        # read it
+        for w in dict.fromkeys(w for a in seeds
+                               for w in watchers.get(a, residual)):
+            residual[w] = substitute(residual[w], seeds)
     ready = [a for a, e in residual.items() if type(e) is Const]
+    if watchers is None and 0 < len(ready) < len(residual):
+        watchers = atom_digraph(residual)
     interp, bad, step = s.interp, s.inconsistent_atoms, 0
     while ready:
         for a in ready:
@@ -82,6 +109,8 @@ def mi_fixpoint(bodies: dict, seeds: dict = None,
         s.trace.append((step, len(ready), len(residual)))
         if bad:
             bad.sort(key=str)
+            break
+        if not residual:
             break
         if len(ready) == 1:
             targets = () if ready[0] in seeds else watchers[ready[0]]
@@ -95,6 +124,8 @@ def mi_fixpoint(bodies: dict, seeds: dict = None,
                 if type(e) is Const:
                     ready.append(w)
         if len(ready) > 1:
+            if order is None:
+                order = _order(watchers)
             ready.sort(key=order.__getitem__)
     s.step = step
     return s

@@ -1,9 +1,10 @@
 """Full solving pipeline.
 
 `solve` grounds the program, transforms it and runs the monotonic
-fixpoint; the transformed bodies go once that returns, and the stages
-after it read only its state.  Component pass: dependency analysis of
-the residual, then per component in topological order and per branch,
+fixpoint; each transformed body goes as `mi` first substitutes it, on
+CPython 3.11+, and the stages after it read only its state.
+Component pass: dependency analysis of the residual, then per
+component in topological order and per branch,
 the branch's values are substituted and the monotonic fixpoint values
 what that leaves acyclic.  Only the cycles left are planned (iteration,
 which leaves a constant-free cycle at [0,1]; branch-and-bound; or, for

@@ -262,9 +262,12 @@ def _join(rules):
 def transform_program(p: Program) -> dict:
     """Atom -> its body, built folded in one pass over the rule groups
     (Clark's completion, one atom at a time): the one table `mi` and the
-    analyses work on."""
-    bodies = {}
-    for atom, (pos, neg) in rules_by_head(p).items():
+    analyses work on.  Each atom's group is popped as its body is built,
+    in the order of `atom_base`, so the group lists go while the bodies
+    are built."""
+    groups, bodies = rules_by_head(p), {}
+    for atom in p.atom_base:
+        pos, neg = groups.pop(atom)
         e = _join(pos) if pos else Const(BOTTOM)
         if neg:
             right = _join(neg)

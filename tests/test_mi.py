@@ -1,13 +1,16 @@
+import gc
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unasp import Atom, mi, parse_program, transform_program
+from unasp import Atom, mi, parse_program, solve, transform_program
 from unasp.intervals import INCONSISTENT, Interval
 from unasp.mi import MiState, mi_fixpoint, watch_index
 from unasp.solver import SolverConfig, component_pass
 from unasp.transform import Const, referenced_atoms, substitute
 
-from conftest import PROGRAMS
+from conftest import PROGRAMS, random_programs
 
 
 def initial_state(bodies):
@@ -277,3 +280,80 @@ def test_acyclic_chain_substitutes_once_per_reference(monkeypatch):
     monkeypatch.setattr(mi, "substitute", counting)
     state = mi_fixpoint(p)
     assert len(state.interp) == n and not state.residual
+
+
+def _chain_text(n):
+    lines = ["a0 <- [1,1] : [0.9,1]."]
+    lines += [f"a{i} <- [0.95,1] : a{i - 1}, not a{i // 2}, [0.8,1]."
+              for i in range(1, n)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before 3.11 argument passing leaves the caller's "
+                           "value stack holding the argument for the call")
+def test_solve_frees_each_transformed_body(monkeypatch):
+    """solve passes transform_program(g) straight to mi_fixpoint, which
+    copies it into the residual and lets it go: each body a substitution
+    reads is held by one dict, the residual, and no longer also by the
+    table transform_program built.  mi_fixpoint is not wrapped here, as
+    a wrapper's frame would hold that table."""
+    program = parse_program(_chain_text(300))
+    holders = []
+
+    def recording(e, values):
+        holders.append(sum(type(r) is dict for r in gc.get_referrers(e)))
+        return substitute(e, values)
+
+    monkeypatch.setattr(mi, "substitute", recording)
+    assert solve(program).status == "ok"
+    assert holders and set(holders) == {1}
+
+
+def _assert_bodies_kept(bodies, seeds):
+    """mi_fixpoint leaves the caller's dict as it was, with no seeds
+    and no index, with seeds and their index, and with seeds alone:
+    the same keys in the same order, bound to the same objects."""
+    keys, exprs = list(bodies), list(bodies.values())
+    for call in (lambda: mi_fixpoint(bodies),
+                 lambda: mi_fixpoint(bodies, seeds, watch_index(bodies)),
+                 lambda: mi_fixpoint(bodies, seeds)):
+        call()
+        assert list(bodies) == keys
+        assert len(bodies) == len(exprs)
+        assert all(e is kept for e, kept in zip(bodies.values(), exprs))
+
+
+class TestCallerBodiesKept:
+    @pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.unasp")),
+                             ids=lambda path: path.stem)
+    def test_example_programs(self, path):
+        bodies = transform_program(parse_program(path.read_text()))
+        _assert_bodies_kept(
+            bodies, {a: Interval(0.5, 0.5) for a in list(bodies)[::2]})
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=random_programs(), data=st.data())
+    def test_random_programs(self, text, data):
+        bodies = transform_program(parse_program(text))
+        chosen = data.draw(st.lists(st.sampled_from(sorted(bodies, key=str)),
+                                    unique=True))
+        _assert_bodies_kept(bodies, {a: data.draw(SEED_VALUES)
+                                     for a in chosen})
+
+
+def test_golden_round_builds_a_graph_only_where_a_step_reaches_bodies(
+        monkeypatch):
+    """A solve of each example program builds 18 dependency graphs in
+    mi, own indexes and watch indexes together: a pass with no constant
+    to start from, or whose first step assigns every atom, builds none."""
+    build, calls = mi.atom_digraph, []
+
+    def counting(entries):
+        calls.append(len(entries))
+        return build(entries)
+
+    monkeypatch.setattr(mi, "atom_digraph", counting)
+    for path in sorted(PROGRAMS.glob("*.unasp")):
+        solve(parse_program(path.read_text()))
+    assert len(calls) == 18
