@@ -7,7 +7,9 @@ comparing midpoints and one comparing widths.
 
 `Interval` is `Frozen`, slotted and immutable.  Its constructor
 validates the bounds; two floats already ordered within [0,1], the
-common case, are kept as given without further checks.
+common case, are kept as given without further checks.  A `Frozen`
+constructor sets each field through its slot's own `__set__`, bound once
+at import by `slot_setters`, as `__setattr__` refuses every name.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ EPS_CMP = 1e-9
 # slack for float round-off at the [0,1] boundary; anything further out
 # is a caller error and is rejected, never clamped
 _BOUNDARY_SLACK = 1e-12
-
-_set = object.__setattr__  # sets a Frozen field; a global is found fastest
 
 
 class _InconsistentType:
@@ -76,12 +76,18 @@ class Frozen(Record):
         return hash(self._values())
 
 
+def slot_setters(cls) -> tuple:
+    """The `__set__` of each of cls's own slots, in slot order: what its
+    constructor sets the fields with, without a lookup by name."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
 class Interval(Frozen):
     __slots__ = ("lower", "upper")
 
     def __init__(self, lower: float, upper: float):
-        _set(self, "lower", lower)
-        _set(self, "upper", upper)
+        _set_interval_lower(self, lower)
+        _set_interval_upper(self, upper)
         self.__post_init__()
 
     def __post_init__(self):
@@ -105,8 +111,8 @@ class Interval(Frozen):
         hi = min(max(hi, 0.0), 1.0)
         if lo > hi:
             lo = hi = (lo + hi) / 2.0
-        _set(self, "lower", lo)
-        _set(self, "upper", hi)
+        _set_interval_lower(self, lo)
+        _set_interval_upper(self, hi)
 
     @property
     def midpoint(self) -> float:
@@ -123,6 +129,8 @@ class Interval(Frozen):
     def __repr__(self):
         return f"[{self.lower:g},{self.upper:g}]"
 
+
+_set_interval_lower, _set_interval_upper = slot_setters(Interval)
 
 EpistemicValue = Interval | _InconsistentType
 

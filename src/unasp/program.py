@@ -33,13 +33,14 @@ would ground to more than `MAX_GROUND_RULES` rules.
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
 import re
 from collections import namedtuple
 from collections.abc import KeysView
 from typing import NamedTuple
 
-from .intervals import INCONSISTENT, TRUE, Frozen, Interval, _set
+from .intervals import INCONSISTENT, TRUE, Frozen, Interval, slot_setters
 
 # the most rules `ground` instantiates; tc-10, the largest generated
 # workload, grounds 1,000 instances of its recursive rule
@@ -81,8 +82,8 @@ class LitItem(Frozen):
     __slots__ = ("literal", "naf")
 
     def __init__(self, literal: Literal, naf: bool = False):
-        _set(self, "literal", literal)
-        _set(self, "naf", naf)
+        _set_lititem_literal(self, literal)
+        _set_lititem_naf(self, naf)
 
     def __str__(self):
         return ("not " if self.naf else "") + str(self.literal)
@@ -92,7 +93,7 @@ class ConstItem(Frozen):
     __slots__ = ("value",)
 
     def __init__(self, value: Interval):
-        _set(self, "value", value)
+        _set_constitem_value(self, value)
 
     def __str__(self):
         return _fmt_interval(self.value)
@@ -102,10 +103,10 @@ class Rule(Frozen):
     __slots__ = ("head", "weight", "body", "label")
 
     def __init__(self, head: Literal, weight: Interval, body=(), label=""):
-        _set(self, "head", head)
-        _set(self, "weight", weight)
-        _set(self, "body", body)
-        _set(self, "label", label)
+        _set_rule_head(self, head)
+        _set_rule_weight(self, weight)
+        _set_rule_body(self, body)
+        _set_rule_label(self, label)
 
     @property
     def atoms(self) -> list:
@@ -121,6 +122,13 @@ class Rule(Frozen):
             # synthetic r#k labels are not part of the surface syntax
             text = "%s: %s" % (self.label, text)
         return text
+
+
+# the slot setters each rule part's constructor sets its fields with
+_set_lititem_literal, _set_lititem_naf = slot_setters(LitItem)
+(_set_constitem_value,) = slot_setters(ConstItem)
+(_set_rule_head, _set_rule_weight, _set_rule_body,
+ _set_rule_label) = slot_setters(Rule)
 
 
 class Program:
@@ -401,11 +409,33 @@ def _read_rules(text: str):
     return Program(rules)
 
 
+def pause_collector() -> bool:
+    """Pause CPython's cyclic garbage collector and return whether it was
+    running: `parse_program` and `solve` pause it this way and re-enable
+    it in `finally` only then, so a collector the caller had disabled
+    stays off, and a nested call leaves it to the outermost.  The pause
+    is process-wide: no automatic collection starts, in any thread, until
+    the call returns or raises.  What a parse or a solve builds forms no
+    reference cycle (tests/test_garbage.py) and is freed by reference
+    counting alone, so a collection inside one would only walk its
+    values.  Not a decorator: a wrapper's `*args, **kwargs` would hold a
+    tuple and a dict through the whole call."""
+    running = gc.isenabled()
+    gc.disable()
+    return running
+
+
 def parse_program(text: str) -> Program:
     """Parse source text; raises ParseError with line/column on bad input.
-    `_read_rules` reads what it can, `_Parser` the rest."""
-    program = _read_rules(text)
-    return _Parser(text).parse_program() if program is None else program
+    `_read_rules` reads what it can, `_Parser` the rest.  The cyclic
+    collector is paused, process-wide, while it runs (`pause_collector`)."""
+    running = pause_collector()
+    try:
+        program = _read_rules(text)
+        return _Parser(text).parse_program() if program is None else program
+    finally:
+        if running:
+            gc.enable()
 
 
 def _rule_variables(rule: Rule) -> list:

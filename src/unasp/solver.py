@@ -23,10 +23,11 @@ program, the diagnostics and the candidates alone.
 
 from __future__ import annotations
 
+import gc
 from itertools import islice
 
 from .intervals import Record
-from .program import GroundingCapExceeded, Program, ground
+from .program import GroundingCapExceeded, Program, ground, pause_collector
 from . import depgraph, nmi, semantics
 from .mi import MiState, mi_fixpoint
 from .nmi import NmiConfig
@@ -248,50 +249,56 @@ def component_pass(state: MiState, cfg: SolverConfig) -> ComponentPass:
 
 def solve(p: Program, cfg: SolverConfig = None) -> SolveReport:
     """Ground, solve and verify; a program past the ground-rule cap is
-    `incomplete`, with a note naming the rule."""
-    cfg = cfg or SolverConfig()
+    `incomplete`, with a note naming the rule.  The cyclic collector is
+    paused, process-wide, while it runs (`program.pause_collector`)."""
+    running = pause_collector()
     try:
-        g = ground(p)
-    except GroundingCapExceeded as exc:
-        return capped_report(exc)
-    state = mi_fixpoint(transform_program(g))
-    passed = component_pass(state, cfg)
-    diagnostics = {
-        "mi_steps": state.step,
-        "mi_assigned": len(state.interp),
-        "residual_rules": len(state.residual),
-        "components": [],
-        "notes": [],
-    }
-    halted = state.inconsistent_atoms
-    del state  # the verifier reads none of the front's state
-    if halted:
-        diagnostics["notes"].append(
-            "monotonic stage halted: inconsistent aggregation at "
-            + ", ".join(str(a) for a in halted))
-        return SolveReport([], "no_answer_set", diagnostics)
-    diagnostics["components"] = [plan.summary() for plan in passed.plans]
-    diagnostics["notes"] += passed.notes
-    truncated, branches = passed.truncated, passed.branches
-    del passed  # nor the plans
-    totals = semantics.totals_from_positive(branches)
-    del branches
-    verify_eps = cfg.nmi.answer_tol
-    answer_sets = [t for t in totals
-                   if semantics.is_answer_set(t, g, candidates=totals,
-                                              eps=verify_eps)]
-    rejected = len(totals) - len(answer_sets)
-    if rejected:
-        diagnostics["notes"].append(
-            f"verifier rejected {rejected} candidate(s)")
-    if truncated:
-        status = "incomplete"
-    elif not answer_sets:
-        status = "no_answer_set"
-    else:
-        status = "ok"
-    diagnostics["verify_eps"] = verify_eps
-    return SolveReport(answer_sets, status, diagnostics)
+        cfg = cfg or SolverConfig()
+        try:
+            g = ground(p)
+        except GroundingCapExceeded as exc:
+            return capped_report(exc)
+        state = mi_fixpoint(transform_program(g))
+        passed = component_pass(state, cfg)
+        diagnostics = {
+            "mi_steps": state.step,
+            "mi_assigned": len(state.interp),
+            "residual_rules": len(state.residual),
+            "components": [],
+            "notes": [],
+        }
+        halted = state.inconsistent_atoms
+        del state  # the verifier reads none of the front's state
+        if halted:
+            diagnostics["notes"].append(
+                "monotonic stage halted: inconsistent aggregation at "
+                + ", ".join(str(a) for a in halted))
+            return SolveReport([], "no_answer_set", diagnostics)
+        diagnostics["components"] = [plan.summary() for plan in passed.plans]
+        diagnostics["notes"] += passed.notes
+        truncated, branches = passed.truncated, passed.branches
+        del passed  # nor the plans
+        totals = semantics.totals_from_positive(branches)
+        del branches
+        verify_eps = cfg.nmi.answer_tol
+        answer_sets = [t for t in totals
+                       if semantics.is_answer_set(t, g, candidates=totals,
+                                                  eps=verify_eps)]
+        rejected = len(totals) - len(answer_sets)
+        if rejected:
+            diagnostics["notes"].append(
+                f"verifier rejected {rejected} candidate(s)")
+        if truncated:
+            status = "incomplete"
+        elif not answer_sets:
+            status = "no_answer_set"
+        else:
+            status = "ok"
+        diagnostics["verify_eps"] = verify_eps
+        return SolveReport(answer_sets, status, diagnostics)
+    finally:
+        if running:
+            gc.enable()
 
 
 def capped_report(exc: GroundingCapExceeded) -> SolveReport:

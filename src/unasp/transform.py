@@ -21,7 +21,7 @@ equality compares the node type, so `Naf(x) != Neg(x)` and
 from __future__ import annotations
 
 from .intervals import (BOTTOM, EPS_CMP, FALSE, INCONSISTENT, TRUE, Frozen,
-                        _set, kagg, naf, negate, tconorm, tnorm)
+                        kagg, naf, negate, slot_setters, tconorm, tnorm)
 from .program import ConstItem, Literal, Program
 
 
@@ -29,7 +29,7 @@ class Const(Frozen):
     __slots__ = ("value",)
 
     def __init__(self, value):  # Interval or INCONSISTENT
-        _set(self, "value", value)
+        _set_const_value(self, value)
 
     def __str__(self):
         return str(self.value)
@@ -39,7 +39,7 @@ class Ref(Frozen):
     __slots__ = ("literal",)
 
     def __init__(self, literal: Literal):
-        _set(self, "literal", literal)
+        _set_ref_literal(self, literal)
 
     def __str__(self):
         return str(self.literal)
@@ -49,7 +49,7 @@ class Naf(Frozen):
     __slots__ = ("child",)
 
     def __init__(self, child):
-        _set(self, "child", child)
+        _set_naf_child(self, child)
 
     def __str__(self):
         return f"not {self.child}"
@@ -59,7 +59,7 @@ class Neg(Frozen):
     __slots__ = ("child",)
 
     def __init__(self, child):
-        _set(self, "child", child)
+        _set_neg_child(self, child)
 
     def __str__(self):
         return f"-({self.child})"
@@ -69,7 +69,7 @@ class And(Frozen):
     __slots__ = ("children",)
 
     def __init__(self, children: tuple):
-        _set(self, "children", children)
+        _set_and_children(self, children)
 
     def __str__(self):
         return "(%s)" % " & ".join(str(c) for c in self.children)
@@ -79,7 +79,7 @@ class Or(Frozen):
     __slots__ = ("children",)
 
     def __init__(self, children: tuple):
-        _set(self, "children", children)
+        _set_or_children(self, children)
 
     def __str__(self):
         return "(%s)" % " | ".join(str(c) for c in self.children)
@@ -89,11 +89,21 @@ class Kagg(Frozen):
     __slots__ = ("left", "right")
 
     def __init__(self, left, right):
-        _set(self, "left", left)
-        _set(self, "right", right)
+        _set_kagg_left(self, left)
+        _set_kagg_right(self, right)
 
     def __str__(self):
         return f"({self.left} (x)k {self.right})"
+
+
+# the slot setters each node's constructor sets its fields with
+(_set_const_value,) = slot_setters(Const)
+(_set_ref_literal,) = slot_setters(Ref)
+(_set_naf_child,) = slot_setters(Naf)
+(_set_neg_child,) = slot_setters(Neg)
+(_set_and_children,) = slot_setters(And)
+(_set_or_children,) = slot_setters(Or)
+_set_kagg_left, _set_kagg_right = slot_setters(Kagg)
 
 
 def _fold(is_and: bool, folded, rest: list):
