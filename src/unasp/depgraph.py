@@ -190,9 +190,9 @@ def intersection_table(cycles, component):
 
 
 def _disjunctive_head(expr) -> bool:
-    if isinstance(expr, tf.Kagg):
-        return _disjunctive_head(expr.left) or _disjunctive_head(expr.right)
-    return isinstance(expr, tf.Or)
+    if type(expr) is tf.Kagg:
+        return any(_disjunctive_head(side) for side in expr.children)
+    return type(expr) is tf.Or
 
 
 def owned_cycles(chosen, cycles) -> dict:
@@ -231,6 +231,7 @@ def select_assumption_set(entries: dict, component, cycles,
     else:
         raise ValueError(f"unknown mode: {mode}")
 
+    tie = {a: (not _disjunctive_head(entries[a]), str(a)) for a in candidates}
     best = None
     # a node's subtree depends on its chosen set alone, and the size
     # bound only tightens, so a set met again can reach no better cover
@@ -250,8 +251,7 @@ def select_assumption_set(entries: dict, component, cycles,
             return
         ranked = sorted(
             (a for a in candidates if a not in chosen),
-            key=lambda a: (-sum(1 for cyc in uncovered if a in cyc),
-                           not _disjunctive_head(entries[a]), str(a)))
+            key=lambda a: (-sum(1 for cyc in uncovered if a in cyc), tie[a]))
         for a in ranked:
             gain = [cyc for cyc in uncovered if a in cyc]
             if not gain:
@@ -285,26 +285,22 @@ def to_dot(entries: dict) -> str:
         return atom_names[atom]
 
     def walk(expr, target, label=None):
-        if isinstance(expr, (tf.Naf, tf.Neg)):
-            walk(expr.child, target,
-                 NAF_EDGE if isinstance(expr, tf.Naf) else NEG_EDGE)
+        kind = type(expr)
+        if kind is tf.Naf or kind is tf.Neg:
+            walk(expr.child, target, NAF_EDGE if kind is tf.Naf else NEG_EDGE)
             return
-        if isinstance(expr, tf.Ref):
+        if kind is tf.Ref:
             src = atom_node(expr.literal.atom)
             if expr.literal.negated:
                 label = NEG_EDGE
-        elif isinstance(expr, tf.Const):
+        elif kind is tf.Const:
             src = node(expr.value, "plaintext")
         else:
-            src = node(type(expr).__name__.upper(), "box")
+            src = node(kind.__name__.upper(), "box")
         attr = f' [label="{label}"]' if label else ""
         edges.append(f"  {src} -> {target}{attr};")
-        if isinstance(expr, tf.Kagg):
-            walk(expr.left, src)
-            walk(expr.right, src)
-        elif isinstance(expr, (tf.And, tf.Or)):
-            for child in expr.children:
-                walk(child, src)
+        for child in expr.children:
+            walk(child, src)
 
     for atom in sorted(entries, key=str):
         walk(entries[atom], atom_node(atom))

@@ -20,10 +20,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from .intervals import BOTTOM, INCONSISTENT, Interval, Record, tconorm, tnorm
+from .intervals import BOTTOM, INCONSISTENT, Interval, Record
 from .mi import mi_fixpoint, watch_index
-from .transform import (And, Const, Kagg, Naf, Neg, Or, Ref, node_kinds,
-                        substitute)
+from .transform import Const, Kagg, Naf, Neg, Or, Ref, node_kinds, substitute
 from .depgraph import AnalysisOverflow, owned_cycles
 # not called here; the benchmark's spans wrap them under this module too
 from .depgraph import enumerate_cycles, select_assumption_set  # noqa: F401
@@ -40,10 +39,13 @@ class NmiConfig(Record):
         self.n_b = n_b
         if not 0 < self.eps < math.inf:
             raise ValueError("eps must be positive and finite")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be at least 1")
-        if self.n_b < 2:
-            raise ValueError("n_b must be at least 2")
+        # a count that is no integer would fail in range() at solve time
+        if not isinstance(self.max_outer_iters, int) \
+                or self.max_outer_iters < 1:
+            raise ValueError("max_outer_iters must be at least 1 and an "
+                             "integer")
+        if not isinstance(self.n_b, int) or self.n_b < 2:
+            raise ValueError("n_b must be at least 2 and an integer")
 
     @property
     def answer_tol(self) -> float:
@@ -128,55 +130,50 @@ def nmi_iterate(entries: dict, assumption_set, cfg: NmiConfig,
 def _carry(expr, atom, state):
     """The linearized state (g1, g2, varying, disjunctive) carried from
     the first reference to atom in expr, depth first and left to right,
-    out to expr's root; None when expr does not mention atom.
+    out to expr's root; None when expr does not mention atom outside a
+    certainty aggregation, which has no linear gain (`check_contraction`
+    classes a component with one before any walk).  expr is folded, as
+    `_fold` leaves it: a conjunction or disjunction has at most one
+    constant operand, its first child.
 
     g1 and g2 are the coefficients of the two interval bounds, taken
     from the constant operands alone: classical negation swaps them,
     naf makes both depend on the lower one, a conjunction scales them
-    by its folded constant operands and a disjunction by one minus
-    those.  varying counts the non-constant operands met, disjunctive
-    whether a disjunction was.  The walk has no aggregation case: a
-    component with one is classed before any walk."""
-    if isinstance(expr, Ref):
+    by its constant operand and a disjunction by one minus it.  varying
+    counts the non-constant operands met, disjunctive whether a
+    disjunction was."""
+    kind = type(expr)
+    if kind is Ref:
         if expr.literal.atom != atom:
             return None
         g1, g2, varying, disjunctive = state
         return (g2, g1, varying, disjunctive) if expr.literal.negated \
             else state
-    if isinstance(expr, (Naf, Neg)):
-        inner = _carry(expr.child, atom, state)
-        if inner is None:
-            return None
-        g1, g2, varying, disjunctive = inner
-        if isinstance(expr, Naf):
-            return (g1, g1, varying, disjunctive)
+    if kind is Kagg:
+        return None
+    for child in expr.children:
+        inner = _carry(child, atom, state)
+        if inner is not None:
+            break
+    else:
+        return None
+    g1, g2, varying, disjunctive = inner
+    if kind is Naf:
+        return (g1, g1, varying, disjunctive)
+    if kind is Neg:
         return (g2, g1, varying, disjunctive)
-    if isinstance(expr, (And, Or)):
-        combine = tnorm if isinstance(expr, And) else tconorm
-        for k, child in enumerate(expr.children):
-            inner = _carry(child, atom, state)
-            if inner is None:
-                continue
-            g1, g2, varying, disjunctive = inner
-            const = None
-            for j, sibling in enumerate(expr.children):
-                if j == k:
-                    continue
-                if isinstance(sibling, Const):
-                    const = sibling.value if const is None \
-                        else combine(const, sibling.value)
-                else:
-                    varying += 1
-            if isinstance(expr, Or):
-                disjunctive = True
-                if const is not None:
-                    g1 *= 1.0 - const.lower
-                    g2 *= 1.0 - const.upper
-            elif const is not None:
-                g1 *= const.lower
-                g2 *= const.upper
-            return (g1, g2, varying, disjunctive)
-    return None
+    first = expr.children[0]
+    const = first.value if type(first) is Const else None
+    varying += len(expr.children) - (1 if const is None else 2)
+    if kind is Or:
+        disjunctive = True
+        if const is not None:
+            g1 *= 1.0 - const.lower
+            g2 *= 1.0 - const.upper
+    elif const is not None:
+        g1 *= const.lower
+        g2 *= const.upper
+    return (g1, g2, varying, disjunctive)
 
 
 def _walk_cycle(entries: dict, cycle):
@@ -185,13 +182,18 @@ def _walk_cycle(entries: dict, cycle):
     state = (1.0, 1.0, 0, False)
     for u, v in zip(cycle, cycle[1:] + cycle[:1]):
         state = _carry(entries[v], u, state)
+        if state is None:
+            raise ValueError(f"no cycle gain through the body of {v}: it "
+                             f"reads {u} in an aggregation or not at all")
     g1, g2, varying, disjunctive = state
     return GainVector(g1, g2), varying, disjunctive
 
 
 def cycle_gain(entries: dict, cycle) -> GainVector:
     """Linearized update coefficients once around the cycle from
-    cycle[0], from the constant operands alone."""
+    cycle[0], from the constant operands alone, of folded bodies as
+    `_carry` reads them.  ValueError at a body that reads the atom
+    before it only in a certainty aggregation, which has no such gain."""
     return _walk_cycle(entries, cycle)[0]
 
 

@@ -45,8 +45,10 @@ class SolverConfig(Record):
         self.max_answer_sets = max_answer_sets
         self.trace = set() if trace is None else trace  # of {mi, nmi, graph}
         self.trace_sink = trace_sink   # callable(str)
-        if self.max_answer_sets < 1:
-            raise ValueError("max_answer_sets must be at least 1")
+        if not isinstance(self.max_answer_sets, int) \
+                or self.max_answer_sets < 1:
+            raise ValueError("max_answer_sets must be at least 1 and an "
+                             "integer")
         if self.seeds is not None and not (
                 self.seeds and all(0 <= x <= 1 for x in self.seeds)):
             raise ValueError("seeds must lie in [0,1]")

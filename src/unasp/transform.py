@@ -15,7 +15,9 @@ validation.  The resulting rules carry no weights.
 
 The body nodes are `intervals.Frozen` values, not named tuples: their
 equality compares the node type, so `Naf(x) != Neg(x)` and
-`And(c) != Or(c)`.
+`And(c) != Or(c)`.  Node shapes live here alone: each node names its
+subexpressions in `children`, empty for `Const` and `Ref`, which every
+walker over a body, here and in `depgraph` and `nmi`, reads.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .program import ConstItem, Literal, Program
 
 class Const(Frozen):
     __slots__ = ("value",)
+    children = ()
 
     def __init__(self, value):  # Interval or INCONSISTENT
         _set_const_value(self, value)
@@ -37,6 +40,7 @@ class Const(Frozen):
 
 class Ref(Frozen):
     __slots__ = ("literal",)
+    children = ()
 
     def __init__(self, literal: Literal):
         _set_ref_literal(self, literal)
@@ -47,6 +51,7 @@ class Ref(Frozen):
 
 class Naf(Frozen):
     __slots__ = ("child",)
+    children = property(lambda self: (self.child,))
 
     def __init__(self, child):
         _set_naf_child(self, child)
@@ -57,6 +62,7 @@ class Naf(Frozen):
 
 class Neg(Frozen):
     __slots__ = ("child",)
+    children = property(lambda self: (self.child,))
 
     def __init__(self, child):
         _set_neg_child(self, child)
@@ -87,6 +93,7 @@ class Or(Frozen):
 
 class Kagg(Frozen):
     __slots__ = ("left", "right")
+    children = property(lambda self: (self.left, self.right))
 
     def __init__(self, left, right):
         _set_kagg_left(self, left)
@@ -197,18 +204,12 @@ def simplify(e, values: dict = None):
 substitute = simplify
 
 
-def nodes(e):
+def nodes(e) -> list:
     """Every node of a body expression, each parent before its children."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (And, Or)):
-            stack.extend(node.children)
-        elif isinstance(node, Kagg):
-            stack += (node.left, node.right)
-        elif isinstance(node, (Naf, Neg)):
-            stack.append(node.child)
+    found = [e]
+    for node in found:   # it reaches the nodes appended as it goes
+        found += node.children
+    return found
 
 
 def node_kinds(exprs) -> set:
@@ -222,15 +223,10 @@ def referenced_atoms(e) -> set:
     stack = [e]
     while stack:
         node = stack.pop()
-        kind = type(node)
-        if kind is Ref:
+        if type(node) is Ref:
             atoms.add(node.literal.atom)
-        elif kind is And or kind is Or:
+        else:
             stack += node.children
-        elif kind is Kagg:
-            stack += (node.left, node.right)
-        elif kind is Naf or kind is Neg:
-            stack.append(node.child)
     return atoms
 
 

@@ -124,12 +124,13 @@ def atom_values(interp):
             for lit, v in interp.items() if not lit.negated}
 
 
-# Reference implementations: body trees built unfolded and valued
-# recursively, which the package builds folded (`transform_program`) and
-# reads straight from the rules (`semantics.forced_bounds`), a total
-# interpretation built per branch, which the package builds for all
-# branches at once, and the reduct P^i built as a program, which the
-# package reads in place.
+# Reference implementations: body trees built unfolded, walked by node
+# type and valued recursively, which the package builds folded
+# (`transform_program`), walks through `children` and reads straight
+# from the rules (`semantics.forced_bounds`), a total interpretation
+# built per branch, which the package builds for all branches at once,
+# and the reduct P^i built as a program, which the package reads in
+# place.
 def _item_expr(item):
     if isinstance(item, ConstItem):
         return Const(item.value)
@@ -205,6 +206,31 @@ def evaluate(e, i: dict):
     if kind is tf.Kagg:
         return kagg(evaluate(e.left, i), evaluate(e.right, i))
     raise TypeError(f"not a body expression: {e!r}")
+
+
+def child_fields(e) -> tuple:
+    """A body node's subexpressions, read from its fields by node type:
+    the reference that `children` and the walkers over it are checked
+    against."""
+    kind = type(e)
+    if kind is tf.And or kind is tf.Or:
+        return e.children
+    if kind is tf.Naf or kind is tf.Neg:
+        return (e.child,)
+    if kind is tf.Kagg:
+        return (e.left, e.right)
+    if kind is tf.Ref or kind is tf.Const:
+        return ()
+    raise TypeError(f"not a body expression: {e!r}")
+
+
+def walk_by_type(e) -> list:
+    """Every node of a body expression, recursively through
+    `child_fields`, each parent before its children."""
+    found = [e]
+    for c in child_fields(e):
+        found += walk_by_type(c)
+    return found
 
 
 def _reduct_rule(r: Rule, i: dict) -> Rule:

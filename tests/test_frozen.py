@@ -29,6 +29,16 @@ ARGUMENTS = {
 }
 
 
+# each body node type -> the subexpressions it is built with above:
+# the fields Naf, Neg and Kagg hold them in, the tuple And and Or do
+BODY_CHILDREN = {
+    Const: (), Ref: (),
+    Naf: ARGUMENTS[Naf], Neg: ARGUMENTS[Neg],
+    And: ARGUMENTS[And][0], Or: ARGUMENTS[Or][0],
+    Kagg: ARGUMENTS[Kagg],
+}
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub
@@ -66,6 +76,21 @@ def test_fields_cannot_be_set_or_deleted(cls):
     with pytest.raises(AttributeError):
         value.extra = 1
     assert value._values() == ARGUMENTS[cls]
+
+
+@pytest.mark.parametrize("cls", BODY_CHILDREN, ids=lambda c: c.__name__)
+def test_children_lists_exactly_the_child_fields(cls):
+    """The one place a walker learns a node's shape; it is no slot, so
+    equality, hash and repr do not read it."""
+    value = cls(*ARGUMENTS[cls])
+    children = value.children
+    assert type(children) is tuple
+    assert len(children) == len(BODY_CHILDREN[cls])
+    assert all(c is want for c, want in zip(children, BODY_CHILDREN[cls]))
+    assert repr(value) == "%s(%s)" % (cls.__name__, ", ".join(
+        f"{f}={getattr(value, f)!r}" for f in cls.__slots__))
+    with pytest.raises(AttributeError):
+        value.children = ()
 
 
 def test_interval_int_bounds_become_floats():

@@ -145,6 +145,15 @@ class TestCycleGain:
         gain = cycle_gain(entries, cycle)
         assert gain.norm == pytest.approx(0.464, abs=1e-9)
 
+    def test_hijk_gain_through_aggregation_is_refused(self, hijk_entries):
+        """j reads i only in a certainty aggregation, which has no
+        linear gain: the walk found no reference there and unpacked
+        None, a TypeError."""
+        cycle = tuple(Atom(n) for n in "hijk")
+        assert isinstance(hijk_entries[Atom("j")], Kagg)
+        with pytest.raises(ValueError, match="the body of j: it reads i"):
+            cycle_gain(hijk_entries, cycle)
+
 
 class TestContractionClassification:
     def test_positive_cycle(self, ex1):

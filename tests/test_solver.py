@@ -248,15 +248,19 @@ def _setting_id(kw):
     (NmiConfig, {"eps": float("nan")}), (NmiConfig, {"eps": float("inf")}),
     (NmiConfig, {"eps": -0.1}), (NmiConfig, {"max_outer_iters": 0}),
     (NmiConfig, {"max_outer_iters": -1}),
+    (NmiConfig, {"max_outer_iters": 2.5}), (NmiConfig, {"n_b": 2.5}),
     (SolverConfig, {"max_answer_sets": 0}),
     (SolverConfig, {"max_answer_sets": -1}),
+    (SolverConfig, {"max_answer_sets": 1.5}),
     (SolverConfig, {"trace": {"mi", "grpah"}}),
     (SolverConfig, {"trace": ["mi", "grpah"]})],
     ids=lambda v: getattr(v, "__name__", None) or _setting_id(v))
 def test_config_rejects_out_of_range_settings(config, kw):
     """A NaN or infinite eps judged nothing, a cap of -1 sliced the
-    answer sets [:-1] or ran no iteration, and a misspelt trace kind
-    traced nothing, whether the kinds come as a set or as a list."""
+    answer sets [:-1] or ran no iteration, a count that is no integer
+    raised TypeError from range() or a slice in solve, and a misspelt
+    trace kind traced nothing, whether the kinds come as a set or as a
+    list."""
     with pytest.raises(ValueError, match="must be"):
         config(**kw)
 

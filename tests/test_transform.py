@@ -13,12 +13,13 @@ from unasp.intervals import (BOTTOM, EPS_CMP, FALSE, INCONSISTENT, TRUE,
 from unasp.mi import mi_fixpoint
 from unasp.program import ConstItem, LitItem, Program, Rule
 from unasp.semantics import grid_intervals, is_supported_model
-from unasp.transform import (And, Const, Kagg, Naf, Neg, Or, Ref, nodes,
-                             referenced_atoms, rules_by_head, simplify,
+from unasp.transform import (And, Const, Kagg, Naf, Neg, Or, Ref, node_kinds,
+                             nodes, referenced_atoms, rules_by_head, simplify,
                              substitute)
 
-from conftest import (atom_body, evaluate, join_rules, reduct,
-                      total_from_positive)
+from conftest import (PROGRAMS, atom_body, child_fields, evaluate, join_rules,
+                      random_programs, reduct, total_from_positive,
+                      walk_by_type)
 
 GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -533,6 +534,46 @@ class TestSubstitute:
     def test_referenced_atoms(self):
         e = And((Ref(Literal(Atom("a"))), Naf(Ref(Literal(Atom("b"))))))
         assert referenced_atoms(e) == {Atom("a"), Atom("b")}
+
+
+def _assert_walks_agree(e):
+    """nodes lists every node of e once, each parent before its
+    children, and referenced_atoms and node_kinds find what the
+    type-dispatching reference walker `walk_by_type` finds."""
+    found, want = nodes(e), walk_by_type(e)
+    place = {id(n): k for k, n in enumerate(found)}
+    assert len(place) == len(found) == len(want)
+    assert place.keys() == {id(n) for n in want}
+    assert all(place[id(c)] > place[id(n)]
+               for n in want for c in child_fields(n))
+    assert referenced_atoms(e) == {n.literal.atom for n in want
+                                   if type(n) is Ref}
+    assert node_kinds([e]) == {type(n) for n in want}
+
+
+class TestWalk:
+    """Every walker reads a node's `children`; the reference walker in
+    tests/conftest.py reads the fields of each node type."""
+
+    @pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.unasp")),
+                             ids=lambda path: path.stem)
+    def test_example_program_bodies(self, path):
+        bodies = transform_program(parse_program(path.read_text()))
+        half = {a: Interval(0.5, 0.5) for a in list(bodies)[::2]}
+        for e in bodies.values():
+            _assert_walks_agree(e)
+            _assert_walks_agree(substitute(e, half))
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=random_programs(), data=st.data())
+    def test_random_program_bodies(self, text, data):
+        bodies = transform_program(parse_program(text))
+        chosen = data.draw(st.lists(st.sampled_from(sorted(bodies, key=str)),
+                                    unique=True))
+        values = {a: data.draw(_values) for a in chosen}
+        for e in bodies.values():
+            _assert_walks_agree(e)
+            _assert_walks_agree(substitute(e, values))
 
 
 def _random_program(rng, atoms):
